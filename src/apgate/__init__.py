@@ -5,9 +5,8 @@ model and gate (cavity), pulse statistics and imperfections (pulse), the
 tomography pipeline (tomography), the experiment drivers (protocols) and the
 configuration/CLI layer (config, cli).
 """
-from .cavity import (CavityParams, LevelScheme, MirrorBudget, cnot_gate,
-                     ideal_gate, is_strongly_coupled, lossy_gate_channel,
-                     loss_from_first_principles, reflection_coefficient)
+from .cavity import (CavityParams, MirrorBudget, loss_from_first_principles,
+                     reflection_coefficient)
 from .config import (ConfigError, RunConfig, ideal_profile, load_config,
                      paper_profile)
 from .protocols import (ProtocolResult, StarvationError, bell_target,
@@ -16,14 +15,9 @@ from .protocols import (ProtocolResult, StarvationError, bell_target,
                         run_ramsey, run_state_detection, run_truth_table,
                         tomo_roundtrip)
 from .pulse import (CoherentPulse, DetectionModel, ImperfectionConfig,
-                    analyzer_error_channel, hyperfine_detection,
-                    hyperfine_fidelity, mode_mismatch_channel,
-                    multiphoton_fraction, photon_number_dist,
-                    prep_error_channel, sample_jitter)
-from .qlin import (DensityMatrix, KrausChannel, PostSelectionError, PureState,
-                   UnitaryOp, apply_channel, fidelity_pure,
-                   optimal_phase_fidelity, partial_trace,
-                   project_and_renormalize, rotation, tensor)
+                    hyperfine_fidelity, multiphoton_fraction)
+from .qlin import (DensityMatrix, PostSelectionError, PureState, UnitaryOp,
+                   fidelity_pure, optimal_phase_fidelity, rotation)
 from .tomography import (CountsRecord, MeasurementSetting,
                          ReconstructionReport, all_settings,
                          born_probabilities, linear_inversion, mle_reconstruct,

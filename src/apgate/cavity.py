@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlin import KrausChannel, UnitaryOp
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -62,11 +60,6 @@ class CavityParams:
         return dataclasses.replace(
             self, delta_c=self.delta_c + delta, delta_a=self.delta_a + delta)
 
-    @property
-    def cooperativity(self) -> float:
-        return self.g ** 2 / (2.0 * self.kappa * self.gamma)
-
-
 @dataclass(frozen=True)
 class MirrorBudget:
     """Coupling-mirror transmission vs. the remaining round-trip losses (ppm)."""
@@ -83,33 +76,6 @@ class MirrorBudget:
     @property
     def kappa_in_fraction(self) -> float:
         return self.t_coupling_ppm / (self.t_coupling_ppm + self.loss_other_ppm)
-
-
-@dataclass(frozen=True)
-class LevelScheme:
-    """Trap-induced level shifts that make exactly one transition resonant.
-
-    The probe is resonant with the shifted (up-atom, up-photon) transition;
-    the nearest spurious transition sits 0.1 GHz away and everything reachable
-    from the lower hyperfine manifold about 7 GHz away.
-    """
-
-    stark_shift_33_ghz: float = 0.10
-    stark_shift_31_ghz: float = 0.15
-    spurious_detuning_ghz: float = 0.1
-    f1_detuning_ghz: float = 7.0
-    zeeman_shifts_ghz: tuple = ((0, 0.16), (1, 0.15), (2, 0.10), (3, 0.05))
-
-    def __post_init__(self):
-        shifts = [s for _, s in self.zeeman_shifts_ghz]
-        if any(s <= 0 for s in shifts):
-            raise ValueError("level shifts must be strictly positive")
-        if any(a <= b for a, b in zip(shifts, shifts[1:])):
-            raise ValueError("level shifts must decrease with |m_F|")
-
-    def shift_for(self, abs_mf: int) -> float:
-        table = dict(self.zeeman_shifts_ghz)
-        return table[abs_mf]
 
 
 def reflection_coefficient(params: CavityParams, coupled: bool) -> complex:
@@ -129,70 +95,12 @@ def reflection_coefficient(params: CavityParams, coupled: bool) -> complex:
     return 1.0 - num / den
 
 
-def is_strongly_coupled(atom_state: str, photon_pol: str,
-                        scheme: LevelScheme = LevelScheme(),
-                        params: CavityParams = CavityParams()) -> bool:
-    """Coupling predicate: only (up-atom, up-photon) sees a resonant transition.
-
-    Every other combination addresses a transition whose detuning exceeds the
-    coupling rate g by more than a factor of ten, so it is treated as
-    uncoupled.
-    """
-    if atom_state not in ("up", "down") or photon_pol not in ("up", "down"):
-        raise ValueError("labels must be 'up' or 'down'")
-    if atom_state == "up" and photon_pol == "up":
-        detuning_ghz = 0.0
-    elif atom_state == "up":
-        detuning_ghz = scheme.spurious_detuning_ghz
-    else:
-        detuning_ghz = scheme.f1_detuning_ghz
-    detuning_angular = TWO_PI * detuning_ghz * 1e3  # GHz -> angular MHz
-    return detuning_angular < 10.0 * params.g
-
-
-# Basis pair ordering throughout: (up_a up_p, up_a down_p, down_a up_p, down_a down_p)
-GATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def ideal_gate() -> UnitaryOp:
-    """Lossless conditional-phase map: diag(+1, -1, -1, -1)."""
-    return UnitaryOp(np.diag(GATE_SIGNS).astype(complex))
-
-
-def cnot_gate() -> UnitaryOp:
-    """Conditional phase dressed into a textbook CNOT.
-
-    Hadamards move the photon to the x basis where the conditional phase acts
-    as a bit flip; the extra atom-local Z removes the residual phase on the
-    down-atom branch so the matrix is exactly the CNOT permutation.
-    """
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    m = np.kron(z, h) @ ideal_gate().entries @ np.kron(eye, h)
-    return UnitaryOp(m)
-
-
-@dataclass(frozen=True)
-class GateBranch:
-    """Complex reflection amplitude per (atom, photon) basis pair."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 4:
-            raise ValueError("gate branch needs exactly four amplitudes")
-        if np.any(np.abs(amps) > 1.0 + 1e-9):
-            raise ValueError("branch amplitudes must not exceed unit modulus")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
 def gate_branch_amplitudes(params: CavityParams, losses, delta: float = 0.0) -> np.ndarray:
     """Reflection amplitudes per basis pair at probe offset ``delta`` (angular MHz).
 
-    The on-resonance magnitudes are calibrated to the measured survival
+    Pairs are ordered (up_a up_p, up_a down_p, down_a up_p, down_a down_p);
+    only the first addresses the resonant transition and couples.  The
+    on-resonance magnitudes are calibrated to the measured survival
     probabilities ``1 - loss`` while the detuning dependence (phase slope and
     residual amplitude change) follows the steady-state reflection
     coefficient.  With zero losses and zero offset this reduces exactly to the
@@ -217,19 +125,7 @@ def gate_branch_amplitudes(params: CavityParams, losses, delta: float = 0.0) -> 
         m_u = min(1.0, math.sqrt(1.0 - loss_uncoupled) * abs(r_u) / abs(r_u0))
         a_c = m_c * r_c / abs(r_c)
         a_u = m_u * r_u / abs(r_u)
-    return GateBranch(np.array([a_c, a_u, a_u, a_u])).amplitudes
-
-
-def lossy_gate_channel(params: CavityParams, losses) -> KrausChannel:
-    """Trace-decreasing gate on atom x photon; post-select on photon survival.
-
-    Branch amplitudes are sqrt(1 - loss) with the conditional-phase signs, so
-    with equal losses the post-selected map equals the ideal gate exactly and
-    with zero losses the channel is the ideal gate with unit success.
-    """
-    amps = gate_branch_amplitudes(params, losses, delta=0.0)
-    preserving = bool(np.allclose(np.abs(amps), 1.0, atol=1e-12))
-    return KrausChannel((np.diag(amps),), trace_preserving=preserving)
+    return np.array([a_c, a_u, a_u, a_u], dtype=complex)
 
 
 def loss_from_first_principles(params: CavityParams, budget: MirrorBudget):

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -21,10 +22,94 @@ from .protocols import (ProtocolResult, StarvationError, loss_budget, run_bell,
                         run_truth_table, tomo_roundtrip)
 from .qlin import PostSelectionError
 
-SUBCOMMANDS = ("truth-table", "bell", "ghz", "eraser", "ramsey",
-               "state-detection", "tomo-roundtrip", "loss-budget")
-
 ENV_OUTPUT_DIR = "APGATE_OUT"
+
+
+def _write_csv(path: Path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _truth_table_csv(result: ProtocolResult, out_dir: Path):
+    derived = result.derived
+    matrix = np.asarray(derived["matrix"])
+    header = ["input"] + list(derived["output_labels"])
+    rows = [[label] + [f"{matrix[i, j]:.6f}" for j in range(4)]
+            for i, label in enumerate(derived["input_labels"])]
+    _write_csv(out_dir / "truth_table.csv", header, rows)
+
+
+def _tomography_csvs(**files):
+    """Writer of the |rho| tables (file stem -> derived density-matrix key)
+    and of the per-setting table of the raw rows."""
+    def write(result: ProtocolResult, out_dir: Path):
+        for stem, key in files.items():
+            dm = result.derived[key]
+            dim = dm["dim"]
+            mat = np.abs(np.asarray(dm["re"]) + 1j * np.asarray(dm["im"]))
+            rows = [[i] + [f"{mat[i, j]:.6f}" for j in range(dim)] for i in range(dim)]
+            _write_csv(out_dir / f"{stem}.csv", ["row"] + [str(j) for j in range(dim)], rows)
+        raw = result.raw_counts
+        key = "counts" if "counts" in raw else "probabilities"
+        rows = [[s] + [repr(float(x)) for x in np.asarray(row).ravel()]
+                for s, row in zip(raw["settings"], raw[key])]
+        header = ["setting"] + [f"{key}_{i}" for i in range(len(rows[0]) - 1)]
+        _write_csv(out_dir / f"{result.label}_settings.csv", header, rows)
+    return write
+
+
+def _ramsey_csv(result: ProtocolResult, out_dir: Path):
+    grid = np.asarray(result.raw_counts["detuning_khz"])
+    transfer = np.asarray(result.raw_counts["transfer"])
+    rows = [[f"{g:.6f}", f"{t:.8f}"] for g, t in zip(grid, transfer)]
+    _write_csv(out_dir / "ramsey_curve.csv", ["detuning_khz", "transfer"], rows)
+
+
+def _state_detection_csv(result: ProtocolResult, out_dir: Path):
+    h2 = np.asarray(result.raw_counts["histogram_f2"])
+    h1 = np.asarray(result.raw_counts["histogram_f1"])
+    rows = [[k, f"{h1[k]:.8f}", f"{h2[k]:.8f}"] for k in range(len(h2))]
+    _write_csv(out_dir / "state_detection_hist.csv", ["count", "p_f1", "p_f2"], rows)
+
+
+def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
+    grid = None
+    if args.grid_khz:
+        start, stop, points = args.grid_khz
+        if int(points) < 1:
+            raise ConfigError("grid-khz", "POINTS must be at least 1")
+        grid = np.linspace(start, stop, int(points))
+    return run_ramsey(cfg, detuning_grid_khz=grid, phase2=args.phase2)
+
+
+class Subcommand(NamedTuple):
+    run: Callable[..., ProtocolResult]      # run(cfg, args)
+    write_csv: Optional[Callable] = None    # write_csv(result, out_dir)
+    options: tuple = ()                     # extra (flag, argparse kwargs)
+
+
+SUBCOMMANDS = {
+    "truth-table": Subcommand(lambda cfg, args: run_truth_table(cfg), _truth_table_csv),
+    "bell": Subcommand(lambda cfg, args: run_bell(cfg),
+                       _tomography_csvs(bell_density_abs="density_matrix")),
+    "ghz": Subcommand(lambda cfg, args: run_ghz(cfg),
+                      _tomography_csvs(ghz_density_abs="density_matrix")),
+    "eraser": Subcommand(lambda cfg, args: run_eraser(cfg), _tomography_csvs(
+        eraser_phi_plus_abs="density_matrix_phi_plus",
+        eraser_phi_minus_abs="density_matrix_phi_minus")),
+    "ramsey": Subcommand(_run_ramsey, _ramsey_csv, (
+        ("--phase2", dict(type=float, default=0.0,
+                          help="phase of the second pulse (radians)")),
+        ("--grid-khz", dict(type=float, nargs=3, metavar=("START", "STOP", "POINTS"),
+                            help="detuning grid: start stop points")))),
+    "state-detection": Subcommand(lambda cfg, args: run_state_detection(cfg),
+                                  _state_detection_csv),
+    "tomo-roundtrip": Subcommand(
+        lambda cfg, args: tomo_roundtrip(cfg, n_states=args.states, shots=args.shots),
+        options=(("--states", dict(type=int, default=50)),
+                 ("--shots", dict(type=int, default=10_000)))),
+    "loss-budget": Subcommand(lambda cfg, args: loss_budget(cfg)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="apgate",
         description="Simulate the cavity-mediated atom-photon gate protocols.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, subcommand in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--profile", choices=sorted(PROFILES),
@@ -42,142 +127,56 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("analytic", "monte-carlo"),
                        help="override the run mode")
         p.add_argument("--out", help="output directory")
-        if name == "ramsey":
-            p.add_argument("--phase2", type=float, default=0.0,
-                           help="phase of the second pulse (radians)")
-            p.add_argument("--grid-khz", type=float, nargs=3,
-                           metavar=("START", "STOP", "POINTS"),
-                           help="detuning grid: start stop points")
-        if name == "tomo-roundtrip":
-            p.add_argument("--states", type=int, default=50)
-            p.add_argument("--shots", type=int, default=10_000)
+        for flag, kwargs in subcommand.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = PROFILES[args.profile or "paper"]()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if overrides:
-        try:
-            cfg = dataclasses.replace(cfg, **overrides)
-        except ValueError as exc:
-            raise ConfigError("overrides", str(exc)) from exc
-    return cfg
+    cfg = load_config(args.config) if args.config else PROFILES[args.profile or "paper"]()
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "mode")
+                 if getattr(args, key) is not None}
+    try:
+        return dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        raise ConfigError("overrides", str(exc)) from exc
 
 
 def _resolve_out_dir(args, cfg: RunConfig) -> Path:
-    out = args.out or os.environ.get(ENV_OUTPUT_DIR) or cfg.output_dir
-    path = Path(out)
+    path = Path(args.out or os.environ.get(ENV_OUTPUT_DIR) or cfg.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _matrix_abs_csv(path: Path, dm_dict: dict):
-    dim = dm_dict["dim"]
-    mat = np.abs(np.asarray(dm_dict["re"]) + 1j * np.asarray(dm_dict["im"]))
-    header = ["row"] + [str(j) for j in range(dim)]
-    rows = [[i] + [f"{mat[i, j]:.6f}" for j in range(dim)] for i in range(dim)]
-    _write_csv(path, header, rows)
-
-
 def _emit(result: ProtocolResult, out_dir: Path):
-    name = result.label
-    (out_dir / f"{name}.json").write_text(result.to_json())
-    derived = result.derived
-    if name == "truth-table":
-        matrix = np.asarray(derived["matrix"])
-        header = ["input"] + list(derived["output_labels"])
-        rows = [[label] + [f"{matrix[i, j]:.6f}" for j in range(4)]
-                for i, label in enumerate(derived["input_labels"])]
-        _write_csv(out_dir / "truth_table.csv", header, rows)
-    elif name in ("bell", "ghz"):
-        _matrix_abs_csv(out_dir / f"{name}_density_abs.csv", derived["density_matrix"])
-    elif name == "eraser":
-        _matrix_abs_csv(out_dir / "eraser_phi_plus_abs.csv",
-                        derived["density_matrix_phi_plus"])
-        _matrix_abs_csv(out_dir / "eraser_phi_minus_abs.csv",
-                        derived["density_matrix_phi_minus"])
-    elif name == "ramsey":
-        grid = np.asarray(result.raw_counts["detuning_khz"])
-        transfer = np.asarray(result.raw_counts["transfer"])
-        rows = [[f"{g:.6f}", f"{t:.8f}"] for g, t in zip(grid, transfer)]
-        _write_csv(out_dir / "ramsey_curve.csv", ["detuning_khz", "transfer"], rows)
-    elif name == "state-detection":
-        h2 = np.asarray(result.raw_counts["histogram_f2"])
-        h1 = np.asarray(result.raw_counts["histogram_f1"])
-        rows = [[k, f"{h1[k]:.8f}", f"{h2[k]:.8f}"] for k in range(len(h2))]
-        _write_csv(out_dir / "state_detection_hist.csv",
-                   ["count", "p_f1", "p_f2"], rows)
-    if "settings" in result.raw_counts:
-        key = "counts" if "counts" in result.raw_counts else "probabilities"
-        rows = [[s] + [repr(float(x)) for x in np.asarray(row).ravel()]
-                for s, row in zip(result.raw_counts["settings"], result.raw_counts[key])]
-        n_outcomes = len(rows[0]) - 1
-        header = ["setting"] + [f"{key}_{i}" for i in range(n_outcomes)]
-        _write_csv(out_dir / f"{name}_settings.csv", header, rows)
+    (out_dir / f"{result.label}.json").write_text(result.to_json())
+    write_csv = SUBCOMMANDS[result.label].write_csv
+    if write_csv is not None:
+        write_csv(result, out_dir)
 
 
 def _dispatch(args, cfg: RunConfig) -> ProtocolResult:
-    name = args.subcommand
-    if name == "truth-table":
-        return run_truth_table(cfg)
-    if name == "bell":
-        return run_bell(cfg)
-    if name == "ghz":
-        return run_ghz(cfg)
-    if name == "eraser":
-        return run_eraser(cfg)
-    if name == "ramsey":
-        grid = None
-        if args.grid_khz:
-            start, stop, points = args.grid_khz
-            grid = np.linspace(start, stop, int(points))
-        return run_ramsey(cfg, detuning_grid_khz=grid, phase2=args.phase2)
-    if name == "state-detection":
-        return run_state_detection(cfg)
-    if name == "tomo-roundtrip":
-        return tomo_roundtrip(cfg, n_states=args.states, shots=args.shots)
-    if name == "loss-budget":
-        return loss_budget(cfg)
-    raise ConfigError("subcommand", f"unknown subcommand {name}")
+    return SUBCOMMANDS[args.subcommand].run(cfg, args)
 
 
-def _error_json(kind: str, message: str) -> str:
-    return json.dumps({"error": kind, "message": message}, sort_keys=True)
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(json.dumps({"error": kind, "message": str(exc)}, sort_keys=True),
+          file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         out_dir = _resolve_out_dir(args, cfg)
         result = _dispatch(args, cfg)
     except ConfigError as exc:
-        print(_error_json("config", str(exc)), file=sys.stderr)
-        return 2
+        return _fail("config", exc, 2)
     except (StarvationError, PostSelectionError) as exc:
-        print(_error_json("starvation", str(exc)), file=sys.stderr)
-        return 3
+        return _fail("starvation", exc, 3)
     except OSError as exc:
-        print(_error_json("io", str(exc)), file=sys.stderr)
-        return 3
+        return _fail("io", exc, 3)
     _emit(result, out_dir)
     summary = {k: v for k, v in result.derived.items()
                if isinstance(v, (int, float, bool))}

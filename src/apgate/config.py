@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .cavity import TWO_PI, CavityParams, MirrorBudget
@@ -48,7 +49,7 @@ class RunConfig:
     trials: int = 100_000
     mode: str = "analytic"
     output_dir: str = "runs"
-    shots_per_setting: int = 5000
+    shots_per_setting: int = 5000    # calibrated error scale (acceptance criterion 11)
     mc_replicas: int = 100
 
     def __post_init__(self):
@@ -64,6 +65,7 @@ class RunConfig:
             raise ValueError("mc_replicas must be at least 2")
 
     def to_dict(self) -> dict:
+        """The config document of this run: plain units, every key present."""
         c = self.cavity
         return {
             "seed": int(self.seed),
@@ -77,26 +79,9 @@ class RunConfig:
                 "delta_c_mhz": c.delta_c / TWO_PI,
                 "delta_a_mhz": c.delta_a / TWO_PI,
             },
-            "mirrors": {
-                "t_coupling_ppm": self.mirrors.t_coupling_ppm,
-                "loss_other_ppm": self.mirrors.loss_other_ppm,
-            },
-            "imperfections": {
-                "mode_overlap": self.imperfections.mode_overlap,
-                "prep_fidelity": self.imperfections.prep_fidelity,
-                "freq_jitter_khz": self.imperfections.freq_jitter_khz,
-                "freq_bias_khz": self.imperfections.freq_bias_khz,
-                "drift_phase_per_reflection": self.imperfections.drift_phase_per_reflection,
-                "photonic_meas_error": self.imperfections.photonic_meas_error,
-                "loss_coupled": self.imperfections.loss_coupled,
-                "loss_uncoupled": self.imperfections.loss_uncoupled,
-                "rotation_readout_fidelity": self.imperfections.rotation_readout_fidelity,
-            },
-            "detection": {
-                "mean_signal_photons": self.detection.mean_signal_photons,
-                "dark_prob": self.detection.dark_prob,
-                "threshold": int(self.detection.threshold),
-            },
+            "mirrors": asdict(self.mirrors),
+            "imperfections": asdict(self.imperfections),
+            "detection": asdict(self.detection),
             "pulses": {
                 "bell_mean_photons": self.bell_pulse.mean_photons,
                 "truth_table_mean_photons": self.truth_table_pulse.mean_photons,
@@ -110,113 +95,60 @@ class RunConfig:
         }
 
 
-_TOP_KEYS = {"seed", "trials", "mode", "output_dir", "cavity", "mirrors",
-             "imperfections", "detection", "pulses", "preselection_pass",
-             "shots_per_setting", "mc_replicas"}
-_CAVITY_KEYS = {"g_mhz", "kappa_mhz", "gamma_mhz", "delta_c_mhz", "delta_a_mhz"}
-_MIRROR_KEYS = {"t_coupling_ppm", "loss_other_ppm"}
-_IMP_KEYS = {"mode_overlap", "prep_fidelity", "freq_jitter_khz", "freq_bias_khz",
-             "drift_phase_per_reflection", "photonic_meas_error", "loss_coupled",
-             "loss_uncoupled", "rotation_readout_fidelity"}
-_DET_KEYS = {"mean_signal_photons", "dark_prob", "threshold"}
-_PULSE_KEYS = {"bell_mean_photons", "truth_table_mean_photons", "fwhm_us",
-               "assume_single_photon", "spectral_correction"}
-
-
-def _check_keys(section: dict, allowed: set, path: str):
+def _keys_checked(section, defaults: dict, path: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section) - set(defaults))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}" if path else unknown[0],
                           "unknown key")
+    return section
+
+
+def _build(path: str, make, section: dict, defaults: dict):
+    """``make(**values)``, each value cast to its default's type; a bad
+    value is reported against the section ``path``."""
+    try:
+        return make(**{k: type(d)(section.get(k, d)) for k, d in defaults.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _pulse_fields(bell_mean_photons, truth_table_mean_photons, fwhm_us,
+                  assume_single_photon, spectral_correction) -> dict:
+    """RunConfig fields set by the ``pulses`` section."""
+    return {"bell_pulse": CoherentPulse(bell_mean_photons, fwhm_us),
+            "truth_table_pulse": CoherentPulse(truth_table_mean_photons, fwhm_us),
+            "assume_single_photon": assume_single_photon,
+            "spectral_correction": spectral_correction}
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Validate a parsed config document and build a RunConfig."""
-    _check_keys(data, _TOP_KEYS, "")
+    """Validate a parsed config document and build a RunConfig.
+
+    The schema is the paper profile's own document: its keys are the allowed
+    keys, its values the defaults and their types the casts.
+    """
+    schema = paper_profile(seed=0).to_dict()
+    _keys_checked(data, schema, "")
     if "seed" not in data:
         raise ConfigError("seed", "missing required field")
-    cav = dict(data.get("cavity", {}))
-    _check_keys(cav, _CAVITY_KEYS, "cavity")
-    mir = dict(data.get("mirrors", {}))
-    _check_keys(mir, _MIRROR_KEYS, "mirrors")
-    imp = dict(data.get("imperfections", {}))
-    _check_keys(imp, _IMP_KEYS, "imperfections")
-    det = dict(data.get("detection", {}))
-    _check_keys(det, _DET_KEYS, "detection")
-    pul = dict(data.get("pulses", {}))
-    _check_keys(pul, _PULSE_KEYS, "pulses")
+    sections = {name: _keys_checked(data.get(name, {}), defaults, name)
+                for name, defaults in schema.items() if isinstance(defaults, dict)}
 
-    try:
-        mirrors = MirrorBudget(
-            t_coupling_ppm=float(mir.get("t_coupling_ppm", 95.0)),
-            loss_other_ppm=float(mir.get("loss_other_ppm", 8.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("mirrors", str(exc)) from exc
-    try:
-        cavity = CavityParams.from_mhz(
-            g_mhz=float(cav.get("g_mhz", 6.7)),
-            kappa_mhz=float(cav.get("kappa_mhz", 2.5)),
-            gamma_mhz=float(cav.get("gamma_mhz", 3.0)),
-            kappa_in_fraction=mirrors.kappa_in_fraction,
-            delta_c_mhz=float(cav.get("delta_c_mhz", 0.0)),
-            delta_a_mhz=float(cav.get("delta_a_mhz", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("cavity", str(exc)) from exc
-    try:
-        imperfections = ImperfectionConfig(
-            mode_overlap=float(imp.get("mode_overlap", 0.92)),
-            prep_fidelity=float(imp.get("prep_fidelity", 0.96)),
-            freq_jitter_khz=float(imp.get("freq_jitter_khz", 300.0)),
-            freq_bias_khz=float(imp.get("freq_bias_khz", 0.0)),
-            drift_phase_per_reflection=float(
-                imp.get("drift_phase_per_reflection", DRIFT_PHASE_PER_REFLECTION)),
-            photonic_meas_error=float(imp.get("photonic_meas_error", 0.01)),
-            loss_coupled=float(imp.get("loss_coupled", 0.34)),
-            loss_uncoupled=float(imp.get("loss_uncoupled", 0.30)),
-            rotation_readout_fidelity=float(imp.get("rotation_readout_fidelity", 0.95)),
-        )
-    except ValueError as exc:
-        raise ConfigError("imperfections", str(exc)) from exc
-    try:
-        detection = DetectionModel(
-            mean_signal_photons=float(det.get("mean_signal_photons", -math.log(0.004))),
-            dark_prob=float(det.get("dark_prob", 0.003)),
-            threshold=int(det.get("threshold", 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError("detection", str(exc)) from exc
-    try:
-        fwhm = float(pul.get("fwhm_us", 0.7))
-        bell_pulse = CoherentPulse(float(pul.get("bell_mean_photons", 0.07)), fwhm)
-        tt_pulse = CoherentPulse(float(pul.get("truth_table_mean_photons", 0.3)), fwhm)
-    except ValueError as exc:
-        raise ConfigError("pulses", str(exc)) from exc
-    try:
-        return RunConfig(
-            seed=int(data["seed"]),
-            cavity=cavity,
-            mirrors=mirrors,
-            imperfections=imperfections,
-            detection=detection,
-            bell_pulse=bell_pulse,
-            truth_table_pulse=tt_pulse,
-            assume_single_photon=bool(pul.get("assume_single_photon", False)),
-            spectral_correction=bool(pul.get("spectral_correction", False)),
-            preselection_pass=float(data.get("preselection_pass", 0.5)),
-            trials=int(data.get("trials", 100_000)),
-            mode=str(data.get("mode", "analytic")),
-            output_dir=str(data.get("output_dir", "runs")),
-            shots_per_setting=int(data.get("shots_per_setting", 5000)),
-            mc_replicas=int(data.get("mc_replicas", 100)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("run", str(exc)) from exc
+    mirrors = _build("mirrors", MirrorBudget, sections["mirrors"], schema["mirrors"])
+    cavity = _build("cavity", partial(CavityParams.from_mhz,
+                                      kappa_in_fraction=mirrors.kappa_in_fraction),
+                    sections["cavity"], schema["cavity"])
+    imperfections = _build("imperfections", ImperfectionConfig,
+                           sections["imperfections"], schema["imperfections"])
+    detection = _build("detection", DetectionModel, sections["detection"],
+                       schema["detection"])
+    pulses = _build("pulses", _pulse_fields, sections["pulses"], schema["pulses"])
+    run = {k: d for k, d in schema.items() if not isinstance(d, dict)}
+    return _build("run", partial(
+        RunConfig, cavity=cavity, mirrors=mirrors, imperfections=imperfections,
+        detection=detection, **pulses), data, run)
 
 
 def load_config(path) -> RunConfig:

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .cavity import CavityParams, gate_branch_amplitudes, loss_from_first_principles
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
                     detection_confusion, hyperfine_fidelity, jitter_nodes,
                     multiphoton_fraction, spectral_sigma_khz)
@@ -120,7 +120,6 @@ class GateModel:
     cavity: CavityParams
     imperfections: ImperfectionConfig
     contamination: float = 0.0
-    n_jitter_nodes: int = 21
 
 
 def _model_for(cfg: RunConfig, pulse: CoherentPulse) -> GateModel:
@@ -203,8 +202,7 @@ def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
     # in a direct (Z) readout, an even split when a rotation precedes it.
     err_atom = [np.array([1.0, 0.0]) if s.labels[0] == "Z" else np.array([0.5, 0.5])
                 for s in settings]
-    deltas, weights = jitter_nodes(imp.freq_jitter_khz, imp.freq_bias_khz,
-                                   model.n_jitter_nodes)
+    deltas, weights = jitter_nodes(imp.freq_jitter_khz, imp.freq_bias_khz)
 
     tables = np.zeros((len(settings), 2 ** n))
     mode_combos = list(itertools.product((True, False), repeat=k))
@@ -272,7 +270,7 @@ def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction helpers
+# Sampling and estimation, shared by both modes
 
 def _reconstruct(settings: Sequence[MeasurementSetting], tables: np.ndarray):
     """Linear inversion when physical, diluted-MLE projection otherwise."""
@@ -288,17 +286,60 @@ def _reconstruct(settings: Sequence[MeasurementSetting], tables: np.ndarray):
 
 
 def _sample_records(settings: Sequence[MeasurementSetting], tables: np.ndarray,
-                    trials: int, keep_prob: float, seed_seq) -> List[CountsRecord]:
+                    trials: int, keep_prob, seed_seq) -> List[CountsRecord]:
+    """Binomial retention of ``trials`` attempts, then multinomial outcome
+    counts, per setting.  ``keep_prob`` is one probability for every setting
+    or one per setting; setting ``s`` draws from child ``s`` of ``seed_seq``."""
     records = []
+    keep = np.broadcast_to(keep_prob, len(settings))
     children = seed_seq.spawn(len(settings))
-    for s, p, child in zip(settings, tables, children):
+    for s, p, k, child in zip(settings, tables, keep, children):
         rng = np.random.default_rng(child)
-        retained = int(rng.binomial(trials, min(1.0, keep_prob)))
+        retained = int(rng.binomial(trials, min(1.0, k)))
         if retained == 0:
             raise StarvationError(f"no surviving events for setting {s.name}")
         counts = rng.multinomial(retained, p / p.sum())
         records.append(CountsRecord(s, counts))
     return records
+
+
+def _observe(cfg: RunConfig, settings: Sequence[MeasurementSetting],
+             tables: np.ndarray, keep_prob):
+    """Rows the estimator sees, and the bootstrap generator.
+
+    Analytic mode sees the exact tables and needs no generator.  Monte-Carlo
+    mode sees counts sampled from the run's seed sequence; the bootstrap
+    draws from the next child of the same sequence.
+    """
+    if cfg.mode != "monte-carlo":
+        return tables, None
+    seed_seq = np.random.SeedSequence(cfg.seed)
+    records = _sample_records(settings, tables, cfg.trials, keep_prob, seed_seq)
+    rng = np.random.default_rng(seed_seq.spawn(1)[0])
+    return np.array([r.counts for r in records]), rng
+
+
+def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows,
+              target: PureState, rng):
+    """Reconstructed state, method and bootstrap fidelity error (or None).
+
+    Analytic rows are exact probabilities: linear inversion, with an MLE
+    fallback.  Monte-Carlo rows are counts: an MLE fit, and the parametric
+    bootstrap of the fidelity against ``target`` drawn from ``rng``.
+    """
+    if cfg.mode != "monte-carlo":
+        rho, method, _ = _reconstruct(settings, rows)
+        return rho, method, None
+    records = [CountsRecord(s, c) for s, c in zip(settings, rows)]
+    rho = mle_reconstruct(records).rho
+    std = monte_carlo_errors(records, lambda m: fidelity_pure(m, target),
+                             cfg.mc_replicas, rng)["metric"]
+    return rho, "mle", std
+
+
+def _raw(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows) -> dict:
+    key = "counts" if cfg.mode == "monte-carlo" else "probabilities"
+    return {"settings": [s.name for s in settings], key: rows}
 
 
 def _metadata(cfg: RunConfig, trials: int, extra: Optional[dict] = None) -> dict:
@@ -317,13 +358,12 @@ def _metadata(cfg: RunConfig, trials: int, extra: Optional[dict] = None) -> dict
 # Protocol drivers
 
 TRUTH_TABLE_LABELS = ("down_a down_px", "down_a up_px", "up_a down_px", "up_a up_px")
-# Outcome flat index (atom bit, photon bit) -> truth-table column, and the
-# column holding the correct output for each input row.
-_TT_COLUMN_OF_OUTCOME = (3, 2, 1, 0)
+# Column holding the correct output for each input row.  Outcomes are
+# ordered (atom bit, photon bit) from up_a up_px, the reverse of the labels.
 _TT_CORRECT_COLUMN = (0, 1, 3, 2)
 
 
-def run_truth_table(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
+def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     """Classical truth table of the gate in the (atom z, photon x) bases.
 
     Rows are the four basis inputs, columns the measured outputs in the same
@@ -332,12 +372,9 @@ def run_truth_table(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolRes
     laser-cavity offset, so the slow drift bias configured for the
     entanglement protocols is not applied here.
     """
-    trials = trials or cfg.trials
     model = _model_for(cfg, cfg.truth_table_pulse)
-    if model.imperfections.freq_bias_khz != 0.0:
-        recentered = dataclasses.replace(model.imperfections, freq_bias_khz=0.0)
-        model = GateModel(model.cavity, recentered, model.contamination,
-                          model.n_jitter_nodes)
+    model = dataclasses.replace(model, imperfections=dataclasses.replace(
+        model.imperfections, freq_bias_khz=0.0))
     setting = MeasurementSetting(("Z", "X"))
     det_confusion = detection_confusion(cfg.detection)
     inputs = [
@@ -346,30 +383,18 @@ def run_truth_table(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolRes
         (UP, X_MINUS, True),
         (UP, X_PLUS, True),
     ]
-    matrix = np.zeros((4, 4))
-    rows_out = []
-    survivals = []
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    row_seeds = seed_seq.spawn(4)
-    for i, (atom, photon, prep_err) in enumerate(inputs):
-        tables, survival = _protocol_tables(
-            model, atom, [photon], [setting],
-            apply_prep_error=prep_err, apply_atom_dephasing=False,
-            atom_confusion=det_confusion)
-        p = tables[0]
-        survivals.append(survival)
-        if cfg.mode == "monte-carlo":
-            rng = np.random.default_rng(row_seeds[i])
-            retained = int(rng.binomial(trials, min(1.0, survival)))
-            if retained == 0:
-                raise StarvationError(f"no surviving events for input {TRUTH_TABLE_LABELS[i]}")
-            counts = rng.multinomial(retained, p / p.sum())
-            rows_out.append(counts)
-            p = counts / counts.sum()
-        else:
-            rows_out.append(p)
-        for outcome, col in enumerate(_TT_COLUMN_OF_OUTCOME):
-            matrix[i, col] = p[outcome]
+    runs = [_protocol_tables(model, atom, [photon], [setting],
+                             apply_prep_error=prep_err, apply_atom_dephasing=False,
+                             atom_confusion=det_confusion)
+            for atom, photon, prep_err in inputs]
+    survivals = [survival for _, survival in runs]
+    rows, _ = _observe(cfg, [setting] * 4, np.concatenate([t for t, _ in runs]),
+                       survivals)
+    if cfg.mode == "monte-carlo":   # sampled counts are floats; the raw table keeps ints
+        probs, raw = rows / rows.sum(axis=1, keepdims=True), {"counts": rows.astype(int)}
+    else:
+        probs, raw = rows, {"probabilities": rows}
+    matrix = probs[:, ::-1]
     correct = [float(matrix[i, _TT_CORRECT_COLUMN[i]]) for i in range(4)]
     derived = {
         "input_labels": list(TRUTH_TABLE_LABELS),
@@ -379,41 +404,22 @@ def run_truth_table(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolRes
         "control_down_identity": 0.5 * (correct[0] + correct[1]),
         "control_up_flip": 0.5 * (correct[2] + correct[3]),
     }
-    key = "counts" if cfg.mode == "monte-carlo" else "probabilities"
-    raw = {"setting": setting.name, "rows": list(TRUTH_TABLE_LABELS),
-           key: [np.asarray(c) for c in rows_out]}
+    raw.update(setting=setting.name, rows=list(TRUTH_TABLE_LABELS))
     return ProtocolResult("truth-table", raw, derived,
-                          _metadata(cfg, trials, {"survival": survivals}))
+                          _metadata(cfg, cfg.trials, {"survival": survivals}))
 
 
-def _tomography_protocol(cfg: RunConfig, label: str, model: GateModel,
-                         atom_ket, photon_kets, target: PureState,
-                         phase_u: PureState, phase_v: PureState,
-                         trials: int) -> ProtocolResult:
-    n = 1 + len(photon_kets)
-    settings = all_settings(n)
-    drift = cfg.imperfections.drift_phase_per_reflection * len(photon_kets)
+def _tomography_protocol(cfg: RunConfig, label: str, n_photons: int,
+                         target: PureState, phase_u: PureState,
+                         phase_v: PureState) -> ProtocolResult:
+    settings = all_settings(1 + n_photons)
+    drift = cfg.imperfections.drift_phase_per_reflection * n_photons
     tables, survival = _protocol_tables(
-        model, atom_ket, photon_kets, settings, apply_prep_error=True,
-        atom_phase=drift)
+        _model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS] * n_photons,
+        settings, apply_prep_error=True, atom_phase=drift)
     keep_prob = survival * cfg.preselection_pass
-    mc_std = None
-    if cfg.mode == "monte-carlo":
-        seed_seq = np.random.SeedSequence(cfg.seed)
-        records = _sample_records(settings, tables, trials, keep_prob, seed_seq)
-        report = mle_reconstruct(records)
-        rho, method = report.rho, "mle"
-        mc_std = monte_carlo_errors(
-            records,
-            {"fidelity": lambda m: fidelity_pure(m, target)},
-            resamples=cfg.mc_replicas,
-            rng=np.random.default_rng(seed_seq.spawn(1)[0]),
-        )
-        raw = {"settings": [s.name for s in settings],
-               "counts": [r.counts for r in records]}
-    else:
-        rho, method, _ = _reconstruct(settings, tables)
-        raw = {"settings": [s.name for s in settings], "probabilities": tables}
+    rows, rng = _observe(cfg, settings, tables, keep_prob)
+    rho, method, std = _estimate(cfg, settings, rows, target, rng)
     phi_star, f_max = optimal_phase_fidelity(rho, phase_u, phase_v)
     derived = {
         "fidelity": fidelity_pure(rho, target),
@@ -423,37 +429,31 @@ def _tomography_protocol(cfg: RunConfig, label: str, model: GateModel,
         "density_matrix": rho.to_json_dict(),
         "reconstruction": method,
     }
-    if mc_std is not None:
-        derived["fidelity_std"] = mc_std["fidelity"]
-    meta = _metadata(cfg, trials, {"survival": survival, "keep_prob": keep_prob})
-    return ProtocolResult(label, raw, derived, meta)
+    if std is not None:
+        derived["fidelity_std"] = std
+    meta = _metadata(cfg, cfg.trials, {"survival": survival, "keep_prob": keep_prob})
+    return ProtocolResult(label, _raw(cfg, settings, rows), derived, meta)
 
 
-def run_bell(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
+def run_bell(cfg: RunConfig) -> ProtocolResult:
     """Atom-photon entanglement: reflect one faint pulse off |down_ax down_px>
     and tomograph the post-selected joint state."""
-    trials = trials or cfg.trials
-    model = _model_for(cfg, cfg.bell_pulse)
     return _tomography_protocol(
-        cfg, "bell", model, X_MINUS, [X_MINUS], bell_target(),
-        PureState(np.kron(UP, X_PLUS)), PureState(np.kron(DOWN, X_MINUS)),
-        trials)
+        cfg, "bell", 1, bell_target(),
+        PureState(np.kron(UP, X_PLUS)), PureState(np.kron(DOWN, X_MINUS)))
 
 
-def run_ghz(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
+def run_ghz(cfg: RunConfig) -> ProtocolResult:
     """Atom-photon-photon entanglement from two sequential reflections.
 
     ``phi_star`` is reported in the (|u> + e^{-i phi}|v>)/sqrt(2) convention
     shared by all protocols; the three-particle target itself sits at
     phi = pi, so the rotation relative to it is phi_star - pi.
     """
-    trials = trials or cfg.trials
-    model = _model_for(cfg, cfg.bell_pulse)
     return _tomography_protocol(
-        cfg, "ghz", model, X_MINUS, [X_MINUS, X_MINUS], ghz_target(),
+        cfg, "ghz", 2, ghz_target(),
         PureState(np.kron(UP, np.kron(X_PLUS, X_PLUS))),
-        PureState(np.kron(DOWN, np.kron(X_MINUS, X_MINUS))),
-        trials)
+        PureState(np.kron(DOWN, np.kron(X_MINUS, X_MINUS))))
 
 
 # Atom rotation that maps the three-particle state onto
@@ -462,63 +462,41 @@ def run_ghz(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
 ERASER_ROTATION_PHASE = -math.pi / 2
 
 
-def run_eraser(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
+def run_eraser(cfg: RunConfig) -> ProtocolResult:
     """Photon-photon entanglement heralded by a rotated atom measurement.
 
     The three-particle pipeline runs first; a pi/2 rotation then maps the
     atomic superposition onto the hyperfine basis and the detected state
     selects which photon-photon Bell state remains.
     """
-    trials = trials or cfg.trials
-    model = _model_for(cfg, cfg.bell_pulse)
     rot = rotation(math.pi / 2, ERASER_ROTATION_PHASE).entries
-    photon_pairs = [s.labels for s in all_settings(2)]
-    settings = [MeasurementSetting(("Z",) + labels) for labels in photon_pairs]
-    photon_settings = [MeasurementSetting(labels) for labels in photon_pairs]
+    photon_settings = all_settings(2)
+    settings = [MeasurementSetting(("Z",) + s.labels) for s in photon_settings]
     drift = cfg.imperfections.drift_phase_per_reflection * 2
     tables, survival = _protocol_tables(
-        model, X_MINUS, [X_MINUS, X_MINUS], settings,
+        _model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS, X_MINUS], settings,
         apply_prep_error=True, atom_phase=drift, atom_pre_measure=rot)
     keep_prob = survival * cfg.preselection_pass
 
-    grids = tables.reshape(len(settings), 2, 4)
-    p_f2 = grids[:, 0, :].sum(axis=1)
-    p_f1 = grids[:, 1, :].sum(axis=1)
-    if np.max(np.abs(p_f1 - p_f1[0])) > 1e-9:
+    # Axis 1 is the atom outcome: 0 is the upper hyperfine state F2, which
+    # heralds Phi-; 1 is F1, which heralds Phi+.
+    p_atom = tables.reshape(len(settings), 2, 4).sum(axis=2)
+    if np.max(np.abs(p_atom[:, 1] - p_atom[0, 1])) > 1e-9:
         raise RuntimeError("atom outcome probability leaked a setting dependence")
 
-    mc_std = {}
-    if cfg.mode == "monte-carlo":
-        seed_seq = np.random.SeedSequence(cfg.seed)
-        records = _sample_records(settings, tables, trials, keep_prob, seed_seq)
-        cond_records = {"f1": [], "f2": []}
-        for r, ps in zip(records, photon_settings):
-            counts = r.counts.reshape(2, 4)
-            for key, row in (("f2", counts[0]), ("f1", counts[1])):
-                if row.sum() == 0:
-                    raise StarvationError(
-                        f"no {key}-conditioned events for setting {r.setting.name}")
-                cond_records[key].append(CountsRecord(ps, row))
-        rho_f1 = mle_reconstruct(cond_records["f1"]).rho
-        rho_f2 = mle_reconstruct(cond_records["f2"]).rho
-        method = "mle"
-        err_rng = np.random.default_rng(seed_seq.spawn(1)[0])
-        mc_std = {
-            "fidelity_phi_plus_std": monte_carlo_errors(
-                cond_records["f1"], lambda m: fidelity_pure(m, phi_plus_photons()),
-                resamples=cfg.mc_replicas, rng=err_rng)["metric"],
-            "fidelity_phi_minus_std": monte_carlo_errors(
-                cond_records["f2"], lambda m: fidelity_pure(m, phi_minus_photons()),
-                resamples=cfg.mc_replicas, rng=err_rng)["metric"],
-        }
-        raw = {"settings": [s.name for s in settings],
-               "counts": [r.counts for r in records]}
-    else:
-        cond_f1 = grids[:, 1, :] / p_f1[:, None]
-        cond_f2 = grids[:, 0, :] / p_f2[:, None]
-        rho_f1, method, _ = _reconstruct(photon_settings, cond_f1)
-        rho_f2, _, _ = _reconstruct(photon_settings, cond_f2)
-        raw = {"settings": [s.name for s in settings], "probabilities": tables}
+    rows, rng = _observe(cfg, settings, tables, keep_prob)
+    heralded = rows.reshape(len(settings), 2, 4)
+    empty = np.argwhere(heralded.sum(axis=2) == 0)
+    if empty.size:
+        s, atom = empty[0]
+        raise StarvationError(f"no {('f2', 'f1')[atom]}-conditioned events "
+                              f"for setting {settings[s].name}")
+    if cfg.mode != "monte-carlo":
+        heralded = heralded / p_atom[:, :, None]    # condition on each herald
+    rho_f1, method, std_plus = _estimate(cfg, photon_settings, heralded[:, 1],
+                                         phi_plus_photons(), rng)
+    rho_f2, _, std_minus = _estimate(cfg, photon_settings, heralded[:, 0],
+                                     phi_minus_photons(), rng)
 
     u = PureState(np.kron(X_PLUS, X_PLUS))
     v = PureState(np.kron(X_MINUS, X_MINUS))
@@ -527,8 +505,8 @@ def run_eraser(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
     derived = {
         "fidelity_phi_plus": fidelity_pure(rho_f1, phi_plus_photons()),
         "fidelity_phi_minus": fidelity_pure(rho_f2, phi_minus_photons()),
-        "p_atom_f1": float(p_f1[0]),
-        "p_atom_f2": float(p_f2[0]),
+        "p_atom_f1": float(p_atom[0, 1]),
+        "p_atom_f2": float(p_atom[0, 0]),
         "phi_star_plus": phi_p,
         "f_max_plus": fmax_p,
         "phi_star_minus": phi_m,
@@ -537,9 +515,10 @@ def run_eraser(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
         "density_matrix_phi_minus": rho_f2.to_json_dict(),
         "reconstruction": method,
     }
-    derived.update(mc_std)
-    meta = _metadata(cfg, trials, {"survival": survival, "keep_prob": keep_prob})
-    return ProtocolResult("eraser", raw, derived, meta)
+    if std_plus is not None:
+        derived.update(fidelity_phi_plus_std=std_plus, fidelity_phi_minus_std=std_minus)
+    meta = _metadata(cfg, cfg.trials, {"survival": survival, "keep_prob": keep_prob})
+    return ProtocolResult("eraser", _raw(cfg, settings, rows), derived, meta)
 
 
 def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = None,
@@ -606,7 +585,7 @@ def run_state_detection(cfg: RunConfig, trials: Optional[int] = None) -> Protoco
     """
     trials = trials or cfg.trials
     if trials < 2:
-        raise ValueError("need at least two trials")
+        raise ConfigError("trials", "state detection needs at least two trials")
     model = cfg.detection
     seed_seq = np.random.SeedSequence(cfg.seed)
     rng = np.random.default_rng(seed_seq.spawn(1)[0])
@@ -658,6 +637,9 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
     maximum-likelihood fit and summarizes the fidelity distribution and the
     monotonicity of every likelihood trace.
     """
+    for name, value in (("states", n_states), ("shots", shots)):
+        if value < 1:
+            raise ConfigError(name, "must be at least 1")
     settings = all_settings(2)
     seed_seq = np.random.SeedSequence(cfg.seed)
     fidelities = []

@@ -1,4 +1,4 @@
-"""Faint-pulse photon statistics, imperfection channels and detection models."""
+"""Faint-pulse photon statistics, the imperfection budget and detection models."""
 from __future__ import annotations
 
 import math
@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import TWO_PI, CavityParams, gate_branch_amplitudes
-from .qlin import DOWN, KrausChannel, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, UP
+from .cavity import TWO_PI
+
+# Gauss-Hermite nodes of the analytic detuning average.
+N_JITTER_NODES = 21
 
 
 @dataclass(frozen=True)
@@ -26,25 +28,6 @@ class CoherentPulse:
         if self.mean_photons > 1:
             warnings.warn("mean photon number above 1; protocols assume faint pulses",
                           stacklevel=2)
-
-
-def photon_number_dist(pulse: CoherentPulse, n_max: int) -> np.ndarray:
-    """Poisson photon-number distribution, tail folded into the last bin.
-
-    Returns ``n_max + 1`` probabilities for n = 0 .. n_max-or-more; the fold
-    makes the vector sum to one exactly.
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    nbar = pulse.mean_photons
-    out = np.zeros(n_max + 1)
-    if nbar == 0.0:
-        out[0] = 1.0
-        return out
-    for k in range(n_max):
-        out[k] = math.exp(k * math.log(nbar) - nbar - math.lgamma(k + 1))
-    out[n_max] = max(0.0, 1.0 - out[:n_max].sum())
-    return out
 
 
 def multiphoton_fraction(pulse: CoherentPulse) -> float:
@@ -137,47 +120,7 @@ class ImperfectionConfig:
         return min(1.0, contrast / self.prep_fidelity)
 
 
-def prep_error_channel(f_prep: float) -> KrausChannel:
-    """Atom preparation: with probability 1 - f the atom lands in an error
-    state that behaves as uncoupled for the gate (down-slot in this qubit
-    representation).  Trace-preserving."""
-    if not 0.0 <= f_prep <= 1.0:
-        raise ValueError("preparation fidelity must lie in [0, 1]")
-    down = DOWN.reshape(2, 1)
-    ops = [math.sqrt(f_prep) * np.eye(2, dtype=complex)]
-    if f_prep < 1.0:
-        err = math.sqrt(1.0 - f_prep)
-        ops.append(err * (down @ UP.reshape(1, 2).conj()))
-        ops.append(err * (down @ DOWN.reshape(1, 2).conj()))
-    return KrausChannel(tuple(ops), trace_preserving=True)
-
-
-def mode_mismatch_channel(overlap: float, losses,
-                          params: CavityParams = CavityParams()) -> KrausChannel:
-    """Gate with probability ``overlap``; otherwise the photon reflects off the
-    mirror surface with amplitude +1 (no conditional phase, no loss)."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
-    gate = np.diag(gate_branch_amplitudes(params, losses, delta=0.0))
-    ops = []
-    if overlap > 0.0:
-        ops.append(math.sqrt(overlap) * gate)
-    if overlap < 1.0:
-        ops.append(math.sqrt(1.0 - overlap) * np.eye(4, dtype=complex))
-    preserving = losses[0] == 0.0 and losses[1] == 0.0
-    return KrausChannel(tuple(ops), trace_preserving=preserving)
-
-
-def sample_jitter(rng: np.random.Generator, sigma_khz: float,
-                  bias_khz: float = 0.0) -> float:
-    """One per-trial laser-cavity detuning draw, in angular MHz."""
-    if sigma_khz < 0:
-        raise ValueError("jitter width must be nonnegative")
-    khz = bias_khz + (rng.normal(0.0, sigma_khz) if sigma_khz > 0 else 0.0)
-    return TWO_PI * khz * 1e-3
-
-
-def jitter_nodes(sigma_khz: float, bias_khz: float = 0.0, n_nodes: int = 21):
+def jitter_nodes(sigma_khz: float, bias_khz: float = 0.0):
     """Gauss-Hermite nodes/weights of the jitter distribution (angular MHz).
 
     Used by the deterministic mode to average channels over the Gaussian
@@ -185,7 +128,7 @@ def jitter_nodes(sigma_khz: float, bias_khz: float = 0.0, n_nodes: int = 21):
     """
     if sigma_khz == 0.0:
         return np.array([TWO_PI * bias_khz * 1e-3]), np.array([1.0])
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
+    x, w = np.polynomial.hermite.hermgauss(N_JITTER_NODES)
     deltas_khz = bias_khz + math.sqrt(2.0) * sigma_khz * x
     return TWO_PI * deltas_khz * 1e-3, w / math.sqrt(math.pi)
 
@@ -195,23 +138,6 @@ def confusion_matrix(e: float) -> np.ndarray:
     if not 0.0 <= e <= 1.0:
         raise ValueError("flip probability must lie in [0, 1]")
     return np.array([[1.0 - e, e], [e, 1.0 - e]])
-
-
-def analyzer_error_channel(e: float) -> KrausChannel:
-    """State-channel form of a basis-symmetric analyzer flip.
-
-    A flip with probability ``e`` in every measurement basis equals the
-    depolarizing channel with parameter 3e/2, which is completely positive
-    only for e <= 2/3.  Protocol code applies the equivalent classical
-    confusion to Born probabilities instead, which carries no such cap.
-    """
-    if not 0.0 <= e <= 2.0 / 3.0:
-        raise ValueError("channel form requires e in [0, 2/3]")
-    p = 1.5 * e
-    ops = [math.sqrt(1.0 - p) * PAULI_I]
-    if p > 0.0:
-        ops += [math.sqrt(p / 3.0) * s for s in (PAULI_X, PAULI_Y, PAULI_Z)]
-    return KrausChannel(tuple(ops), trace_preserving=True)
 
 
 @dataclass(frozen=True)
@@ -252,19 +178,6 @@ def _poisson_cdf(k: int, lam: float) -> float:
         term *= lam / i
         total += term
     return min(1.0, total)
-
-
-def hyperfine_detection(true_state: str, model: DetectionModel,
-                        rng: np.random.Generator):
-    """Simulate one detection interval; returns (measured label, photon count)."""
-    if true_state == "F2":
-        count = int(rng.poisson(model.mean_signal_photons))
-    elif true_state == "F1":
-        count = int(rng.poisson(model.dark_rate))
-    else:
-        raise ValueError("true_state must be 'F1' or 'F2'")
-    label = "F2" if count >= model.threshold else "F1"
-    return label, count
 
 
 def hyperfine_fidelity(model: DetectionModel) -> float:

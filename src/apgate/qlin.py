@@ -1,17 +1,15 @@
 """Dense complex linear algebra for small multi-qubit systems.
 
-States, density matrices, unitaries and Kraus channels for at most three
-qubits, with the fixed tensor ordering (atom, photon 1, photon 2) used
-throughout the package.  All containers are immutable values and every
+States, density matrices and unitaries for at most three qubits, with the
+fixed tensor ordering (atom, photon 1, photon 2) used throughout the
+package.  All containers are immutable values and every
 operation is a pure function, so everything here is safe to call from
 concurrent workers.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -62,11 +60,6 @@ class PureState:
     def n_qubits(self) -> int:
         return _num_qubits(self.dim)
 
-    def overlap(self, other: "PureState") -> complex:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
         return DensityMatrix(np.outer(v, v.conj()))
@@ -94,21 +87,9 @@ class DensityMatrix:
             raise ValueError("matrix has a negative eigenvalue beyond the floor")
         object.__setattr__(self, "entries", _frozen(m))
 
-    @classmethod
-    def from_unnormalized(cls, m: np.ndarray) -> "DensityMatrix":
-        m = np.asarray(m, dtype=complex)
-        tr = np.trace(m).real
-        if tr < 1e-12:
-            raise PostSelectionError("state has vanishing trace")
-        return cls(m / tr)
-
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return _num_qubits(self.dim)
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,13 +106,6 @@ class DensityMatrix:
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValueError("matrix payload does not match declared dimension")
         return cls(re + 1j * im)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,40 +124,6 @@ class UnitaryOp:
             raise ValueError("matrix is not unitary within tolerance")
         object.__setattr__(self, "entries", _frozen(m))
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Set of Kraus operators; trace-decreasing channels model post-selected loss."""
-
-    kraus_ops: tuple
-    trace_preserving: bool = True
-
-    def __post_init__(self):
-        ops = tuple(_frozen(np.array(k, dtype=complex)) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("Kraus operators must be square")
-        if any(k.shape != shape for k in ops):
-            raise ValueError("Kraus operators must share one dimension")
-        total = sum(k.conj().T @ k for k in ops)
-        if self.trace_preserving:
-            if np.max(np.abs(total - np.eye(shape[0]))) > HERMITICITY_TOL:
-                raise ValueError("Kraus operators do not satisfy completeness")
-        else:
-            if np.linalg.eigvalsh(total)[-1] > 1.0 + HERMITICITY_TOL:
-                raise ValueError("Kraus operators exceed the trace-decreasing bound")
-        object.__setattr__(self, "kraus_ops", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
 
 # Pauli matrices and frequently used single-qubit kets.
 PAULI_I = _frozen(np.eye(2, dtype=complex))
@@ -197,91 +137,6 @@ X_PLUS = _frozen(np.array([1, 1], dtype=complex) / math.sqrt(2))
 X_MINUS = _frozen(np.array([1, -1], dtype=complex) / math.sqrt(2))
 Y_PLUS = _frozen(np.array([1, 1j], dtype=complex) / math.sqrt(2))
 Y_MINUS = _frozen(np.array([1, -1j], dtype=complex) / math.sqrt(2))
-
-
-def product_state(*factors: Sequence[complex]) -> PureState:
-    """Kronecker product of single-qubit kets, first factor = atom."""
-    vec = np.array([1.0], dtype=complex)
-    for f in factors:
-        vec = np.kron(vec, np.asarray(f, dtype=complex))
-    return PureState(vec)
-
-
-Tensorable = Union[PureState, DensityMatrix, UnitaryOp]
-
-
-def tensor(a: Tensorable, b: Tensorable) -> Tensorable:
-    """Kronecker product of two operands of the same kind (atom-first order)."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.entries, b.entries))
-    if isinstance(a, UnitaryOp) and isinstance(b, UnitaryOp):
-        return UnitaryOp(np.kron(a.entries, b.entries))
-    raise TypeError("tensor expects two operands of the same kind")
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out every qubit not listed in ``keep`` (indices in atom-first order)."""
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise ValueError("keep-set must not be empty")
-    n = rho.n_qubits
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} qubits")
-    if len(keep) == n:
-        return rho
-    letters = "abcdefgh"
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for q in range(n):
-        if q not in keep:
-            col[q] = row[q]
-    sub_in = "".join(row + col)
-    sub_out = "".join([row[q] for q in keep] + [col[q] for q in keep])
-    t = rho.entries.reshape((2,) * (2 * n))
-    out = np.einsum(f"{sub_in}->{sub_out}", t)
-    d = 2 ** len(keep)
-    return DensityMatrix(out.reshape(d, d))
-
-
-def _embed_single_qubit(op: np.ndarray, subsystem: int, n: int) -> np.ndarray:
-    full = np.array([[1.0 + 0j]])
-    for q in range(n):
-        full = np.kron(full, op if q == subsystem else np.eye(2))
-    return full
-
-
-def project_and_renormalize(state, projector, subsystem: int):
-    """Apply a single-qubit projector at ``subsystem`` and renormalize.
-
-    Returns ``(state', probability)``; a Born weight of zero yields the
-    designated empty outcome ``(None, 0.0)``.
-    """
-    p = np.asarray(getattr(projector, "entries", projector), dtype=complex)
-    if p.shape != (2, 2):
-        raise ValueError("projector must be a 2x2 matrix")
-    if np.max(np.abs(p - p.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("projector must be Hermitian")
-    if np.max(np.abs(p @ p - p)) > HERMITICITY_TOL:
-        raise ValueError("projector must be idempotent")
-    n = state.n_qubits
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError("subsystem index out of range")
-    full = _embed_single_qubit(p, subsystem, n)
-    if isinstance(state, PureState):
-        vec = full @ state.amplitudes
-        prob = float(np.vdot(vec, vec).real)
-        if prob < 1e-24:
-            return None, 0.0
-        return PureState(vec), prob
-    if isinstance(state, DensityMatrix):
-        out = full @ state.entries @ full.conj().T
-        prob = float(np.trace(out).real)
-        if prob < 1e-24:
-            return None, 0.0
-        return DensityMatrix(out / prob), prob
-    raise TypeError("state must be a PureState or DensityMatrix")
 
 
 def rotation(theta: float, phi: float) -> UnitaryOp:
@@ -320,23 +175,3 @@ def optimal_phase_fidelity(rho, u: PureState, v: PureState):
     if abs(ruv) < 1e-12:
         return 0.0, min(1.0, max(0.0, base))
     return float(np.angle(ruv)), min(1.0, max(0.0, base + abs(ruv)))
-
-
-def apply_channel(rho: DensityMatrix, ch: KrausChannel):
-    """Apply a Kraus channel; returns (normalized state, success probability)."""
-    if ch.dim != rho.dim:
-        raise ValueError("channel and state dimensions differ")
-    out = np.zeros_like(rho.entries)
-    for k in ch.kraus_ops:
-        out = out + k @ rho.entries @ k.conj().T
-    if ch.trace_preserving:
-        return DensityMatrix(out), 1.0
-    prob = float(np.trace(out).real)
-    if prob < 1e-12:
-        raise PostSelectionError("channel output has zero trace")
-    return DensityMatrix(out / prob), prob
-
-
-def states_equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
-    """Equality modulo a global phase: | |<a|b>| - 1 | <= tol."""
-    return abs(abs(a.overlap(b)) - 1.0) <= tol

@@ -8,9 +8,8 @@ an iterative maximum-likelihood reconstruction that is always physical.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from .qlin import (DensityMatrix, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, X_MINUS,
                    X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN)
 
 PROB_FLOOR = 1e-12
+MLE_TOL = 1e-10
+MLE_DILUTION = 0.1
 
 _EIGENBASES = {
     "X": np.stack([X_PLUS, X_MINUS]),
@@ -103,37 +104,14 @@ class CountsRecord:
         return self.counts / total
 
 
-def _per_qubit_confusion(confusion, n: int) -> Optional[np.ndarray]:
-    """Kron of per-qubit binary confusions; accepts a scalar or one per qubit."""
-    if confusion is None:
-        return None
-    if np.isscalar(confusion):
-        confusion = [float(confusion)] * n
-    mats = []
-    for e in confusion:
-        e = float(e)
-        if not 0.0 <= e <= 1.0:
-            raise ValueError("confusion entries must lie in [0, 1]")
-        mats.append(np.array([[1.0 - e, e], [e, 1.0 - e]]))
-    full = np.array([[1.0]])
-    for m in mats:
-        full = np.kron(full, m)
-    return full
-
-
 def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
-                    shots_per_setting: int, rng: np.random.Generator,
-                    confusion=None) -> List[CountsRecord]:
-    """Multinomial sampling of the (optionally confused) Born probabilities."""
+                    shots_per_setting: int, rng: np.random.Generator) -> List[CountsRecord]:
+    """Multinomial sampling of the Born probabilities."""
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be at least 1")
     records = []
     for setting in settings:
         p = born_probabilities(rho, setting)
-        mix = _per_qubit_confusion(confusion, setting.n_qubits)
-        if mix is not None:
-            p = mix @ p
-        p = np.clip(p, 0.0, None)
         p = p / p.sum()
         counts = rng.multinomial(shots_per_setting, p)
         records.append(CountsRecord(setting, counts))
@@ -196,7 +174,6 @@ class ReconstructionReport:
     iterations: int
     converged: bool
     ll_history: list = field(default_factory=list)
-    mc_std: Optional[dict] = None
 
 
 def _stack_records(records: Sequence[CountsRecord]):
@@ -208,27 +185,18 @@ def _stack_records(records: Sequence[CountsRecord]):
     return np.concatenate(projs, axis=0), np.concatenate(counts)
 
 
-def log_likelihood(rho: DensityMatrix, records: Sequence[CountsRecord]) -> float:
-    """Multinomial log-likelihood of the counts under the state."""
-    projs, counts = _stack_records(records)
-    p = np.einsum("rij,ji->r", projs, rho.entries).real
-    return float(counts @ np.log(np.clip(p, PROB_FLOOR, None)))
-
-
-def mle_reconstruct(records: Sequence[CountsRecord], max_iter: int = 5000,
-                    tol: float = 1e-10, dilution: float = 0.1) -> ReconstructionReport:
+def mle_reconstruct(records: Sequence[CountsRecord],
+                    max_iter: int = 5000) -> ReconstructionReport:
     """Diluted R-rho-R fixed-point iteration.
 
-    Updates rho <- N[(1 - d) R rho R + d rho] with
+    Updates rho <- N[(1 - d) R rho R + d rho] with d = MLE_DILUTION and
     R = sum_i (f_i / p_i(rho)) Pi_i, which keeps the iterate physical and the
     log-likelihood non-decreasing in practice; an iteration whose likelihood
-    gain falls below ``tol`` stops the loop.  Probabilities are floored at
+    gain falls below MLE_TOL stops the loop.  Probabilities are floored at
     1e-12 so occupied zero-probability bins cannot divide by zero.
     """
     if not records:
         raise ValueError("no records")
-    if not 0.0 <= dilution < 1.0:
-        raise ValueError("dilution must lie in [0, 1)")
     projs, counts = _stack_records(records)
     total = counts.sum()
     if total <= 0:
@@ -246,7 +214,7 @@ def mle_reconstruct(records: Sequence[CountsRecord], max_iter: int = 5000,
     for iterations in range(1, max_iter + 1):
         weights = counts / probs(rho) / total
         r_op = np.einsum("r,rij->ij", weights, projs)
-        cand = (1.0 - dilution) * (r_op @ rho @ r_op) + dilution * rho
+        cand = (1.0 - MLE_DILUTION) * (r_op @ rho @ r_op) + MLE_DILUTION * rho
         cand = 0.5 * (cand + cand.conj().T)
         cand /= np.trace(cand).real
         ll_new = float(counts @ np.log(probs(cand)))
@@ -258,7 +226,7 @@ def mle_reconstruct(records: Sequence[CountsRecord], max_iter: int = 5000,
         rho = cand
         ll = ll_new
         history.append(ll)
-        if gain < tol:
+        if gain < MLE_TOL:
             converged = True
             break
     return ReconstructionReport(
@@ -270,53 +238,24 @@ def mle_reconstruct(records: Sequence[CountsRecord], max_iter: int = 5000,
     )
 
 
-MetricFn = Callable[[DensityMatrix], float]
-
-
 def monte_carlo_errors(records: Sequence[CountsRecord],
-                       metrics: Union[MetricFn, Dict[str, MetricFn]],
-                       resamples: int = 100,
-                       rng: Optional[np.random.Generator] = None,
-                       **mle_options) -> Dict[str, float]:
-    """Parametric-bootstrap standard errors of reconstruction metrics.
+                       metric: Callable[[DensityMatrix], float],
+                       resamples: int, rng: np.random.Generator) -> Dict[str, float]:
+    """Parametric-bootstrap standard error of a reconstruction metric.
 
     Each replica redraws every setting's counts multinomially from the
     observed frequencies, reruns the maximum-likelihood reconstruction and
-    evaluates the metrics; the sample standard deviation across replicas is
-    the reported error.
+    evaluates the metric; the sample standard deviation across replicas is
+    the reported error, under the key ``"metric"``.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    if rng is None:
-        rng = np.random.default_rng()
-    if callable(metrics):
-        metrics = {"metric": metrics}
-    values = {name: [] for name in metrics}
+    values = []
     for _ in range(resamples):
         replica = []
         for r in records:
             total = int(round(r.total))
             counts = rng.multinomial(total, r.frequencies)
             replica.append(CountsRecord(r.setting, counts))
-        report = mle_reconstruct(replica, **mle_options)
-        for name, fn in metrics.items():
-            values[name].append(fn(report.rho))
-    return {name: float(np.std(vals, ddof=1)) for name, vals in values.items()}
-
-
-def records_to_json(records: Sequence[CountsRecord]) -> str:
-    payload = {
-        "settings": [r.setting.name for r in records],
-        "counts": [r.counts.tolist() for r in records],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def records_from_json(text: str) -> List[CountsRecord]:
-    payload = json.loads(text)
-    settings = payload["settings"]
-    counts = payload["counts"]
-    if len(settings) != len(counts):
-        raise ValueError("settings and counts lengths differ")
-    return [CountsRecord(MeasurementSetting(tuple(name)), np.asarray(c))
-            for name, c in zip(settings, counts)]
+        values.append(metric(mle_reconstruct(replica).rho))
+    return {"metric": float(np.std(values, ddof=1))}

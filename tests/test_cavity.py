@@ -1,14 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from apgate.cavity import (CavityParams, GateBranch, LevelScheme, MirrorBudget,
-                           cnot_gate, gate_branch_amplitudes, ideal_gate,
-                           is_strongly_coupled, lossy_gate_channel,
+from apgate.cavity import (CavityParams, MirrorBudget, gate_branch_amplitudes,
                            loss_from_first_principles, reflection_coefficient)
-from apgate.qlin import (DOWN, PureState, UP, X_MINUS, X_PLUS, apply_channel,
-                         fidelity_pure, states_equal_up_to_phase)
+from apgate.config import ideal_profile
+from apgate.protocols import run_bell
+from apgate.qlin import DOWN, UP, X_MINUS, X_PLUS
 
 KAPPA_IN_FRACTION = 95.0 / 103.0
 
@@ -72,18 +72,24 @@ def test_phase_contrast_is_pi():
     ("down", "down", False),
 ])
 def test_coupling_predicate(atom, photon, expected):
-    assert is_strongly_coupled(atom, photon) is expected
+    # Only the (up-atom, up-photon) pair sees the resonant transition: its
+    # reflection keeps phase 0, every other pair reflects with phase pi.
+    amps = gate_branch_amplitudes(CavityParams(), (0.34, 0.30)).reshape(2, 2)
+    amp = amps[("up", "down").index(atom), ("up", "down").index(photon)]
+    assert bool(abs(np.angle(amp)) < 0.1) is expected
+    assert abs(amp) == pytest.approx(math.sqrt(1 - (0.34 if expected else 0.30)),
+                                     abs=1e-12)
 
 
-def test_level_scheme_monotone_validated():
-    with pytest.raises(ValueError):
-        LevelScheme(zeeman_shifts_ghz=((0, 0.16), (1, 0.17), (2, 0.10), (3, 0.05)))
-    assert LevelScheme().shift_for(2) == 0.10
+def ideal_gate():
+    """The lossless conditional-phase map at zero probe offset."""
+    return np.diag(gate_branch_amplitudes(CavityParams(), (0.0, 0.0)))
 
 
 def test_ideal_gate_signs():
-    g = ideal_gate().entries
-    assert np.allclose(g, np.diag([1, -1, -1, -1]), atol=1e-15)
+    amps = gate_branch_amplitudes(CavityParams(), (0.0, 0.0))
+    assert np.array_equal(amps, [1, -1, -1, -1])
+    g = ideal_gate()
     psi_up = g @ np.kron(UP, UP)
     assert np.allclose(psi_up, np.kron(UP, UP), atol=1e-15)
     psi_down = g @ np.kron(DOWN, DOWN)
@@ -92,19 +98,19 @@ def test_ideal_gate_signs():
 
 def test_ideal_gate_creates_bell_state():
     # |down_ax down_px> -> (|up_a up_px> + |down_a down_px>)/sqrt2, by expansion
-    out = ideal_gate().entries @ np.kron(X_MINUS, X_MINUS)
+    out = ideal_gate() @ np.kron(X_MINUS, X_MINUS)
     bell = (np.kron(UP, X_PLUS) + np.kron(DOWN, X_MINUS)) / math.sqrt(2)
     assert np.allclose(out, bell, atol=1e-14)
 
 
 def test_ideal_gate_self_inverse():
-    g = ideal_gate().entries
+    g = ideal_gate()
     assert np.allclose(g @ g, np.eye(4), atol=1e-15)
 
 
 def test_two_sequential_gates_build_three_particle_state():
     # Photon 1 then photon 2 against the same atom, elementwise diagonals.
-    signs = np.diag(ideal_gate().entries).real
+    signs = np.diag(ideal_gate()).real
     state = np.kron(X_MINUS, np.kron(X_MINUS, X_MINUS)).reshape(2, 2, 2)
     for photon_axis in (1, 2):
         shape = [1, 1, 1]
@@ -117,38 +123,38 @@ def test_two_sequential_gates_build_three_particle_state():
 
 
 def test_cnot_truth_table_and_involution():
-    c = cnot_gate().entries
+    # Dressing identity: (Z_a x H) G (I x H) is the CNOT permutation.
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    c = np.kron(z, h) @ ideal_gate() @ np.kron(np.eye(2), h)
     perm = np.array([[0, 1, 0, 0],
                      [1, 0, 0, 0],
                      [0, 0, 1, 0],
                      [0, 0, 0, 1]], dtype=complex)
     assert np.allclose(c, perm, atol=1e-14)
     assert np.allclose(c @ c, np.eye(4), atol=1e-14)
-    # Dressing identity: (Z_a x H) G (I x H) equals the permutation.
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    dressed = np.kron(z, h) @ ideal_gate().entries @ np.kron(np.eye(2), h)
-    assert np.allclose(dressed, perm, atol=1e-14)
 
 
 def test_conditional_phase_flips_photon_in_x_basis():
     # The reflection itself, with the atom-local Z removed, is the CNOT in
     # the photonic x basis: control down leaves the target, control up flips.
-    gate_x = np.kron(np.diag([1.0, -1.0]), np.eye(2)) @ ideal_gate().entries
+    gate_x = np.kron(np.diag([1.0, -1.0]), np.eye(2)) @ ideal_gate()
     down_in = np.kron(DOWN, X_MINUS)
     assert np.allclose(gate_x @ down_in, down_in, atol=1e-14)
-    up_in = np.kron(UP, X_MINUS)
-    assert states_equal_up_to_phase(PureState(gate_x @ up_in),
-                                    PureState(np.kron(UP, X_PLUS)))
+    up_out = gate_x @ np.kron(UP, X_MINUS)
+    assert abs(abs(np.vdot(np.kron(UP, X_PLUS), up_out)) - 1.0) < 1e-12
+
+
+def _bell_with_losses(loss_coupled, loss_uncoupled):
+    cfg = ideal_profile()
+    return run_bell(dataclasses.replace(cfg, imperfections=dataclasses.replace(
+        cfg.imperfections, loss_coupled=loss_coupled, loss_uncoupled=loss_uncoupled)))
 
 
 def test_lossy_channel_zero_losses_is_ideal_gate():
-    ch = lossy_gate_channel(CavityParams(), (0.0, 0.0))
-    assert ch.trace_preserving
-    assert np.allclose(ch.kraus_ops[0], ideal_gate().entries, atol=1e-12)
-    rho = PureState(np.kron(X_MINUS, X_MINUS)).density()
-    out, p = apply_channel(rho, ch)
-    assert p == 1.0
+    result = _bell_with_losses(0.0, 0.0)
+    assert result.metadata["survival"] == pytest.approx(1.0, abs=1e-12)
+    assert result.derived["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lossy_channel_measured_losses_keep_bell_fidelity():
@@ -156,29 +162,21 @@ def test_lossy_channel_measured_losses_keep_bell_fidelity():
     # post-selected state, with a = sqrt(1 - loss).
     a_c, a_u = math.sqrt(1 - 0.34), math.sqrt(1 - 0.30)
     expected = (a_c + 3 * a_u) ** 2 / (4 * (a_c ** 2 + 3 * a_u ** 2))
-    ch = lossy_gate_channel(CavityParams(), (0.34, 0.30))
-    rho = PureState(np.kron(X_MINUS, X_MINUS)).density()
-    out, p = apply_channel(rho, ch)
-    bell = PureState((np.kron(UP, X_PLUS) + np.kron(DOWN, X_MINUS)) / math.sqrt(2))
-    f = fidelity_pure(out, bell)
+    result = _bell_with_losses(0.34, 0.30)
+    f = result.derived["fidelity"]
     assert f == pytest.approx(expected, abs=1e-12)
     assert f >= 0.999
-    assert p == pytest.approx((a_c ** 2 + 3 * a_u ** 2) / 4, abs=1e-12)
+    assert result.metadata["survival"] == pytest.approx(
+        (a_c ** 2 + 3 * a_u ** 2) / 4, abs=1e-12)
 
 
 def test_lossy_channel_annihilating_limits():
-    from apgate.qlin import partial_trace
-    rho = PureState(np.kron(X_MINUS, X_MINUS)).density()
     # Coupled branch annihilated: no population survives in |up_a up_p>.
-    out, _ = apply_channel(rho, lossy_gate_channel(CavityParams(), (1.0, 0.0)))
-    assert out.entries[0, 0].real == pytest.approx(0.0, abs=1e-12)
-    # Uncoupled branches annihilated: only |up_a up_p> survives, the
-    # post-selected output is a pure product state.
-    out, _ = apply_channel(rho, lossy_gate_channel(CavityParams(), (0.0, 1.0)))
-    assert out.entries[0, 0].real == pytest.approx(1.0, abs=1e-12)
-    for q in (0, 1):
-        marg = partial_trace(out, [q]).entries
-        assert np.trace(marg @ marg).real == pytest.approx(1.0, abs=1e-10)
+    populations = _bell_with_losses(1.0, 0.0).derived["populations"]
+    assert populations[0] == pytest.approx(0.0, abs=1e-12)
+    # Uncoupled branches annihilated: only |up_a up_p> survives.
+    populations = _bell_with_losses(0.0, 1.0).derived["populations"]
+    assert populations[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_branch_amplitudes_detuned_phases():
@@ -192,7 +190,11 @@ def test_branch_amplitudes_detuned_phases():
 
 def test_gate_branch_validation():
     with pytest.raises(ValueError):
-        GateBranch(np.array([1.5, 1, 1, 1], dtype=complex))
+        gate_branch_amplitudes(CavityParams(), (1.5, 0.3))
+    # Off resonance the calibrated modulus is clamped at one.
+    for delta in np.linspace(-2 * math.pi * 5, 2 * math.pi * 5, 41):
+        amps = gate_branch_amplitudes(CavityParams(), (0.0, 0.0), delta)
+        assert np.all(np.abs(amps) <= 1.0 + 1e-12)
 
 
 def test_mirror_budget_fraction():

@@ -185,3 +185,37 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     a = json.loads((out1 / "state-detection.json").read_text())
     b = json.loads((out2 / "state-detection.json").read_text())
     assert a["derived"]["fidelity"] != b["derived"]["fidelity"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["state-detection", "--trials", "1"],
+    ["ramsey", "--grid-khz", "0", "1", "0"],
+    ["ramsey", "--grid-khz", "0", "1", "-3"],
+    ["tomo-roundtrip", "--states", "0"],
+    ["tomo-roundtrip", "--shots", "0"],
+])
+def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+def test_cli_eraser_without_herald_exit_code(mode, tmp_path, capsys):
+    # Every atom is wrongly prepared and reads out as F2: nothing heralds F1.
+    path = write_config(tmp_path, {"seed": 1, "mode": mode,
+                                   "imperfections": {"prep_fidelity": 0.0}})
+    assert main(["eraser", "--config", path, "--out", str(tmp_path)]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "starvation",
+                     "message": "no f1-conditioned events for setting ZXX"}
+
+
+@pytest.mark.parametrize("section,value", [
+    ("imperfections", []), ("cavity", "fast"), ("pulses", 3),
+    ("mirrors", None), ("detection", [1, 2]),
+])
+def test_cli_non_object_section_exit_code(section, value, tmp_path, capsys):
+    path = write_config(tmp_path, {"seed": 1, section: value})
+    assert main(["bell", "--config", path, "--out", str(tmp_path)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "config", "message": f"{section}: expected an object"}

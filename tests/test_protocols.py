@@ -216,8 +216,9 @@ def test_engine_matches_kraus_channel_composition():
     # with qlin and evaluate Born probabilities, then compare against the
     # protocol engine's tables for the same restricted configuration.
     from apgate.protocols import GateModel, _protocol_tables
-    from apgate.pulse import ImperfectionConfig, mode_mismatch_channel
-    from apgate.qlin import PureState, X_MINUS, apply_channel
+    from apgate.pulse import ImperfectionConfig
+    from apgate.qlin import PureState, X_MINUS
+    from oracle import apply_channel, mode_mismatch_channel
     from apgate.tomography import born_probabilities
     import numpy as _np
 
@@ -242,8 +243,9 @@ def test_engine_matches_dephased_channel_composition():
     # Same dual route with the atomic dephasing sub-branches switched on:
     # the engine must reproduce (1+C)/2 rho + (1-C)/2 Z_a rho Z_a.
     from apgate.protocols import GateModel, _protocol_tables
-    from apgate.pulse import ImperfectionConfig, mode_mismatch_channel
-    from apgate.qlin import DensityMatrix, PureState, X_MINUS, apply_channel
+    from apgate.pulse import ImperfectionConfig
+    from apgate.qlin import DensityMatrix, PureState, X_MINUS
+    from oracle import apply_channel, mode_mismatch_channel
     from apgate.tomography import born_probabilities
     import numpy as _np
 

@@ -6,9 +6,8 @@ import pytest
 from apgate.qlin import DensityMatrix, PureState, UP, fidelity_pure
 from apgate.tomography import (CountsRecord, MeasurementSetting, all_settings,
                                born_probabilities, linear_inversion,
-                               log_likelihood, mle_reconstruct,
-                               monte_carlo_errors, records_from_json,
-                               records_to_json, simulate_counts)
+                               mle_reconstruct, monte_carlo_errors,
+                               simulate_counts)
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -82,14 +81,6 @@ def test_simulate_counts_frequencies():
     (rec,) = simulate_counts(rho, [MeasurementSetting(("Z",))], 100_000, rng)
     se = math.sqrt(0.25 / rec.total)
     assert abs(rec.frequencies[0] - 0.5) < 5 * se
-
-
-def test_simulate_counts_with_confusion():
-    rho = PureState(UP).density()
-    rng = np.random.default_rng(6)
-    (rec,) = simulate_counts(rho, [MeasurementSetting(("Z",))], 200_000, rng,
-                             confusion=0.1)
-    assert rec.frequencies[1] == pytest.approx(0.1, abs=0.005)
 
 
 def test_round_trip_linear_inversion_from_counts():
@@ -166,8 +157,10 @@ def test_mle_log_likelihood_monotone():
     gains = np.diff(report.ll_history)
     assert gains.size > 0
     assert gains.min() >= -1e-9 * (1 + abs(report.log_likelihood))
-    assert report.log_likelihood == pytest.approx(
-        log_likelihood(report.rho, records), abs=1e-6)
+    # Multinomial log-likelihood of the counts under the returned state.
+    ll = sum(r.counts @ np.log(np.clip(born_probabilities(report.rho, r.setting),
+                                       1e-12, None)) for r in records)
+    assert report.log_likelihood == pytest.approx(ll, abs=1e-6)
 
 
 def test_mle_output_always_physical():
@@ -225,18 +218,8 @@ def test_monte_carlo_error_scaling():
 def test_monte_carlo_requires_two_resamples():
     records = exact_records(BELL.density(), 2, scale=100)
     with pytest.raises(ValueError):
-        monte_carlo_errors(records, lambda r: 1.0, resamples=1)
-
-
-# --- serialization -------------------------------------------------------------------
-
-def test_records_json_round_trip():
-    rng = np.random.default_rng(14)
-    records = simulate_counts(BELL.density(), all_settings(2), 100, rng)
-    again = records_from_json(records_to_json(records))
-    assert [r.setting.name for r in again] == [r.setting.name for r in records]
-    for a, b in zip(again, records):
-        assert np.allclose(a.counts, b.counts)
+        monte_carlo_errors(records, lambda r: 1.0, resamples=1,
+                           rng=np.random.default_rng(0))
 
 
 def test_counts_record_validation():
