@@ -33,12 +33,11 @@ class CoherentPulse:
 def multiphoton_fraction(pulse: CoherentPulse) -> float:
     """P(n >= 2 | n >= 1): odds that a detected pulse carried an extra photon."""
     nbar = pulse.mean_photons
-    if nbar <= 0.0:
-        return 0.0
     p0 = math.exp(-nbar)
-    p1 = nbar * p0
     at_least_one = 1.0 - p0
-    return max(0.0, (at_least_one - p1) / at_least_one)
+    if at_least_one <= 0.0:     # also a mean below rounding, where exp(-nbar) == 1
+        return 0.0
+    return max(0.0, (at_least_one - nbar * p0) / at_least_one)
 
 
 def spectral_sigma_khz(pulse: CoherentPulse) -> float:

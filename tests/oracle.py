@@ -2,17 +2,26 @@
 
 The protocol engine works on branch amplitudes and Born vectors; these
 helpers build the same physics as Kraus channels on density matrices, so the
-engine cross-check tests can compare the two.
+engine cross-check tests can compare the two.  ``oracle_tables`` rebuilds a
+whole analytic run this way, one Kraus operator at a time.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from apgate.cavity import CavityParams, gate_branch_amplitudes
-from apgate.qlin import HERMITICITY_TOL, DensityMatrix, PostSelectionError
+from apgate.protocols import ERASER_ROTATION_PHASE
+from apgate.pulse import (confusion_matrix, detection_confusion, jitter_nodes,
+                          multiphoton_fraction, spectral_sigma_khz)
+from apgate.qlin import (DOWN, HERMITICITY_TOL, UP, X_MINUS, X_PLUS,
+                         DensityMatrix, PostSelectionError, rotation)
+from apgate.tomography import MeasurementSetting, all_settings
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,3 +84,125 @@ def mode_mismatch_channel(overlap: float, losses,
         ops.append(math.sqrt(1.0 - overlap) * np.eye(4, dtype=complex))
     preserving = losses[0] == 0.0 and losses[1] == 0.0
     return KrausChannel(tuple(ops), trace_preserving=preserving)
+
+
+# ---------------------------------------------------------------------------
+# Full-model outcome tables
+
+def _pair_gate(amps: np.ndarray, photon: int, n: int) -> np.ndarray:
+    """Diagonal reflection map on (atom, photon ``photon``) of an n-qubit register."""
+    return np.diag([amps[2 * bits[0] + bits[1 + photon]]
+                    for bits in itertools.product((0, 1), repeat=n)])
+
+
+def _readout(p: np.ndarray, confusions, q2: float) -> np.ndarray:
+    """Classical readout of one branch's Born vectors (one row per setting):
+    a confusion matrix on every qubit, then the extra-photon contamination on
+    each photon in turn (with weight q2 a photon's record is an independent
+    draw from its own marginal)."""
+    grid = p.reshape((len(p),) + (2,) * len(confusions))
+    for axis, mat in enumerate(confusions, start=1):
+        grid = np.moveaxis(np.tensordot(mat, grid, axes=([1], [axis])), 0, axis)
+    outcomes = tuple(range(1, grid.ndim))
+    for axis in outcomes[1:]:
+        total = grid.sum(axis=outcomes, keepdims=True)
+        rest = tuple(a for a in outcomes if a != axis)
+        mixed = grid.sum(axis=axis, keepdims=True) * grid.sum(axis=rest, keepdims=True)
+        grid = (1.0 - q2) * grid + q2 * np.divide(mixed, total, out=np.zeros_like(grid),
+                                                  where=total > 0.0)
+    return grid.reshape(len(p), -1)
+
+
+def _run_tables(cavity, imp, q2, atom_ket, photon_kets, settings, atom_phase=0.0,
+                pre_measure=np.eye(2), atom_confusion=np.eye(2)):
+    """Unnormalized outcome tables of one run, summed branch by branch.
+
+    Per jitter node and in/out-of-mode pattern one Kraus operator (reflection
+    maps of the in-mode photons, the drift-phase unitary, a dephasing Kraus
+    operator, the optional pre-measurement rotation) acts on the initial
+    density matrix; atoms prepared outside the qubit leave every photon
+    uncoupled and form one more term.
+    """
+    k = len(photon_kets)
+    n = 1 + k
+    ov, f_prep = imp.mode_overlap, imp.prep_fidelity
+    kets = [np.asarray(v, dtype=complex) for v in (atom_ket, *photon_kets)]
+    psi = functools.reduce(np.kron, kets)
+    phot = functools.reduce(np.kron, kets[1:])
+    rho0, rho_phot = np.outer(psi, psi.conj()), np.outer(phot, phot.conj())
+    coherence = imp.atomic_coherence_factor
+    dephasing = [math.sqrt((1.0 + coherence) / 2.0) * np.eye(2),
+                 math.sqrt((1.0 - coherence) / 2.0) * np.diag([1.0, -1.0])]
+    drift = np.diag([1.0, np.exp(-1j * atom_phase)])
+    atom_ops = [np.kron(pre_measure @ d @ drift, np.eye(2 ** k)) for d in dephasing]
+    confusions = [atom_confusion] + [confusion_matrix(imp.photonic_meas_error)] * k
+    projectors = np.array([s.projectors() for s in settings])
+    phot_projectors = np.array([MeasurementSetting(s.labels[1:]).projectors()
+                                for s in settings])
+    # Wrongly prepared atoms read out as the upper hyperfine state in a Z
+    # readout and at random otherwise.
+    err_atom = np.array([[1.0, 0.0] if s.labels[0] == "Z" else [0.5, 0.5]
+                         for s in settings])
+
+    tables = np.zeros((len(settings), 2 ** n))
+    deltas, weights = jitter_nodes(imp.freq_jitter_khz, imp.freq_bias_khz)
+    for delta, w_node in zip(deltas, weights):
+        amps = gate_branch_amplitudes(cavity, (imp.loss_coupled, imp.loss_uncoupled), delta)
+        branches = []
+        rho_err = np.zeros_like(rho_phot)
+        for modes in itertools.product((True, False), repeat=k):
+            p_modes = math.prod(ov if m else 1.0 - ov for m in modes)
+            gate = np.eye(2 ** n, dtype=complex)
+            for j in np.flatnonzero(modes):
+                gate = _pair_gate(amps, j, n) @ gate
+            for op in atom_ops:
+                kraus = op @ gate
+                branches.append(f_prep * p_modes * kraus @ rho0 @ kraus.conj().T)
+            rho_err = rho_err + ((1.0 - f_prep) * p_modes
+                                 * abs(amps[1]) ** (2 * sum(modes))) * rho_phot
+        for rho in branches:
+            p = np.einsum("soij,ji->so", projectors, rho).real
+            tables += w_node * _readout(p, confusions, q2)
+        p_phot = np.einsum("soij,ji->so", phot_projectors, rho_err).real
+        p_err = np.einsum("sa,sp->sap", err_atom, p_phot).reshape(len(settings), -1)
+        tables += w_node * _readout(p_err, confusions, q2)
+    return tables
+
+
+def oracle_tables(cfg, protocol: str):
+    """``(tables, survival)`` of an analytic ``protocol`` run, from density matrices.
+
+    ``protocol`` is "bell", "ghz", "eraser" or "truth-table"; the layout is
+    the runner's raw one (the truth table has one row and one survival per
+    input, atom-down inputs without preparation error and the drift bias
+    re-centered).
+    """
+    truth_table = protocol == "truth-table"
+    pulse = cfg.truth_table_pulse if truth_table else cfg.bell_pulse
+    q2 = 0.0 if cfg.assume_single_photon else multiphoton_fraction(pulse)
+    imp = cfg.imperfections
+    if cfg.spectral_correction:
+        imp = dataclasses.replace(imp, freq_jitter_khz=math.hypot(
+            imp.freq_jitter_khz, spectral_sigma_khz(pulse)))
+    if truth_table:
+        imp = dataclasses.replace(imp, freq_bias_khz=0.0)
+        setting = [MeasurementSetting(("Z", "X"))]
+        rows = [_run_tables(cfg.cavity, dataclasses.replace(imp, prep_fidelity=f),
+                            q2, atom, [photon], setting,
+                            atom_confusion=detection_confusion(cfg.detection))[0]
+                for atom, photon, f in ((DOWN, X_MINUS, 1.0), (DOWN, X_PLUS, 1.0),
+                                        (UP, X_MINUS, imp.prep_fidelity),
+                                        (UP, X_PLUS, imp.prep_fidelity))]
+        survival = np.array([row.sum() for row in rows])
+        return np.array(rows) / survival[:, None], survival
+    k = 1 if protocol == "bell" else 2
+    drift = imp.drift_phase_per_reflection * k
+    if protocol == "eraser":
+        settings = [MeasurementSetting(("Z",) + s.labels) for s in all_settings(2)]
+        pre = rotation(math.pi / 2, ERASER_ROTATION_PHASE).entries
+    else:
+        settings, pre = all_settings(1 + k), np.eye(2)
+    tables = _run_tables(cfg.cavity, imp, q2, X_MINUS, [X_MINUS] * k, settings,
+                         atom_phase=drift, pre_measure=pre)
+    survival = tables[0].sum()
+    return tables / survival, survival

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from apgate.config import ideal_profile, paper_profile
+from apgate.cavity import CavityParams
+from apgate.config import RunConfig, ideal_profile, paper_profile
 from apgate.protocols import (StarvationError, bell_target, ghz_target,
                               loss_budget, phi_minus_photons, phi_plus_photons,
                               run_bell, run_eraser, run_ghz, run_ramsey,
                               run_state_detection, run_truth_table,
                               tomo_roundtrip)
-from apgate.pulse import CoherentPulse
+from apgate.pulse import CoherentPulse, DetectionModel, ImperfectionConfig
 from apgate.qlin import DensityMatrix
 from apgate.tomography import (CountsRecord, MeasurementSetting, all_settings,
                                linear_inversion)
@@ -269,6 +272,59 @@ def test_engine_matches_dephased_channel_composition():
     for setting, row in zip(settings, tables):
         assert np.allclose(row, born_probabilities(dephased, setting),
                            atol=1e-12)
+
+
+# --- engine against the full-model density-matrix oracle ---------------------
+
+TABLE_RUNNERS = {"truth-table": run_truth_table, "bell": run_bell,
+                 "ghz": run_ghz, "eraser": run_eraser}
+
+
+def _either_zero(upper):
+    return st.one_of(st.just(0.0), st.floats(1.0, upper))
+
+
+@st.composite
+def operating_points(draw):
+    """Random analytic configs with every model knob of the table engine."""
+    imperfections = ImperfectionConfig(
+        mode_overlap=draw(st.floats(0.5, 1.0)),
+        prep_fidelity=draw(st.floats(0.5, 1.0)),
+        freq_jitter_khz=draw(_either_zero(800.0)),
+        freq_bias_khz=draw(_either_zero(400.0)),
+        drift_phase_per_reflection=draw(st.floats(-1.0, 1.0)),
+        photonic_meas_error=draw(st.floats(0.0, 0.2)),
+        loss_coupled=draw(st.floats(0.0, 0.8)),
+        loss_uncoupled=draw(st.floats(0.0, 0.8)),
+        rotation_readout_fidelity=draw(st.floats(0.5, 1.0)))
+    cavity = CavityParams.from_mhz(
+        g_mhz=draw(st.floats(2.0, 12.0)), kappa_mhz=draw(st.floats(1.0, 5.0)),
+        gamma_mhz=draw(st.floats(1.0, 5.0)),
+        delta_c_mhz=draw(st.floats(-0.5, 0.5)), delta_a_mhz=draw(st.floats(-0.5, 0.5)))
+    detection = DetectionModel(mean_signal_photons=draw(st.floats(1.0, 20.0)),
+                               dark_prob=draw(st.floats(0.0, 0.1)),
+                               threshold=draw(st.integers(1, 3)))
+    return RunConfig(
+        seed=1, cavity=cavity, imperfections=imperfections, detection=detection,
+        bell_pulse=CoherentPulse(draw(st.floats(0.0, 0.5)), 0.7),
+        truth_table_pulse=CoherentPulse(draw(st.floats(0.0, 0.5)), 0.7),
+        assume_single_photon=draw(st.booleans()),
+        spectral_correction=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("protocol", sorted(TABLE_RUNNERS))
+@settings(max_examples=25, deadline=None)
+@given(cfg=operating_points())
+@example(cfg=paper_profile())
+@example(cfg=ideal_profile())
+def test_engine_matches_full_model_oracle(protocol, cfg):
+    # Independent route: every branch as a Kraus operator on the density
+    # matrix, Born vectors from projectors, classical readout per branch.
+    from oracle import oracle_tables
+    result = TABLE_RUNNERS[protocol](cfg)
+    tables, survival = oracle_tables(cfg, protocol)
+    assert np.max(np.abs(np.asarray(result.raw_counts["probabilities"]) - tables)) < 1e-12
+    assert np.max(np.abs(np.asarray(result.metadata["survival"]) - survival)) < 1e-12
 
 
 # --- single-imperfection budget decomposition ---------------------------------
