@@ -95,37 +95,36 @@ def reflection_coefficient(params: CavityParams, coupled: bool) -> complex:
     return 1.0 - num / den
 
 
-def gate_branch_amplitudes(params: CavityParams, losses, delta: float = 0.0) -> np.ndarray:
+def gate_branch_amplitudes(params: CavityParams, losses, delta=0.0) -> np.ndarray:
     """Reflection amplitudes per basis pair at probe offset ``delta`` (angular MHz).
 
-    Pairs are ordered (up_a up_p, up_a down_p, down_a up_p, down_a down_p);
-    only the first addresses the resonant transition and couples.  The
-    on-resonance magnitudes are calibrated to the measured survival
-    probabilities ``1 - loss`` while the detuning dependence (phase slope and
-    residual amplitude change) follows the steady-state reflection
-    coefficient.  With zero losses and zero offset this reduces exactly to the
-    ideal conditional-phase signs.
+    ``delta`` may be an array of offsets; the result has shape
+    ``delta.shape + (4,)``.  Pairs are ordered (up_a up_p, up_a down_p,
+    down_a up_p, down_a down_p); only the first addresses the resonant
+    transition and couples.  The on-resonance magnitudes are calibrated to
+    the measured survival probabilities ``1 - loss`` while the detuning
+    dependence (phase slope and residual amplitude change) follows the
+    steady-state reflection coefficient.  With zero losses and zero offset
+    this reduces exactly to the ideal conditional-phase signs.
     """
-    loss_coupled, loss_uncoupled = losses
-    for loss in (loss_coupled, loss_uncoupled):
+    for loss in losses:
         if not 0.0 <= loss <= 1.0:
             raise ValueError("losses must be probabilities")
-    r_c0 = reflection_coefficient(params, coupled=True)
-    r_u0 = reflection_coefficient(params, coupled=False)
-    if delta == 0.0:
-        a_c = math.sqrt(1.0 - loss_coupled) * r_c0 / abs(r_c0)
-        a_u = math.sqrt(1.0 - loss_uncoupled) * r_u0 / abs(r_u0)
-    else:
-        shifted = params.detuned_by(delta)
-        r_c = reflection_coefficient(shifted, True)
-        r_u = reflection_coefficient(shifted, False)
+    delta = np.asarray(delta, dtype=float)
+    # The resonant reference rides along as offset 0, so it rounds as the
+    # other offsets do and the zero-offset modulus is exactly sqrt(1 - loss).
+    shifted = params.detuned_by(np.concatenate([[0.0], delta.reshape(-1)]))
+    amps = []
+    for coupled, loss in zip((True, False), losses):
+        r = reflection_coefficient(shifted, coupled)
+        size = np.abs(r)
         # Calibrated modulus cannot exceed 1 even where the off-resonance
         # reflectivity rises above its resonant value.
-        m_c = min(1.0, math.sqrt(1.0 - loss_coupled) * abs(r_c) / abs(r_c0))
-        m_u = min(1.0, math.sqrt(1.0 - loss_uncoupled) * abs(r_u) / abs(r_u0))
-        a_c = m_c * r_c / abs(r_c)
-        a_u = m_u * r_u / abs(r_u)
-    return np.array([a_c, a_u, a_u, a_u], dtype=complex)
+        modulus = np.minimum(1.0, math.sqrt(1.0 - loss) * (size[1:] / size[0]))
+        # Parts divided separately: a real r then gives a phase of exactly +-1.
+        amps.append(modulus * (r.real[1:] / size[1:] + 1j * (r.imag[1:] / size[1:])))
+    a_c, a_u = amps
+    return np.stack([a_c, a_u, a_u, a_u], axis=-1).reshape(delta.shape + (4,))
 
 
 def loss_from_first_principles(params: CavityParams, budget: MirrorBudget):

@@ -22,7 +22,7 @@ any worker fan-out.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -133,36 +133,9 @@ def _model_for(cfg: RunConfig, pulse: CoherentPulse) -> GateModel:
     return GateModel(cfg.cavity, imp, contamination=q2)
 
 
-def _apply_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _contaminate_axis(p: np.ndarray, axis: int, q2: float) -> np.ndarray:
-    """Mix in the extra-photon branch: with weight q2 the recorded outcome on
-    ``axis`` is an independent draw from that photon's own marginal."""
-    total = p.sum()
-    if q2 <= 0.0 or total <= 0.0:
-        return p
-    others = tuple(i for i in range(p.ndim) if i != axis)
-    marg_axis = p.sum(axis=others, keepdims=True)
-    marg_rest = p.sum(axis=axis, keepdims=True)
-    return (1.0 - q2) * p + q2 * (marg_rest * marg_axis / total)
-
-
-def _pair_broadcast(amps: np.ndarray, photon_axis: int, ndim: int) -> np.ndarray:
-    """Reshape 4 branch amplitudes to broadcast over (atom axis 0, photon axis)."""
-    shape = [1] * ndim
-    shape[0] = 2
-    shape[photon_axis] = 2
-    return amps.reshape(2, 2).reshape(shape)
-
-
 def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
                      photon_kets: Sequence[np.ndarray],
                      settings: Sequence[MeasurementSetting],
-                     apply_prep_error: bool = True,
-                     apply_atom_dephasing: bool = True,
                      atom_phase: float = 0.0,
                      atom_pre_measure: Optional[np.ndarray] = None,
                      atom_confusion: Optional[np.ndarray] = None):
@@ -170,95 +143,75 @@ def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
 
     Returns ``(tables, survival)`` where ``tables[s]`` is the normalized
     outcome distribution of setting ``s`` (C-order over the atom bit followed
-    by the photon bits) and ``survival`` is the photon-survival weight of one
-    attempt, common to all settings.
+    by the photon bits, bit 0 the + outcome) and ``survival`` is the
+    photon-survival weight of one attempt: the total before normalization,
+    common to all settings.
 
-    The atomic qubit dephases between preparation and readout with the
-    calibrated coherence factor (a phase-flip sub-branch); atoms prepared in
-    the wrong state behave as uncoupled, read out as the upper hyperfine
-    state in direct detection, and give a random outcome under rotated
-    readout.
+    The reflection map is diagonal, so the model is one branch tensor of
+    shape (jitter node, branch, 2^n): per in/out-of-mode photon pattern and
+    per dephasing sub-branch, the initial ket times the in-mode photons'
+    reflection factors, the drift phase ``atom_phase`` and the dephasing
+    phase flip, scaled by the square root of the branch prior, then rotated
+    by ``atom_pre_measure`` on the atom.  Atoms prepared in the wrong state
+    add one more branch: every photon uncoupled, no rotation, and the atom
+    read as |up> since it always fluoresces (the upper hyperfine outcome in
+    a Z readout, an even split in X or Y).  One einsum against the stacked
+    basis matrices gives every Born weight.  Readout confusion is one
+    Kronecker matrix, ``atom_confusion`` (the identity if None) times the
+    photon analyzer flips.
+
+    Extra-photon contamination (with weight q2 a photon's record is an
+    independent draw from its own marginal) is applied to each branch before
+    the branches are summed over nodes with the quadrature weights.  The
+    extra photon meets the same detuning, mode pattern and atom as the first,
+    and the map is nonlinear, so the marginal is the branch's, not the
+    mixture's.
     """
     imp = model.imperfections
     k = len(photon_kets)
     n = 1 + k
-    losses = (imp.loss_coupled, imp.loss_uncoupled)
-    f_prep = imp.prep_fidelity if apply_prep_error else 1.0
-    q2 = model.contamination
-    e_ph = imp.photonic_meas_error
-    photon_flip = confusion_matrix(e_ph) if e_ph > 0 else None
-    coherence = imp.atomic_coherence_factor if apply_atom_dephasing else 1.0
-
-    psi0 = np.array([1.0 + 0j])
-    for ket in (atom_ket, *photon_kets):
-        psi0 = np.kron(psi0, np.asarray(ket, dtype=complex))
-    phot0 = np.array([1.0 + 0j])
-    for ket in photon_kets:
-        phot0 = np.kron(phot0, np.asarray(ket, dtype=complex))
-
-    basis = [s.basis_matrix() for s in settings]
-    photon_basis = [MeasurementSetting(s.labels[1:]).basis_matrix() for s in settings]
-    # Wrong-state atoms always fluoresce: deterministic upper-hyperfine outcome
-    # in a direct (Z) readout, an even split when a rotation precedes it.
-    err_atom = [np.array([1.0, 0.0]) if s.labels[0] == "Z" else np.array([0.5, 0.5])
-                for s in settings]
+    ov, q2 = imp.mode_overlap, model.contamination
     deltas, weights = jitter_nodes(imp.freq_jitter_khz, imp.freq_bias_khz)
+    amps = gate_branch_amplitudes(model.cavity, (imp.loss_coupled, imp.loss_uncoupled),
+                                  deltas)
+    bits = np.array(list(np.ndindex((2,) * n)))                  # (2^n, n), 0 = up/+
+    out_of_mode = np.array(list(np.ndindex((2,) * k)), dtype=bool)   # (2^k, k)
 
-    tables = np.zeros((len(settings), 2 ** n))
-    mode_combos = list(itertools.product((True, False), repeat=k))
-    for delta, w_node in zip(deltas, weights):
-        amps = gate_branch_amplitudes(model.cavity, losses, delta)
-        a_unc = amps[1]
-        branches = []
-        for modes in mode_combos:
-            prior = f_prep
-            for in_mode in modes:
-                prior *= imp.mode_overlap if in_mode else 1.0 - imp.mode_overlap
-            if prior == 0.0:
-                continue
-            vec = psi0.reshape((2,) * n).copy()
-            for j, in_mode in enumerate(modes):
-                if in_mode:
-                    vec = vec * _pair_broadcast(amps, j + 1, n)
-            if atom_phase != 0.0:
-                vec[1] = np.exp(-1j * atom_phase) * vec[1]
-            dephasing_split = (((1.0 + coherence) / 2.0, False),
-                               ((1.0 - coherence) / 2.0, True))
-            for sub_weight, flip_phase in dephasing_split:
-                if sub_weight == 0.0:
-                    continue
-                sub = vec
-                if flip_phase:
-                    sub = vec.copy()
-                    sub[1] = -sub[1]
-                if atom_pre_measure is not None:
-                    sub = _apply_axis(atom_pre_measure, sub, 0)
-                branches.append((prior * sub_weight, sub.reshape(-1)))
-        err_prior = 0.0
-        if f_prep < 1.0:
-            per_photon = imp.mode_overlap * abs(a_unc) ** 2 + (1.0 - imp.mode_overlap)
-            err_prior = (1.0 - f_prep) * per_photon ** k
+    # Branch tensor (node, mode pattern, dephasing sign, 2^n).
+    pair = amps[:, 2 * bits[:, :1] + bits[:, 1:]]                 # (node, 2^n, k)
+    factors = np.where(out_of_mode[:, None], 1.0, pair[:, None]).prod(axis=-1)
+    coherence = imp.atomic_coherence_factor
+    priors = (imp.prep_fidelity * np.where(out_of_mode, 1.0 - ov, ov).prod(axis=1)[:, None]
+              * np.array([1.0 + coherence, 1.0 - coherence]) / 2.0)
+    phot0 = functools.reduce(np.kron, [np.asarray(v, dtype=complex) for v in photon_kets])
+    psi0 = np.kron(np.asarray(atom_ket, dtype=complex), phot0)
+    atom_bit = bits[:, 0]
+    signs = np.array([np.ones(2 ** n), (-1.0) ** atom_bit])
+    vec = (factors[:, :, None] * np.sqrt(priors)[..., None] * signs
+           * psi0 * np.exp(-1j * atom_phase * atom_bit))
+    pre = np.eye(2) if atom_pre_measure is None else atom_pre_measure
+    vec = vec.reshape(len(deltas), -1, 2 ** n) @ np.kron(pre, np.eye(2 ** k)).T
+    # Wrongly prepared atoms.
+    err_prior = (1.0 - imp.prep_fidelity) * (ov * np.abs(amps[:, 1]) ** 2 + 1.0 - ov) ** k
+    err = np.sqrt(err_prior)[:, None, None] * np.kron([1.0, 0.0], phot0)
+    vec = np.concatenate([vec, err], axis=1)
 
-        for si in range(len(settings)):
-            grids = []
-            for prior, vec in branches:
-                p = prior * np.abs(basis[si] @ vec) ** 2
-                grids.append(p.reshape((2,) * n))
-            if err_prior > 0.0:
-                pp = np.abs(photon_basis[si] @ phot0) ** 2
-                grid = err_prior * np.multiply.outer(err_atom[si],
-                                                     pp.reshape((2,) * k))
-                grids.append(grid)
-            for grid in grids:
-                if atom_confusion is not None:
-                    grid = _apply_axis(atom_confusion, grid, 0)
-                if photon_flip is not None:
-                    for ax in range(1, n):
-                        grid = _apply_axis(photon_flip, grid, ax)
-                if q2 > 0.0:
-                    for ax in range(1, n):
-                        grid = _contaminate_axis(grid, ax, q2)
-                tables[si] += w_node * grid.reshape(-1)
+    basis = np.array([s.basis_matrix() for s in settings])
+    grid = np.abs(np.einsum("soi,nbi->nbso", basis, vec))
+    grid *= grid
+    confusion = functools.reduce(np.kron, [np.eye(2) if atom_confusion is None
+                                           else atom_confusion]
+                                 + [confusion_matrix(imp.photonic_meas_error)] * k)
+    grid = (grid @ confusion.T).reshape(grid.shape[:3] + (2,) * n)
+    outcomes = tuple(range(3, 3 + n))
+    total = grid.sum(axis=outcomes, keepdims=True)
+    scale = q2 / np.where(total > 0.0, total, 1.0)
+    for axis in outcomes[1:]:     # in place: the grids are the engine's largest arrays
+        marginal = grid.sum(axis=tuple(a for a in outcomes if a != axis), keepdims=True)
+        rest = grid.sum(axis=axis, keepdims=True)
+        grid *= 1.0 - q2
+        grid += rest * (scale * marginal)
+    tables = np.einsum("n,nbso->so", weights, grid.reshape(grid.shape[:3] + (-1,)))
 
     sums = tables.sum(axis=1)
     if np.max(np.abs(sums - sums[0])) > 1e-9:
@@ -373,20 +326,21 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     entanglement protocols is not applied here.
     """
     model = _model_for(cfg, cfg.truth_table_pulse)
-    model = dataclasses.replace(model, imperfections=dataclasses.replace(
-        model.imperfections, freq_bias_khz=0.0))
+    imp = dataclasses.replace(model.imperfections, freq_bias_khz=0.0)
     setting = MeasurementSetting(("Z", "X"))
     det_confusion = detection_confusion(cfg.detection)
+    # Atom-down inputs carry no preparation error.
     inputs = [
-        (DOWN, X_MINUS, False),
-        (DOWN, X_PLUS, False),
-        (UP, X_MINUS, True),
-        (UP, X_PLUS, True),
+        (DOWN, X_MINUS, 1.0),
+        (DOWN, X_PLUS, 1.0),
+        (UP, X_MINUS, imp.prep_fidelity),
+        (UP, X_PLUS, imp.prep_fidelity),
     ]
-    runs = [_protocol_tables(model, atom, [photon], [setting],
-                             apply_prep_error=prep_err, apply_atom_dephasing=False,
-                             atom_confusion=det_confusion)
-            for atom, photon, prep_err in inputs]
+    runs = [_protocol_tables(
+                dataclasses.replace(model, imperfections=dataclasses.replace(
+                    imp, prep_fidelity=f_prep)),
+                atom, [photon], [setting], atom_confusion=det_confusion)
+            for atom, photon, f_prep in inputs]
     survivals = [survival for _, survival in runs]
     rows, _ = _observe(cfg, [setting] * 4, np.concatenate([t for t, _ in runs]),
                        survivals)
@@ -416,7 +370,7 @@ def _tomography_protocol(cfg: RunConfig, label: str, n_photons: int,
     drift = cfg.imperfections.drift_phase_per_reflection * n_photons
     tables, survival = _protocol_tables(
         _model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS] * n_photons,
-        settings, apply_prep_error=True, atom_phase=drift)
+        settings, atom_phase=drift)
     keep_prob = survival * cfg.preselection_pass
     rows, rng = _observe(cfg, settings, tables, keep_prob)
     rho, method, std = _estimate(cfg, settings, rows, target, rng)
@@ -475,7 +429,7 @@ def run_eraser(cfg: RunConfig) -> ProtocolResult:
     drift = cfg.imperfections.drift_phase_per_reflection * 2
     tables, survival = _protocol_tables(
         _model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS, X_MINUS], settings,
-        apply_prep_error=True, atom_phase=drift, atom_pre_measure=rot)
+        atom_phase=drift, atom_pre_measure=rot)
     keep_prob = survival * cfg.preselection_pass
 
     # Axis 1 is the atom outcome: 0 is the upper hyperfine state F2, which

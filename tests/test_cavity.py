@@ -192,9 +192,22 @@ def test_gate_branch_validation():
     with pytest.raises(ValueError):
         gate_branch_amplitudes(CavityParams(), (1.5, 0.3))
     # Off resonance the calibrated modulus is clamped at one.
-    for delta in np.linspace(-2 * math.pi * 5, 2 * math.pi * 5, 41):
+    deltas = np.linspace(-2 * math.pi * 5, 2 * math.pi * 5, 41)
+    for delta in deltas:
         amps = gate_branch_amplitudes(CavityParams(), (0.0, 0.0), delta)
         assert np.all(np.abs(amps) <= 1.0 + 1e-12)
+    # One call over an array of offsets equals the per-offset calls.
+    params, losses = CavityParams.from_mhz(delta_c_mhz=0.05, delta_a_mhz=-0.03), (0.34, 0.30)
+    grid = gate_branch_amplitudes(params, losses, deltas.reshape(1, -1))
+    assert grid.shape == (1, 41, 4)
+    assert np.array_equal(grid[0], [gate_branch_amplitudes(params, losses, d)
+                                    for d in deltas])
+    # At zero offset the general formula is the calibrated resonant amplitude.
+    amps = gate_branch_amplitudes(params, losses, 0.0)
+    for branch, coupled, loss in ((0, True, 0.34), (1, False, 0.30)):
+        r0 = reflection_coefficient(params, coupled)
+        assert amps[branch] == pytest.approx(math.sqrt(1.0 - loss) * r0 / abs(r0),
+                                             abs=1e-15)
 
 
 def test_mirror_budget_fraction():

@@ -231,8 +231,7 @@ def test_engine_matches_kraus_channel_composition():
     cfg = ideal_profile()
     model = GateModel(cfg.cavity, imp, contamination=0.0)
     settings = all_settings(2)
-    tables, survival = _protocol_tables(model, X_MINUS, [X_MINUS], settings,
-                                        apply_prep_error=False)
+    tables, survival = _protocol_tables(model, X_MINUS, [X_MINUS], settings)
 
     rho0 = PureState(_np.kron(X_MINUS, X_MINUS)).density()
     rho1, success = apply_channel(rho0, mode_mismatch_channel(overlap, losses))
@@ -259,9 +258,7 @@ def test_engine_matches_dephased_channel_composition():
     cfg = ideal_profile()
     model = GateModel(cfg.cavity, imp, contamination=0.0)
     settings = all_settings(2)
-    tables, _ = _protocol_tables(model, X_MINUS, [X_MINUS], settings,
-                                 apply_prep_error=False,
-                                 apply_atom_dephasing=True)
+    tables, _ = _protocol_tables(model, X_MINUS, [X_MINUS], settings)
 
     rho0 = PureState(_np.kron(X_MINUS, X_MINUS)).density()
     rho1, _ = apply_channel(rho0, mode_mismatch_channel(0.92, (0.34, 0.30)))
