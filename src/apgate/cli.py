@@ -1,7 +1,8 @@
 """Command-line entry point: run a protocol, write JSON results and CSV tables.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime or post-selection
-starvation error.  Failures emit a machine-readable error JSON on stderr.
+Exit codes: 0 success, 2 configuration error, 3 runtime, post-selection
+starvation or internal error.  Failures emit a machine-readable error JSON on
+stderr.
 """
 from __future__ import annotations
 
@@ -159,7 +160,7 @@ def _dispatch(args, cfg: RunConfig) -> ProtocolResult:
     return SUBCOMMANDS[args.subcommand].run(cfg, args)
 
 
-def _fail(kind: str, exc: Exception, code: int) -> int:
+def _fail(kind: str, exc: Exception | str, code: int) -> int:
     print(json.dumps({"error": kind, "message": str(exc)}, sort_keys=True),
           file=sys.stderr)
     return code
@@ -171,13 +172,15 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         out_dir = _resolve_out_dir(args, cfg)
         result = _dispatch(args, cfg)
+        _emit(result, out_dir)
     except ConfigError as exc:
         return _fail("config", exc, 2)
     except (StarvationError, PostSelectionError) as exc:
         return _fail("starvation", exc, 3)
     except OSError as exc:
         return _fail("io", exc, 3)
-    _emit(result, out_dir)
+    except Exception as exc:    # last resort: an error JSON, not a traceback
+        return _fail("internal", f"{type(exc).__name__}: {exc}", 3)
     summary = {k: v for k, v in result.derived.items()
                if isinstance(v, (int, float, bool))}
     print(json.dumps({"protocol": result.label, "out": str(out_dir),

@@ -105,11 +105,24 @@ def _keys_checked(section, defaults: dict, path: str) -> dict:
     return section
 
 
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _cast(key: str, value, default):
+    """``value`` as the type of ``default``; no bool converts to or from
+    another type, and an integer takes only an integral number."""
+    kind = type(default)
+    if isinstance(value, bool) != (kind is bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
 def _build(path: str, make, section: dict, defaults: dict):
     """``make(**values)``, each value cast to its default's type; a bad
     value is reported against the section ``path``."""
     try:
-        return make(**{k: type(d)(section.get(k, d)) for k, d in defaults.items()})
+        return make(**{k: _cast(k, section.get(k, d), d) for k, d in defaults.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 

@@ -191,7 +191,6 @@ def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
            * psi0 * np.exp(-1j * atom_phase * atom_bit))
     pre = np.eye(2) if atom_pre_measure is None else atom_pre_measure
     vec = vec.reshape(len(deltas), -1, 2 ** n) @ np.kron(pre, np.eye(2 ** k)).T
-    # Wrongly prepared atoms.
     err_prior = (1.0 - imp.prep_fidelity) * (ov * np.abs(amps[:, 1]) ** 2 + 1.0 - ov) ** k
     err = np.sqrt(err_prior)[:, None, None] * np.kron([1.0, 0.0], phot0)
     vec = np.concatenate([vec, err], axis=1)
@@ -328,18 +327,13 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     model = _model_for(cfg, cfg.truth_table_pulse)
     imp = dataclasses.replace(model.imperfections, freq_bias_khz=0.0)
     setting = MeasurementSetting(("Z", "X"))
-    det_confusion = detection_confusion(cfg.detection)
     # Atom-down inputs carry no preparation error.
-    inputs = [
-        (DOWN, X_MINUS, 1.0),
-        (DOWN, X_PLUS, 1.0),
-        (UP, X_MINUS, imp.prep_fidelity),
-        (UP, X_PLUS, imp.prep_fidelity),
-    ]
+    inputs = [(DOWN, X_MINUS, 1.0), (DOWN, X_PLUS, 1.0),
+              (UP, X_MINUS, imp.prep_fidelity), (UP, X_PLUS, imp.prep_fidelity)]
     runs = [_protocol_tables(
                 dataclasses.replace(model, imperfections=dataclasses.replace(
                     imp, prep_fidelity=f_prep)),
-                atom, [photon], [setting], atom_confusion=det_confusion)
+                atom, [photon], [setting], atom_confusion=detection_confusion(cfg.detection))
             for atom, photon, f_prep in inputs]
     survivals = [survival for _, survival in runs]
     rows, _ = _observe(cfg, [setting] * 4, np.concatenate([t for t, _ in runs]),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from apgate import cli
 from apgate.cli import main
 from apgate.config import (ConfigError, config_from_dict, load_config,
                            paper_profile)
@@ -219,3 +220,28 @@ def test_cli_non_object_section_exit_code(section, value, tmp_path, capsys):
     assert main(["bell", "--config", path, "--out", str(tmp_path)]) == 2
     error = json.loads(capsys.readouterr().err)
     assert error == {"error": "config", "message": f"{section}: expected an object"}
+
+
+@pytest.mark.parametrize("section,key,value,kind", [
+    ("pulses", "assume_single_photon", "false", "a boolean"),
+    ("cavity", "g_mhz", True, "a number"),
+    ("detection", "threshold", 2.5, "an integer"),
+    (None, "trials", True, "an integer"),
+])
+def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, capsys):
+    data = {"seed": 1, **({section: {key: value}} if section else {key: value})}
+    path = write_config(tmp_path, data)
+    assert main(["bell", "--config", path, "--out", str(tmp_path)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "config", "message":
+                     f"{section or 'run'}: {key} must be {kind}, got {value!r}"}
+
+
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(cfg, args):
+        raise RuntimeError("survival weight leaked a setting dependence")
+    monkeypatch.setitem(cli.SUBCOMMANDS, "bell", cli.SUBCOMMANDS["bell"]._replace(run=broken))
+    assert main(["bell", "--out", str(tmp_path)]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "internal",
+                     "message": "RuntimeError: survival weight leaked a setting dependence"}

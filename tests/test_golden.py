@@ -3,7 +3,9 @@
 ``golden/manifest.json`` holds, per run, the exit code, the warnings raised,
 the sha256 of stdout (output directory replaced by ``<out>``) and stderr, and
 the sha256 of every file written.  It was captured before the estimation
-path, the subcommand table and the config schema were folded into one each;
+path, the subcommand table and the config schema were folded into one each,
+and recaptured once when the outcome-table engine became one array
+contraction (rounding-level changes, compared run by run in CHANGES.md);
 refactors must reproduce it byte for byte.  The runs are the 8 subcommands
 x {analytic, monte-carlo} x {paper, ideal}, one full-schema config with a
 non-default value in every section (both modes), and a few odd documents.
