@@ -16,9 +16,9 @@ from .protocols import (ProtocolResult, StarvationError, bell_target,
                         tomo_roundtrip)
 from .pulse import (CoherentPulse, DetectionModel, ImperfectionConfig,
                     hyperfine_fidelity, multiphoton_fraction)
-from .qlin import (DensityMatrix, PostSelectionError, PureState, UnitaryOp,
-                   fidelity_pure, optimal_phase_fidelity, rotation)
-from .tomography import (CountsRecord, MeasurementSetting,
+from .qlin import (DensityMatrix, PostSelectionError, PureState, fidelity_pure,
+                   optimal_phase_fidelity, rotation)
+from .tomography import (CountsTable, MeasurementSetting,
                          ReconstructionReport, all_settings,
                          born_probabilities, linear_inversion, mle_reconstruct,
                          monte_carlo_errors, simulate_counts)

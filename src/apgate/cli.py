@@ -1,8 +1,9 @@
 """Command-line entry point: run a protocol, write JSON results and CSV tables.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime, post-selection
-starvation or internal error.  Failures emit a machine-readable error JSON on
-stderr.
+Exit codes: 0 success, 2 configuration error (a non-finite number included),
+3 runtime, post-selection starvation or internal error (a NaN in a result
+included, which writes no result file).  Failures emit a machine-readable
+error JSON on stderr.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,6 +76,9 @@ def _state_detection_csv(result: ProtocolResult, out_dir: Path):
 
 
 def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
+    for flag, values in (("phase2", [args.phase2]), ("grid-khz", args.grid_khz or [])):
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(flag, "must be finite")
     grid = None
     if args.grid_khz:
         start, stop, points = args.grid_khz
@@ -173,6 +178,10 @@ def main(argv=None) -> int:
         out_dir = _resolve_out_dir(args, cfg)
         result = _dispatch(args, cfg)
         _emit(result, out_dir)
+        summary = {k: v for k, v in result.derived.items()
+                   if isinstance(v, (int, float, bool))}
+        print(json.dumps({"protocol": result.label, "out": str(out_dir), **summary},
+                         sort_keys=True, allow_nan=False, default=float))
     except ConfigError as exc:
         return _fail("config", exc, 2)
     except (StarvationError, PostSelectionError) as exc:
@@ -181,10 +190,6 @@ def main(argv=None) -> int:
         return _fail("io", exc, 3)
     except Exception as exc:    # last resort: an error JSON, not a traceback
         return _fail("internal", f"{type(exc).__name__}: {exc}", 3)
-    summary = {k: v for k, v in result.derived.items()
-               if isinstance(v, (int, float, bool))}
-    print(json.dumps({"protocol": result.label, "out": str(out_dir),
-                      **summary}, sort_keys=True, default=float))
     return 0
 
 

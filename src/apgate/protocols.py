@@ -26,7 +26,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
 from .qlin import (DOWN, DensityMatrix, PostSelectionError, PureState, UP,
                    X_MINUS, X_PLUS, fidelity_pure, optimal_phase_fidelity,
                    rotation)
-from .tomography import (CountsRecord, MeasurementSetting, all_settings,
+from .tomography import (CountsTable, MeasurementSetting, all_settings,
                          linear_inversion, mle_reconstruct, monte_carlo_errors,
                          simulate_counts)
 
@@ -93,7 +93,7 @@ class ProtocolResult:
             "derived": _jsonify(self.derived),
             "metadata": _jsonify(self.metadata),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _jsonify(obj):
@@ -105,8 +105,6 @@ def _jsonify(obj):
         return _jsonify(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
     return obj
 
 
@@ -226,23 +224,21 @@ def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
 
 def _reconstruct(settings: Sequence[MeasurementSetting], tables: np.ndarray):
     """Linear inversion when physical, diluted-MLE projection otherwise."""
-    records = [CountsRecord(s, p) for s, p in zip(settings, tables)]
-    raw = linear_inversion(records)
+    raw = linear_inversion(CountsTable(settings, tables))
     try:
         return DensityMatrix(raw), "linear-inversion", None
     except ValueError:
-        scaled = [CountsRecord(s, p * _ANALYTIC_SHOT_SCALE)
-                  for s, p in zip(settings, tables)]
-        report = mle_reconstruct(scaled)
+        report = mle_reconstruct(CountsTable(settings, tables * _ANALYTIC_SHOT_SCALE))
         return report.rho, "mle", report
 
 
 def _sample_records(settings: Sequence[MeasurementSetting], tables: np.ndarray,
-                    trials: int, keep_prob, seed_seq) -> List[CountsRecord]:
+                    trials: int, keep_prob, seed_seq) -> np.ndarray:
     """Binomial retention of ``trials`` attempts, then multinomial outcome
-    counts, per setting.  ``keep_prob`` is one probability for every setting
-    or one per setting; setting ``s`` draws from child ``s`` of ``seed_seq``."""
-    records = []
+    counts, per setting, as a float array of one row per setting.
+    ``keep_prob`` is one probability for every setting or one per setting;
+    setting ``s`` draws from child ``s`` of ``seed_seq``."""
+    rows = []
     keep = np.broadcast_to(keep_prob, len(settings))
     children = seed_seq.spawn(len(settings))
     for s, p, k, child in zip(settings, tables, keep, children):
@@ -250,9 +246,8 @@ def _sample_records(settings: Sequence[MeasurementSetting], tables: np.ndarray,
         retained = int(rng.binomial(trials, min(1.0, k)))
         if retained == 0:
             raise StarvationError(f"no surviving events for setting {s.name}")
-        counts = rng.multinomial(retained, p / p.sum())
-        records.append(CountsRecord(s, counts))
-    return records
+        rows.append(rng.multinomial(retained, p / p.sum()))
+    return np.array(rows, dtype=float)
 
 
 def _observe(cfg: RunConfig, settings: Sequence[MeasurementSetting],
@@ -266,9 +261,8 @@ def _observe(cfg: RunConfig, settings: Sequence[MeasurementSetting],
     if cfg.mode != "monte-carlo":
         return tables, None
     seed_seq = np.random.SeedSequence(cfg.seed)
-    records = _sample_records(settings, tables, cfg.trials, keep_prob, seed_seq)
-    rng = np.random.default_rng(seed_seq.spawn(1)[0])
-    return np.array([r.counts for r in records]), rng
+    rows = _sample_records(settings, tables, cfg.trials, keep_prob, seed_seq)
+    return rows, np.random.default_rng(seed_seq.spawn(1)[0])
 
 
 def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows,
@@ -282,9 +276,9 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows,
     if cfg.mode != "monte-carlo":
         rho, method, _ = _reconstruct(settings, rows)
         return rho, method, None
-    records = [CountsRecord(s, c) for s, c in zip(settings, rows)]
-    rho = mle_reconstruct(records).rho
-    std = monte_carlo_errors(records, lambda m: fidelity_pure(m, target),
+    table = CountsTable(settings, rows)
+    rho = mle_reconstruct(table).rho
+    std = monte_carlo_errors(table, lambda m: fidelity_pure(m, target),
                              cfg.mc_replicas, rng)["metric"]
     return rho, "mle", std
 
@@ -417,7 +411,7 @@ def run_eraser(cfg: RunConfig) -> ProtocolResult:
     atomic superposition onto the hyperfine basis and the detected state
     selects which photon-photon Bell state remains.
     """
-    rot = rotation(math.pi / 2, ERASER_ROTATION_PHASE).entries
+    rot = rotation(math.pi / 2, ERASER_ROTATION_PHASE)
     photon_settings = all_settings(2)
     settings = [MeasurementSetting(("Z",) + s.labels) for s in photon_settings]
     drift = cfg.imperfections.drift_phase_per_reflection * 2
@@ -488,8 +482,8 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
         raise ValueError("detuning grid must not be empty")
     imp = cfg.imperfections
     chain = imp.prep_fidelity * imp.atomic_coherence_factor
-    r1 = rotation(math.pi / 2, 0.0).entries
-    r2 = rotation(math.pi / 2, phase2).entries
+    r1 = rotation(math.pi / 2, 0.0)
+    r2 = rotation(math.pi / 2, phase2)
     phases = 2.0 * math.pi * grid * 1e-3 * RAMSEY_PULSE_SEPARATION_US
     transfer = np.empty_like(phases)
     for i, phi in enumerate(phases):
@@ -597,8 +591,7 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
         rng = np.random.default_rng(child)
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = PureState(vec)
-        records = simulate_counts(state.density(), settings, shots, rng)
-        report = mle_reconstruct(records)
+        report = mle_reconstruct(simulate_counts(state.density(), settings, shots, rng))
         gains = np.diff(report.ll_history)
         if gains.size and gains.min() < -1e-9 * (1 + abs(report.log_likelihood)):
             monotone = False

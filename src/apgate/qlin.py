@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small multi-qubit systems.
 
-States, density matrices and unitaries for at most three qubits, with the
+States and density matrices for at most three qubits, with the
 fixed tensor ordering (atom, photon 1, photon 2) used throughout the
 package.  All containers are immutable values and every
 operation is a pure function, so everything here is safe to call from
@@ -15,7 +15,6 @@ import numpy as np
 
 MAX_QUBITS = 3
 HERMITICITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
@@ -108,23 +107,6 @@ class DensityMatrix:
         return cls(re + 1j * im)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryOp:
-    """Square complex matrix with U U^dag = I within tolerance."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("unitary must be square")
-        _num_qubits(m.shape[0])
-        ident = np.eye(m.shape[0])
-        if np.max(np.abs(m @ m.conj().T - ident)) > UNITARITY_TOL:
-            raise ValueError("matrix is not unitary within tolerance")
-        object.__setattr__(self, "entries", _frozen(m))
-
-
 # Pauli matrices and frequently used single-qubit kets.
 PAULI_I = _frozen(np.eye(2, dtype=complex))
 PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -139,11 +121,11 @@ Y_PLUS = _frozen(np.array([1, 1j], dtype=complex) / math.sqrt(2))
 Y_MINUS = _frozen(np.array([1, -1j], dtype=complex) / math.sqrt(2))
 
 
-def rotation(theta: float, phi: float) -> UnitaryOp:
-    """Single-qubit rotation exp(-i theta/2 (cos(phi) X + sin(phi) Y))."""
+def rotation(theta: float, phi: float) -> np.ndarray:
+    """Single-qubit rotation exp(-i theta/2 (cos(phi) X + sin(phi) Y)), a
+    read-only 2x2 array."""
     axis = math.cos(phi) * PAULI_X + math.sin(phi) * PAULI_Y
-    m = math.cos(theta / 2) * PAULI_I - 1j * math.sin(theta / 2) * axis
-    return UnitaryOp(m)
+    return _frozen(math.cos(theta / 2) * PAULI_I - 1j * math.sin(theta / 2) * axis)
 
 
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:

@@ -77,45 +77,41 @@ def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.nd
 
 
 @dataclass(frozen=True)
-class CountsRecord:
-    """Observed outcome counts for one measurement setting."""
+class CountsTable:
+    """Observed outcome counts, one row of 2^n outcomes per measurement setting."""
 
-    setting: MeasurementSetting
+    settings: tuple
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=float).reshape(-1)
-        if c.size != 2 ** self.setting.n_qubits:
-            raise ValueError("counts length does not match the setting")
+        settings = tuple(self.settings)
+        c = np.array(self.counts, dtype=float)
+        if not settings or c.ndim != 2 or c.shape[0] != len(settings):
+            raise ValueError("counts need one row per setting")
+        if {2 ** s.n_qubits for s in settings} != {c.shape[1]}:
+            raise ValueError("row width does not match the settings")
         if np.any(c < 0):
             raise ValueError("counts must be nonnegative")
         c.setflags(write=False)
+        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", c)
 
     @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    @property
     def frequencies(self) -> np.ndarray:
-        total = self.total
-        if total <= 0:
-            raise ValueError("record has no counts")
-        return self.counts / total
+        totals = self.counts.sum(axis=1, keepdims=True)
+        if np.any(totals <= 0):
+            raise ValueError("a setting has no counts")
+        return self.counts / totals
 
 
 def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
-                    shots_per_setting: int, rng: np.random.Generator) -> List[CountsRecord]:
-    """Multinomial sampling of the Born probabilities."""
+                    shots_per_setting: int, rng: np.random.Generator) -> CountsTable:
+    """Multinomial sampling of the Born probabilities, all settings in one draw."""
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be at least 1")
-    records = []
-    for setting in settings:
-        p = born_probabilities(rho, setting)
-        p = p / p.sum()
-        counts = rng.multinomial(shots_per_setting, p)
-        records.append(CountsRecord(setting, counts))
-    return records
+    p = np.array([born_probabilities(rho, s) for s in settings])
+    return CountsTable(settings, rng.multinomial(shots_per_setting,
+                                                 p / p.sum(axis=1, keepdims=True)))
 
 
 def _outcome_signs(n: int) -> np.ndarray:
@@ -128,35 +124,27 @@ def _outcome_signs(n: int) -> np.ndarray:
     return signs
 
 
-def linear_inversion(records: Sequence[CountsRecord]) -> np.ndarray:
+def linear_inversion(table: CountsTable) -> np.ndarray:
     """Direct Pauli-expectation inversion of a tomographically complete run.
 
     Exact on exact probabilities; finite counts can produce small negative
     eigenvalues, so the raw Hermitian matrix is returned unclamped for
     diagnostic use.
     """
-    if not records:
-        raise ValueError("no records")
-    n = records[0].setting.n_qubits
-    wanted = {s.name for s in all_settings(n)}
-    have = {r.setting.name for r in records}
-    if wanted - have:
-        raise ValueError("records do not form a tomographically complete set")
+    n = table.settings[0].n_qubits
+    names = [s.name for s in table.settings]
+    if {s.name for s in all_settings(n)} - set(names):
+        raise ValueError("settings do not form a tomographically complete set")
     signs = _outcome_signs(n)
-    by_label: Dict[str, List[np.ndarray]] = {}
-    for r in records:
-        by_label.setdefault(r.setting.name, []).append(r.frequencies)
+    freqs = table.frequencies
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for pauli in itertools.product("IXYZ", repeat=n):
-        estimates = []
-        for name, freq_list in by_label.items():
-            if any(p != "I" and p != name[q] for q, p in enumerate(pauli)):
-                continue
-            sign = np.ones(2 ** n)
-            for q, p in enumerate(pauli):
-                if p != "I":
-                    sign = sign * signs[q]
-            estimates.extend(float(freq @ sign) for freq in freq_list)
+        sign = np.ones(2 ** n)
+        for q, p in enumerate(pauli):
+            if p != "I":
+                sign = sign * signs[q]
+        estimates = [float(f @ sign) for name, f in zip(names, freqs)
+                     if all(p == "I" or p == name[q] for q, p in enumerate(pauli))]
         op = np.array([[1.0 + 0j]])
         for p in pauli:
             op = np.kron(op, _PAULIS[p])
@@ -176,17 +164,7 @@ class ReconstructionReport:
     ll_history: list = field(default_factory=list)
 
 
-def _stack_records(records: Sequence[CountsRecord]):
-    projs = []
-    counts = []
-    for r in records:
-        projs.append(r.setting.projectors())
-        counts.append(r.counts)
-    return np.concatenate(projs, axis=0), np.concatenate(counts)
-
-
-def mle_reconstruct(records: Sequence[CountsRecord],
-                    max_iter: int = 5000) -> ReconstructionReport:
+def mle_reconstruct(table: CountsTable, max_iter: int = 5000) -> ReconstructionReport:
     """Diluted R-rho-R fixed-point iteration.
 
     Updates rho <- N[(1 - d) R rho R + d rho] with d = MLE_DILUTION and
@@ -195,12 +173,11 @@ def mle_reconstruct(records: Sequence[CountsRecord],
     gain falls below MLE_TOL stops the loop.  Probabilities are floored at
     1e-12 so occupied zero-probability bins cannot divide by zero.
     """
-    if not records:
-        raise ValueError("no records")
-    projs, counts = _stack_records(records)
+    projs = np.concatenate([s.projectors() for s in table.settings])
+    counts = table.counts.reshape(-1)
     total = counts.sum()
     if total <= 0:
-        raise ValueError("records contain no counts")
+        raise ValueError("table contains no counts")
     dim = projs.shape[1]
     rho = np.eye(dim, dtype=complex) / dim
 
@@ -238,24 +215,22 @@ def mle_reconstruct(records: Sequence[CountsRecord],
     )
 
 
-def monte_carlo_errors(records: Sequence[CountsRecord],
+def monte_carlo_errors(table: CountsTable,
                        metric: Callable[[DensityMatrix], float],
                        resamples: int, rng: np.random.Generator) -> Dict[str, float]:
     """Parametric-bootstrap standard error of a reconstruction metric.
 
-    Each replica redraws every setting's counts multinomially from the
-    observed frequencies, reruns the maximum-likelihood reconstruction and
-    evaluates the metric; the sample standard deviation across replicas is
-    the reported error, under the key ``"metric"``.
+    Every replica redraws every setting's counts multinomially from the
+    observed frequencies (one draw for all of them), reruns the
+    maximum-likelihood reconstruction and evaluates the metric; the sample
+    standard deviation across replicas is the reported error, under the key
+    ``"metric"``.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    values = []
-    for _ in range(resamples):
-        replica = []
-        for r in records:
-            total = int(round(r.total))
-            counts = rng.multinomial(total, r.frequencies)
-            replica.append(CountsRecord(r.setting, counts))
-        values.append(metric(mle_reconstruct(replica).rho))
+    totals = np.round(table.counts.sum(axis=1)).astype(np.int64)
+    replicas = rng.multinomial(totals, table.frequencies,
+                               size=(resamples, len(table.settings)))
+    values = [metric(mle_reconstruct(CountsTable(table.settings, counts)).rho)
+              for counts in replicas]
     return {"metric": float(np.std(values, ddof=1))}

@@ -199,7 +199,7 @@ def oracle_tables(cfg, protocol: str):
     drift = imp.drift_phase_per_reflection * k
     if protocol == "eraser":
         settings = [MeasurementSetting(("Z",) + s.labels) for s in all_settings(2)]
-        pre = rotation(math.pi / 2, ERASER_ROTATION_PHASE).entries
+        pre = rotation(math.pi / 2, ERASER_ROTATION_PHASE)
     else:
         settings, pre = all_settings(1 + k), np.eye(2)
     tables = _run_tables(cfg.cavity, imp, q2, X_MINUS, [X_MINUS] * k, settings,

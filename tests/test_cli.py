@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from apgate import cli
 from apgate.cli import main
 from apgate.config import (ConfigError, config_from_dict, load_config,
                            paper_profile)
+from apgate.protocols import ProtocolResult
 from apgate.qlin import DensityMatrix
 
 MIN_CONFIG = {"seed": 42}
@@ -194,6 +199,8 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     ["ramsey", "--grid-khz", "0", "1", "-3"],
     ["tomo-roundtrip", "--states", "0"],
     ["tomo-roundtrip", "--shots", "0"],
+    ["ramsey", "--phase2", "nan"],
+    ["ramsey", "--grid-khz", "nan", "1", "3"],
 ])
 def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -227,6 +234,8 @@ def test_cli_non_object_section_exit_code(section, value, tmp_path, capsys):
     ("cavity", "g_mhz", True, "a number"),
     ("detection", "threshold", 2.5, "an integer"),
     (None, "trials", True, "an integer"),
+    ("cavity", "g_mhz", math.nan, "finite"),
+    ("imperfections", "mode_overlap", math.inf, "finite"),
 ])
 def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, capsys):
     data = {"seed": 1, **({section: {key: value}} if section else {key: value})}
@@ -245,3 +254,31 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     error = json.loads(capsys.readouterr().err)
     assert error == {"error": "internal",
                      "message": "RuntimeError: survival weight leaked a setting dependence"}
+
+
+def test_cli_nan_result_exit_code(tmp_path, capsys, monkeypatch):
+    # A NaN is not JSON: the run fails instead of writing NaN or null.
+    def nan_result(cfg, args):
+        return ProtocolResult("bell", {}, {"fidelity": math.nan}, {})
+    monkeypatch.setitem(cli.SUBCOMMANDS, "bell", cli.SUBCOMMANDS["bell"]._replace(run=nan_result))
+    assert main(["bell", "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "internal"
+    assert not (tmp_path / "bell.json").exists()
+
+
+def test_perfbench_patch_points_resolve(monkeypatch):
+    # The benchmark's tracer patches these names at lookup time; a rename in
+    # apgate must fail here rather than in a traced benchmark run.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.PATCH_POINTS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for module in ("apgate.protocols", "apgate.tomography"):
+        fit = importlib.import_module(module).mle_reconstruct
+        default = inspect.signature(fit).parameters["max_iter"].default
+        assert default is not inspect.Parameter.empty

@@ -15,7 +15,7 @@ from apgate.protocols import (StarvationError, bell_target, ghz_target,
                               tomo_roundtrip)
 from apgate.pulse import CoherentPulse, DetectionModel, ImperfectionConfig
 from apgate.qlin import DensityMatrix
-from apgate.tomography import (CountsRecord, MeasurementSetting, all_settings,
+from apgate.tomography import (CountsTable, MeasurementSetting, all_settings,
                                linear_inversion)
 
 CNOT_PERMUTATION = np.array([
@@ -124,8 +124,7 @@ def test_eraser_outcome_mixture_matches_photon_marginal():
     photon_settings = [MeasurementSetting(tuple(name[1:]))
                        for name in result.raw_counts["settings"]]
     marginal = tables.sum(axis=1)
-    rho_marg = linear_inversion(
-        [CountsRecord(s, row) for s, row in zip(photon_settings, marginal)])
+    rho_marg = linear_inversion(CountsTable(photon_settings, marginal))
     rho_f1 = DensityMatrix.from_json_dict(
         result.derived["density_matrix_phi_plus"]).entries
     rho_f2 = DensityMatrix.from_json_dict(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apgate.qlin import DensityMatrix, PureState, UP, fidelity_pure
-from apgate.tomography import (CountsRecord, MeasurementSetting, all_settings,
+from apgate.tomography import (CountsTable, MeasurementSetting, all_settings,
                                born_probabilities, linear_inversion,
                                mle_reconstruct, monte_carlo_errors,
                                simulate_counts)
@@ -17,8 +17,8 @@ def random_pure(rng, dim=4):
 
 
 def exact_records(rho, n, scale=1.0):
-    return [CountsRecord(s, scale * born_probabilities(rho, s))
-            for s in all_settings(n)]
+    settings = all_settings(n)
+    return CountsTable(settings, [scale * born_probabilities(rho, s) for s in settings])
 
 
 def trace_distance(a, b):
@@ -78,15 +78,16 @@ def test_simulate_counts_rejects_zero_shots():
 def test_simulate_counts_frequencies():
     rho = DensityMatrix(np.eye(2) / 2)
     rng = np.random.default_rng(5)
-    (rec,) = simulate_counts(rho, [MeasurementSetting(("Z",))], 100_000, rng)
-    se = math.sqrt(0.25 / rec.total)
-    assert abs(rec.frequencies[0] - 0.5) < 5 * se
+    table = simulate_counts(rho, [MeasurementSetting(("Z",))], 100_000, rng)
+    assert table.counts.shape == (1, 2) and table.counts.sum() == 100_000
+    se = math.sqrt(0.25 / 100_000)
+    assert abs(table.frequencies[0, 0] - 0.5) < 5 * se
 
 
 def test_round_trip_linear_inversion_from_counts():
     rng = np.random.default_rng(7)
-    records = simulate_counts(BELL.density(), all_settings(2), 100_000, rng)
-    est = linear_inversion(records)
+    table = simulate_counts(BELL.density(), all_settings(2), 100_000, rng)
+    est = linear_inversion(table)
     assert trace_distance(est, BELL.density().entries) <= 0.02
 
 
@@ -106,9 +107,9 @@ def test_linear_inversion_single_qubit_up():
 
 
 def test_linear_inversion_requires_complete_settings():
-    records = exact_records(BELL.density(), 2)[:5]
+    table = exact_records(BELL.density(), 2)
     with pytest.raises(ValueError):
-        linear_inversion(records)
+        linear_inversion(CountsTable(table.settings[:5], table.counts[:5]))
 
 
 def test_linear_inversion_finite_counts_can_go_negative():
@@ -117,8 +118,8 @@ def test_linear_inversion_finite_counts_can_go_negative():
     seen_negative = False
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        records = simulate_counts(BELL.density(), all_settings(2), 200, rng)
-        est = linear_inversion(records)
+        table = simulate_counts(BELL.density(), all_settings(2), 200, rng)
+        est = linear_inversion(table)
         assert np.max(np.abs(est - est.conj().T)) < 1e-12
         assert np.trace(est).real == pytest.approx(1.0, abs=1e-12)
         if np.linalg.eigvalsh(est)[0] < 0:
@@ -136,42 +137,39 @@ def test_mle_fixed_point_on_exact_probabilities():
 
 def test_mle_round_trip_bell_counts():
     rng = np.random.default_rng(8)
-    records = simulate_counts(BELL.density(), all_settings(2), 10_000, rng)
-    report = mle_reconstruct(records)
+    table = simulate_counts(BELL.density(), all_settings(2), 10_000, rng)
+    report = mle_reconstruct(table)
     assert fidelity_pure(report.rho, BELL) >= 0.99
 
 
 def test_mle_round_trip_maximally_mixed():
     rng = np.random.default_rng(9)
     rho = DensityMatrix(np.eye(4) / 4)
-    records = simulate_counts(rho, all_settings(2), 100_000, rng)
-    report = mle_reconstruct(records)
+    table = simulate_counts(rho, all_settings(2), 100_000, rng)
+    report = mle_reconstruct(table)
     assert trace_distance(report.rho.entries, rho.entries) <= 0.02
 
 
 def test_mle_log_likelihood_monotone():
     rng = np.random.default_rng(10)
-    records = simulate_counts(random_pure(rng).density(), all_settings(2),
-                              5000, rng)
-    report = mle_reconstruct(records)
+    table = simulate_counts(random_pure(rng).density(), all_settings(2),
+                            5000, rng)
+    report = mle_reconstruct(table)
     gains = np.diff(report.ll_history)
     assert gains.size > 0
     assert gains.min() >= -1e-9 * (1 + abs(report.log_likelihood))
     # Multinomial log-likelihood of the counts under the returned state.
-    ll = sum(r.counts @ np.log(np.clip(born_probabilities(report.rho, r.setting),
-                                       1e-12, None)) for r in records)
+    ll = sum(c @ np.log(np.clip(born_probabilities(report.rho, s), 1e-12, None))
+             for s, c in zip(table.settings, table.counts))
     assert report.log_likelihood == pytest.approx(ll, abs=1e-6)
 
 
 def test_mle_output_always_physical():
     # Pathological counts (all weight on one outcome per setting) still give
     # a physical state.
-    records = []
-    for s in all_settings(2):
-        counts = np.zeros(4)
-        counts[0] = 100
-        records.append(CountsRecord(s, counts))
-    report = mle_reconstruct(records)
+    counts = np.zeros((9, 4))
+    counts[:, 0] = 100
+    report = mle_reconstruct(CountsTable(all_settings(2), counts))
     evals = np.linalg.eigvalsh(report.rho.entries)
     assert evals[0] >= -1e-10
     assert np.trace(report.rho.entries).real == pytest.approx(1.0, abs=1e-10)
@@ -179,8 +177,8 @@ def test_mle_output_always_physical():
 
 def test_mle_iteration_cap_reported():
     rng = np.random.default_rng(11)
-    records = simulate_counts(BELL.density(), all_settings(2), 10_000, rng)
-    report = mle_reconstruct(records, max_iter=3)
+    table = simulate_counts(BELL.density(), all_settings(2), 10_000, rng)
+    report = mle_reconstruct(table, max_iter=3)
     assert report.iterations == 3
     assert not report.converged
 
@@ -188,13 +186,11 @@ def test_mle_iteration_cap_reported():
 # --- Monte-Carlo errors -------------------------------------------------------------
 
 def test_monte_carlo_zero_variance():
-    records = []
-    for s in all_settings(1):
-        counts = np.zeros(2)
-        counts[0] = 500
-        records.append(CountsRecord(s, counts))
+    counts = np.zeros((3, 2))
+    counts[:, 0] = 500
     rng = np.random.default_rng(12)
-    std = monte_carlo_errors(records, lambda rho: float(rho.entries[0, 0].real),
+    std = monte_carlo_errors(CountsTable(all_settings(1), counts),
+                             lambda rho: float(rho.entries[0, 0].real),
                              resamples=10, rng=rng)
     assert std["metric"] < 1e-12
 
@@ -207,23 +203,43 @@ def test_monte_carlo_error_scaling():
     fid = lambda m: fidelity_pure(m, BELL)
     stds = {}
     for shots in (800, 3200):
-        records = simulate_counts(rho, all_settings(2), shots,
-                                  np.random.default_rng(100))
-        stds[shots] = monte_carlo_errors(records, fid, resamples=80,
-                                         rng=rng)["metric"]
+        table = simulate_counts(rho, all_settings(2), shots,
+                                np.random.default_rng(100))
+        stds[shots] = monte_carlo_errors(table, fid, resamples=80, rng=rng)["metric"]
     ratio = stds[800] / stds[3200]
     assert 1.4 <= ratio <= 2.6  # 1/sqrt(shots): factor 2 within 30 percent
 
 
+def test_single_draws_match_per_setting_loops():
+    # Reference: one multinomial call per setting, and per setting and replica.
+    rho = DensityMatrix(0.8 * BELL.density().entries + 0.2 * np.eye(4) / 4)
+    settings = all_settings(2)
+    table = simulate_counts(rho, settings, 300, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    loop = [rng.multinomial(300, p / p.sum())
+            for p in (born_probabilities(rho, s) for s in settings)]
+    assert np.array_equal(table.counts, loop)
+
+    fid = lambda m: fidelity_pure(m, BELL)
+    std = monte_carlo_errors(table, fid, resamples=4, rng=np.random.default_rng(22))
+    rng = np.random.default_rng(22)
+    values = [fid(mle_reconstruct(CountsTable(settings, [
+        rng.multinomial(int(round(c.sum())), c / c.sum()) for c in table.counts])).rho)
+        for _ in range(4)]
+    assert std["metric"] == float(np.std(values, ddof=1))
+
+
 def test_monte_carlo_requires_two_resamples():
-    records = exact_records(BELL.density(), 2, scale=100)
+    table = exact_records(BELL.density(), 2, scale=100)
     with pytest.raises(ValueError):
-        monte_carlo_errors(records, lambda r: 1.0, resamples=1,
+        monte_carlo_errors(table, lambda r: 1.0, resamples=1,
                            rng=np.random.default_rng(0))
 
 
 def test_counts_record_validation():
     with pytest.raises(ValueError):
-        CountsRecord(MeasurementSetting(("Z",)), np.array([1.0, -2.0]))
+        CountsTable([MeasurementSetting(("Z",))], np.array([[1.0, -2.0]]))
     with pytest.raises(ValueError):
-        CountsRecord(MeasurementSetting(("Z", "X")), np.array([1.0, 2.0]))
+        CountsTable([MeasurementSetting(("Z", "X"))], np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        CountsTable(all_settings(1), np.ones((2, 2)))
