@@ -16,8 +16,8 @@ from .protocols import (ProtocolResult, StarvationError, bell_target,
                         tomo_roundtrip)
 from .pulse import (CoherentPulse, DetectionModel, ImperfectionConfig,
                     hyperfine_fidelity, multiphoton_fraction)
-from .qlin import (DensityMatrix, PostSelectionError, PureState, fidelity_pure,
-                   optimal_phase_fidelity, rotation)
+from .qlin import (DensityMatrix, PureState, fidelity_pure, optimal_phase_fidelity,
+                   rotation)
 from .tomography import (CountsTable, MeasurementSetting,
                          ReconstructionReport, all_settings,
                          born_probabilities, linear_inversion, mle_reconstruct,

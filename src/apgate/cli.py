@@ -23,7 +23,6 @@ from .config import PROFILES, ConfigError, RunConfig, load_config
 from .protocols import (ProtocolResult, StarvationError, loss_budget, run_bell,
                         run_eraser, run_ghz, run_ramsey, run_state_detection,
                         run_truth_table, tomo_roundtrip)
-from .qlin import PostSelectionError
 
 ENV_OUTPUT_DIR = "APGATE_OUT"
 
@@ -118,8 +117,16 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose errors are config errors (exit 2, error JSON), not a
+    usage text; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError("argv", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apgate",
         description="Simulate the cavity-mediated atom-photon gate protocols.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -172,8 +179,8 @@ def _fail(kind: str, exc: Exception | str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         out_dir = _resolve_out_dir(args, cfg)
         result = _dispatch(args, cfg)
@@ -184,7 +191,7 @@ def main(argv=None) -> int:
                          sort_keys=True, allow_nan=False, default=float))
     except ConfigError as exc:
         return _fail("config", exc, 2)
-    except (StarvationError, PostSelectionError) as exc:
+    except StarvationError as exc:
         return _fail("starvation", exc, 3)
     except OSError as exc:
         return _fail("io", exc, 3)

@@ -110,12 +110,14 @@ _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a strin
 
 def _cast(key: str, value, default):
     """``value`` as the type of ``default``; no bool converts to or from
-    another type, an integer takes only an integral number, and no number
-    may be NaN or infinite (``json`` reads ``NaN`` and ``Infinity``)."""
+    another type, an integer takes only an integral number, a string key
+    takes only a string, and no number may be NaN or infinite (``json``
+    reads ``NaN`` and ``Infinity``)."""
     kind = type(default)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
     if isinstance(value, bool) != (kind is bool) or (
+            kind is str and not isinstance(value, str)) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}")
     return kind(value)

@@ -6,9 +6,8 @@ figures of merit.  Every protocol runs in one of two modes:
 
 * ``analytic``: channels and imperfections are composed exactly (Gaussian
   detuning jitter is integrated by quadrature), giving deterministic
-  per-setting outcome probabilities.  Reconstruction uses linear inversion,
-  falling back to a maximum-likelihood fit when the inverted matrix is not
-  physical.
+  per-setting outcome probabilities.  Reconstruction is linear inversion
+  alone: exact tables give a physical matrix (see ``_reconstruct``).
 * ``monte-carlo``: trial-level sampling.  Per-trial latent variables
   (detuning draw, preparation error, mode-matching branch, extra-photon
   contamination) are independent across trials, so sampling outcome counts
@@ -35,18 +34,16 @@ from .config import ConfigError, RunConfig
 from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
                     detection_confusion, hyperfine_fidelity, jitter_nodes,
                     multiphoton_fraction, spectral_sigma_khz)
-from .qlin import (DOWN, DensityMatrix, PostSelectionError, PureState, UP,
-                   X_MINUS, X_PLUS, fidelity_pure, optimal_phase_fidelity,
-                   rotation)
+from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS,
+                   fidelity_pure, optimal_phase_fidelity, rotation)
 from .tomography import (CountsTable, MeasurementSetting, all_settings,
                          linear_inversion, mle_reconstruct, monte_carlo_errors,
                          simulate_counts)
 
 RAMSEY_PULSE_SEPARATION_US = 7.5
-_ANALYTIC_SHOT_SCALE = 1e6
 
 
-class StarvationError(PostSelectionError):
+class StarvationError(RuntimeError):
     """No events survived post-selection for at least one setting."""
 
 
@@ -87,40 +84,19 @@ class ProtocolResult:
     metadata: dict
 
     def to_json(self) -> str:
-        payload = {
-            "label": self.label,
-            "raw_counts": _jsonify(self.raw_counts),
-            "derived": _jsonify(self.derived),
-            "metadata": _jsonify(self.metadata),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        payload = {"label": self.label, "raw_counts": self.raw_counts,
+                   "derived": self.derived, "metadata": self.metadata}
+        # np.float64 is a float and dumps as one; arrays and other numpy
+        # scalars go through tolist().
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                          default=lambda o: o.tolist()) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Outcome-probability engine
 
-@dataclass(frozen=True)
-class GateModel:
-    """Everything the probability engine needs for one protocol run."""
-
-    cavity: CavityParams
-    imperfections: ImperfectionConfig
-    contamination: float = 0.0
-
-
-def _model_for(cfg: RunConfig, pulse: CoherentPulse) -> GateModel:
+def _model_for(cfg: RunConfig, pulse: CoherentPulse) -> tuple[ImperfectionConfig, float]:
+    """Imperfections and extra-photon contamination q2 of a run with ``pulse``."""
     q2 = 0.0 if cfg.assume_single_photon else multiphoton_fraction(pulse)
     imp = cfg.imperfections
     if cfg.spectral_correction:
@@ -128,11 +104,11 @@ def _model_for(cfg: RunConfig, pulse: CoherentPulse) -> GateModel:
         # detuning average instead of treating the carrier as monochromatic.
         widened = math.hypot(imp.freq_jitter_khz, spectral_sigma_khz(pulse))
         imp = dataclasses.replace(imp, freq_jitter_khz=widened)
-    return GateModel(cfg.cavity, imp, contamination=q2)
+    return imp, q2
 
 
-def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
-                     photon_kets: Sequence[np.ndarray],
+def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
+                     atom_ket: np.ndarray, photon_kets: Sequence[np.ndarray],
                      settings: Sequence[MeasurementSetting],
                      atom_phase: float = 0.0,
                      atom_pre_measure: Optional[np.ndarray] = None,
@@ -165,13 +141,11 @@ def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
     and the map is nonlinear, so the marginal is the branch's, not the
     mixture's.
     """
-    imp = model.imperfections
     k = len(photon_kets)
     n = 1 + k
-    ov, q2 = imp.mode_overlap, model.contamination
+    ov = imp.mode_overlap
     deltas, weights = jitter_nodes(imp.freq_jitter_khz, imp.freq_bias_khz)
-    amps = gate_branch_amplitudes(model.cavity, (imp.loss_coupled, imp.loss_uncoupled),
-                                  deltas)
+    amps = gate_branch_amplitudes(cavity, (imp.loss_coupled, imp.loss_uncoupled), deltas)
     bits = np.array(list(np.ndindex((2,) * n)))                  # (2^n, n), 0 = up/+
     out_of_mode = np.array(list(np.ndindex((2,) * k)), dtype=bool)   # (2^k, k)
 
@@ -223,13 +197,16 @@ def _protocol_tables(model: GateModel, atom_ket: np.ndarray,
 # Sampling and estimation, shared by both modes
 
 def _reconstruct(settings: Sequence[MeasurementSetting], tables: np.ndarray):
-    """Linear inversion when physical, diluted-MLE projection otherwise."""
-    raw = linear_inversion(CountsTable(settings, tables))
-    try:
-        return DensityMatrix(raw), "linear-inversion", None
-    except ValueError:
-        report = mle_reconstruct(CountsTable(settings, tables * _ANALYTIC_SHOT_SCALE))
-        return report.rho, "mle", report
+    """Linear inversion of exact tables: ``(rho, "linear-inversion")``.
+
+    The tables are Born vectors of a physical state passed through
+    symmetric per-qubit outcome flips, convex mixtures over branches and
+    per-branch contamination, each of which keeps the state physical, so
+    only rounding can push an eigenvalue below zero.  ``DensityMatrix``'s
+    eigenvalue floor is the guard: a table that fails it raises
+    ``ValueError`` rather than being fitted.
+    """
+    return DensityMatrix(linear_inversion(CountsTable(settings, tables))), "linear-inversion"
 
 
 def _sample_records(settings: Sequence[MeasurementSetting], tables: np.ndarray,
@@ -269,12 +246,12 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows,
               target: PureState, rng):
     """Reconstructed state, method and bootstrap fidelity error (or None).
 
-    Analytic rows are exact probabilities: linear inversion, with an MLE
+    Analytic rows are exact probabilities: linear inversion, with no
     fallback.  Monte-Carlo rows are counts: an MLE fit, and the parametric
     bootstrap of the fidelity against ``target`` drawn from ``rng``.
     """
     if cfg.mode != "monte-carlo":
-        rho, method, _ = _reconstruct(settings, rows)
+        rho, method = _reconstruct(settings, rows)
         return rho, method, None
     table = CountsTable(settings, rows)
     rho = mle_reconstruct(table).rho
@@ -318,16 +295,15 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     laser-cavity offset, so the slow drift bias configured for the
     entanglement protocols is not applied here.
     """
-    model = _model_for(cfg, cfg.truth_table_pulse)
-    imp = dataclasses.replace(model.imperfections, freq_bias_khz=0.0)
+    imp, q2 = _model_for(cfg, cfg.truth_table_pulse)
+    imp = dataclasses.replace(imp, freq_bias_khz=0.0)
     setting = MeasurementSetting(("Z", "X"))
     # Atom-down inputs carry no preparation error.
     inputs = [(DOWN, X_MINUS, 1.0), (DOWN, X_PLUS, 1.0),
               (UP, X_MINUS, imp.prep_fidelity), (UP, X_PLUS, imp.prep_fidelity)]
-    runs = [_protocol_tables(
-                dataclasses.replace(model, imperfections=dataclasses.replace(
-                    imp, prep_fidelity=f_prep)),
-                atom, [photon], [setting], atom_confusion=detection_confusion(cfg.detection))
+    runs = [_protocol_tables(cfg.cavity, dataclasses.replace(imp, prep_fidelity=f_prep), q2,
+                             atom, [photon], [setting],
+                             atom_confusion=detection_confusion(cfg.detection))
             for atom, photon, f_prep in inputs]
     survivals = [survival for _, survival in runs]
     rows, _ = _observe(cfg, [setting] * 4, np.concatenate([t for t, _ in runs]),
@@ -357,7 +333,7 @@ def _tomography_protocol(cfg: RunConfig, label: str, n_photons: int,
     settings = all_settings(1 + n_photons)
     drift = cfg.imperfections.drift_phase_per_reflection * n_photons
     tables, survival = _protocol_tables(
-        _model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS] * n_photons,
+        cfg.cavity, *_model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS] * n_photons,
         settings, atom_phase=drift)
     keep_prob = survival * cfg.preselection_pass
     rows, rng = _observe(cfg, settings, tables, keep_prob)
@@ -416,8 +392,8 @@ def run_eraser(cfg: RunConfig) -> ProtocolResult:
     settings = [MeasurementSetting(("Z",) + s.labels) for s in photon_settings]
     drift = cfg.imperfections.drift_phase_per_reflection * 2
     tables, survival = _protocol_tables(
-        _model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS, X_MINUS], settings,
-        atom_phase=drift, atom_pre_measure=rot)
+        cfg.cavity, *_model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS, X_MINUS],
+        settings, atom_phase=drift, atom_pre_measure=rot)
     keep_prob = survival * cfg.preselection_pass
 
     # Axis 1 is the atom outcome: 0 is the upper hyperfine state F2, which

@@ -179,13 +179,6 @@ def _poisson_cdf(k: int, lam: float) -> float:
     return min(1.0, total)
 
 
-def hyperfine_fidelity(model: DetectionModel) -> float:
-    """Closed-form balanced discrimination fidelity at the configured threshold."""
-    p_correct_f2 = 1.0 - _poisson_cdf(model.threshold - 1, model.mean_signal_photons)
-    p_correct_f1 = _poisson_cdf(model.threshold - 1, model.dark_rate)
-    return 0.5 * (p_correct_f2 + p_correct_f1)
-
-
 def detection_confusion(model: DetectionModel) -> np.ndarray:
     """Column-stochastic confusion M[measured, true] for direct hyperfine readout.
 
@@ -195,3 +188,8 @@ def detection_confusion(model: DetectionModel) -> np.ndarray:
     p22 = 1.0 - _poisson_cdf(model.threshold - 1, model.mean_signal_photons)
     p11 = _poisson_cdf(model.threshold - 1, model.dark_rate)
     return np.array([[p22, 1.0 - p11], [1.0 - p22, p11]])
+
+
+def hyperfine_fidelity(model: DetectionModel) -> float:
+    """Closed-form balanced discrimination fidelity at the configured threshold."""
+    return 0.5 * float(np.trace(detection_confusion(model)))

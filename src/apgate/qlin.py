@@ -19,10 +19,6 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-8
 
 
-class PostSelectionError(RuntimeError):
-    """All statistical weight was removed by post-selection."""
-
-
 def _num_qubits(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim < 2 or (1 << n) != dim:
@@ -137,14 +133,15 @@ def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
     return min(1.0, max(0.0, f))
 
 
-def optimal_phase_fidelity(rho, u: PureState, v: PureState):
+def optimal_phase_fidelity(rho: DensityMatrix, u: PureState, v: PureState):
     """Best fidelity against (|u> + e^{-i phi}|v>)/sqrt(2) over the phase phi.
 
     Closed form: f_max = (rho_uu + rho_vv)/2 + |rho_uv| at phi* = arg(rho_uv).
-    When the u-v coherence vanishes the phase is undetermined and 0 is
-    reported.  ``rho`` may be a DensityMatrix or a raw Hermitian matrix.
+    phi* lies in (-pi, pi]: a coherence on the negative real axis reads pi
+    whatever the sign of a rounding-level imaginary part.  When the u-v
+    coherence vanishes the phase is undetermined and 0 is reported.
     """
-    m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
+    m = rho.entries
     au, av = u.amplitudes, v.amplitudes
     if m.shape != (au.size, au.size) or au.size != av.size:
         raise ValueError("dimension mismatch")
@@ -156,4 +153,5 @@ def optimal_phase_fidelity(rho, u: PureState, v: PureState):
     base = 0.5 * (ruu + rvv)
     if abs(ruv) < 1e-12:
         return 0.0, min(1.0, max(0.0, base))
-    return float(np.angle(ruv)), min(1.0, max(0.0, base + abs(ruv)))
+    phi = float(np.angle(ruv))
+    return (math.pi if phi == -math.pi else phi), min(1.0, max(0.0, base + abs(ruv)))

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from apgate.cavity import CavityParams, gate_branch_amplitudes
-from apgate.protocols import ERASER_ROTATION_PHASE
+from apgate.protocols import ERASER_ROTATION_PHASE, StarvationError
 from apgate.pulse import (confusion_matrix, detection_confusion, jitter_nodes,
                           multiphoton_fraction, spectral_sigma_khz)
 from apgate.qlin import (DOWN, HERMITICITY_TOL, UP, X_MINUS, X_PLUS,
-                         DensityMatrix, PostSelectionError, rotation)
+                         DensityMatrix, rotation)
 from apgate.tomography import MeasurementSetting, all_settings
 
 
@@ -66,7 +66,7 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel):
         return DensityMatrix(out), 1.0
     prob = float(np.trace(out).real)
     if prob < 1e-12:
-        raise PostSelectionError("channel output has zero trace")
+        raise StarvationError("channel output has zero trace")
     return DensityMatrix(out / prob), prob
 
 

@@ -201,10 +201,21 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     ["tomo-roundtrip", "--shots", "0"],
     ["ramsey", "--phase2", "nan"],
     ["ramsey", "--grid-khz", "nan", "1", "3"],
+    ["bell", "--trials", "abc"],
+    ["ramsey", "--phase2", "-inf"],
+    ["no-such-protocol"],
+    ["bell", "--bogus", "1"],
 ])
 def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bell", "--help"])
+    assert exc.value.code == 0
+    assert "usage: apgate bell" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
@@ -236,6 +247,7 @@ def test_cli_non_object_section_exit_code(section, value, tmp_path, capsys):
     (None, "trials", True, "an integer"),
     ("cavity", "g_mhz", math.nan, "finite"),
     ("imperfections", "mode_overlap", math.inf, "finite"),
+    (None, "output_dir", 5, "a string"),
 ])
 def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, capsys):
     data = {"seed": 1, **({section: {key: value}} if section else {key: value})}

@@ -148,6 +148,20 @@ def test_bias_knob_shifts_bell_phase():
     assert derived["f_max"] > derived["fidelity"]
 
 
+def test_analytic_reconstruction_rejects_unphysical_table():
+    # Born rows of I/4 + (XX+YY+ZZ)/8: every row is >= 0.125, yet the
+    # inverted matrix has eigenvalue -0.125.  Analytic mode fits nothing.
+    from apgate.protocols import _reconstruct
+    from apgate.qlin import PAULI_X, PAULI_Y, PAULI_Z
+    m = np.eye(4) / 4 + sum(np.kron(p, p) for p in (PAULI_X, PAULI_Y, PAULI_Z)) / 8
+    settings = all_settings(2)
+    bras = [s.basis_matrix() for s in settings]
+    rows = np.array([np.einsum("oi,ij,oj->o", b, m, b.conj()).real for b in bras])
+    assert rows.min() >= 0.125 - 1e-12
+    with pytest.raises(ValueError):
+        _reconstruct(settings, rows)
+
+
 # --- Ramsey ----------------------------------------------------------------------
 
 def test_ramsey_ideal_zero_detuning_full_transfer():
@@ -217,7 +231,7 @@ def test_engine_matches_kraus_channel_composition():
     # Independent route: compose the mode-mismatch channel on the joint state
     # with qlin and evaluate Born probabilities, then compare against the
     # protocol engine's tables for the same restricted configuration.
-    from apgate.protocols import GateModel, _protocol_tables
+    from apgate.protocols import _protocol_tables
     from apgate.pulse import ImperfectionConfig
     from apgate.qlin import PureState, X_MINUS
     from oracle import apply_channel, mode_mismatch_channel
@@ -228,9 +242,8 @@ def test_engine_matches_kraus_channel_composition():
     imp = dataclasses.replace(ImperfectionConfig.ideal(), mode_overlap=overlap,
                               loss_coupled=losses[0], loss_uncoupled=losses[1])
     cfg = ideal_profile()
-    model = GateModel(cfg.cavity, imp, contamination=0.0)
     settings = all_settings(2)
-    tables, survival = _protocol_tables(model, X_MINUS, [X_MINUS], settings)
+    tables, survival = _protocol_tables(cfg.cavity, imp, 0.0, X_MINUS, [X_MINUS], settings)
 
     rho0 = PureState(_np.kron(X_MINUS, X_MINUS)).density()
     rho1, success = apply_channel(rho0, mode_mismatch_channel(overlap, losses))
@@ -243,7 +256,7 @@ def test_engine_matches_kraus_channel_composition():
 def test_engine_matches_dephased_channel_composition():
     # Same dual route with the atomic dephasing sub-branches switched on:
     # the engine must reproduce (1+C)/2 rho + (1-C)/2 Z_a rho Z_a.
-    from apgate.protocols import GateModel, _protocol_tables
+    from apgate.protocols import _protocol_tables
     from apgate.pulse import ImperfectionConfig
     from apgate.qlin import DensityMatrix, PureState, X_MINUS
     from oracle import apply_channel, mode_mismatch_channel
@@ -255,9 +268,8 @@ def test_engine_matches_dephased_channel_composition():
                               rotation_readout_fidelity=0.95)
     coherence = imp.atomic_coherence_factor
     cfg = ideal_profile()
-    model = GateModel(cfg.cavity, imp, contamination=0.0)
     settings = all_settings(2)
-    tables, _ = _protocol_tables(model, X_MINUS, [X_MINUS], settings)
+    tables, _ = _protocol_tables(cfg.cavity, imp, 0.0, X_MINUS, [X_MINUS], settings)
 
     rho0 = PureState(_np.kron(X_MINUS, X_MINUS)).density()
     rho1, _ = apply_channel(rho0, mode_mismatch_channel(0.92, (0.34, 0.30)))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apgate.qlin import (DensityMatrix, PAULI_X, PostSelectionError, PureState,
+from apgate.qlin import (DensityMatrix, PAULI_X, PureState,
                          UP, X_PLUS, fidelity_pure,
                          optimal_phase_fidelity, rotation)
 from apgate.config import ideal_profile
-from apgate.protocols import run_bell, run_eraser
+from apgate.protocols import StarvationError, run_bell, run_eraser
 from oracle import KrausChannel, apply_channel
 
 
@@ -130,11 +130,16 @@ def test_optimal_phase_rejects_non_orthonormal():
         optimal_phase_fidelity(random_density(np.random.default_rng(2), 4), U2, U2)
 
 
-def test_optimal_phase_accepts_raw_hermitian_matrix():
-    rho = _phase_state(0.4).density()
-    phi_dm, f_dm = optimal_phase_fidelity(rho, U2, V2)
-    phi_arr, f_arr = optimal_phase_fidelity(rho.entries, U2, V2)
-    assert phi_dm == phi_arr and f_dm == f_arr
+@pytest.mark.parametrize("imag", [-1e-17, 1e-17])
+def test_optimal_phase_folds_minus_pi_onto_pi(imag):
+    # A coherence on the negative real axis reads +pi whatever the sign of a
+    # rounding-level imaginary part.
+    coherence = -0.5 + imag * 1j
+    rho = DensityMatrix(np.array([[0.5, 0, 0, coherence], [0, 0, 0, 0], [0, 0, 0, 0],
+                                  [np.conj(coherence), 0, 0, 0.5]]))
+    phi, f = optimal_phase_fidelity(rho, U2, V2)
+    assert phi == math.pi
+    assert f == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimal_phase_matches_grid_scan():
@@ -193,7 +198,7 @@ def test_apply_channel_scalar_attenuation():
 def test_apply_channel_zero_trace_raises():
     ch = KrausChannel((np.array([[0, 1], [0, 0]], dtype=complex),),
                       trace_preserving=False)
-    with pytest.raises(PostSelectionError):
+    with pytest.raises(StarvationError):
         apply_channel(PureState(UP).density(), ch)
 
 
