@@ -18,9 +18,9 @@ from .pulse import (CoherentPulse, DetectionModel, ImperfectionConfig,
                     hyperfine_fidelity, multiphoton_fraction)
 from .qlin import (DensityMatrix, PureState, fidelity_pure, optimal_phase_fidelity,
                    rotation)
-from .tomography import (CountsTable, MeasurementSetting,
+from .tomography import (CountsTable, FitError, MeasurementSetting,
                          ReconstructionReport, all_settings,
-                         born_probabilities, linear_inversion, mle_reconstruct,
-                         monte_carlo_errors, simulate_counts)
+                         born_probabilities, linear_inversion, mle_batch,
+                         mle_reconstruct, monte_carlo_errors, simulate_counts)
 
 __version__ = "0.1.0"

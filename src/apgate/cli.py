@@ -1,15 +1,16 @@
 """Command-line entry point: run a protocol, write JSON results and CSV tables.
 
 Exit codes: 0 success, 2 configuration error (a non-finite number included),
-3 runtime, post-selection starvation or internal error (a NaN in a result
-included, which writes no result file).  Failures emit a machine-readable
-error JSON on stderr.
+3 runtime, post-selection starvation, uncertified maximum-likelihood fit or
+internal error (a NaN in a result included, which writes no result file).
+Failures emit a machine-readable error JSON on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from .config import PROFILES, ConfigError, RunConfig, load_config
 from .protocols import (ProtocolResult, StarvationError, loss_budget, run_bell,
                         run_eraser, run_ghz, run_ramsey, run_state_detection,
                         run_truth_table, tomo_roundtrip)
+from .tomography import FitError
 
 ENV_OUTPUT_DIR = "APGATE_OUT"
 
@@ -125,6 +127,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("argv", message)
 
 
+@functools.lru_cache(maxsize=None)      # built once: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="apgate",
@@ -193,6 +196,8 @@ def main(argv=None) -> int:
         return _fail("config", exc, 2)
     except StarvationError as exc:
         return _fail("starvation", exc, 3)
+    except FitError as exc:
+        return _fail("fit", exc, 3)
     except OSError as exc:
         return _fail("io", exc, 3)
     except Exception as exc:    # last resort: an error JSON, not a traceback

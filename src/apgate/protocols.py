@@ -37,8 +37,8 @@ from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
 from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS,
                    fidelity_pure, optimal_phase_fidelity, rotation)
 from .tomography import (CountsTable, MeasurementSetting, all_settings,
-                         linear_inversion, mle_reconstruct, monte_carlo_errors,
-                         simulate_counts)
+                         linear_inversion, mle_batch, mle_reconstruct,
+                         monte_carlo_errors, simulate_counts)
 
 RAMSEY_PULSE_SEPARATION_US = 7.5
 
@@ -247,14 +247,14 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows,
     """Reconstructed state, method and bootstrap fidelity error (or None).
 
     Analytic rows are exact probabilities: linear inversion, with no
-    fallback.  Monte-Carlo rows are counts: an MLE fit, and the parametric
-    bootstrap of the fidelity against ``target`` drawn from ``rng``.
+    fallback.  Monte-Carlo rows are counts: a certified MLE fit, and the
+    parametric bootstrap of the fidelity against ``target`` from ``rng``.
     """
     if cfg.mode != "monte-carlo":
         rho, method = _reconstruct(settings, rows)
         return rho, method, None
     table = CountsTable(settings, rows)
-    rho = mle_reconstruct(table).rho
+    rho = mle_reconstruct(table).certified("top-level fit").rho
     std = monte_carlo_errors(table, lambda m: fidelity_pure(m, target),
                              cfg.mc_replicas, rng)["metric"]
     return rho, "mle", std
@@ -266,15 +266,8 @@ def _raw(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows) -> dict:
 
 
 def _metadata(cfg: RunConfig, trials: int, extra: Optional[dict] = None) -> dict:
-    meta = {
-        "config": cfg.to_dict(),
-        "seed": cfg.seed,
-        "trials": trials,
-        "mode": cfg.mode,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+    return {"config": cfg.to_dict(), "seed": cfg.seed, "trials": trials,
+            "mode": cfg.mode, **(extra or {})}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +469,6 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
 
     design = np.column_stack([np.cos(phases), np.sin(phases), np.ones_like(phases)])
     coeffs, _, rank, _ = np.linalg.lstsq(design, transfer, rcond=None)
-    converged = rank == 3
     a, b, offset = (float(c) for c in coeffs)
     amplitude = math.hypot(a, b)
     fitted_phase = math.atan2(-b, a)
@@ -486,7 +478,7 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
         "fitted_phase": fitted_phase,
         "fit_offset": offset,
         "fit_amplitude": amplitude,
-        "fit_converged": bool(converged),
+        "fit_converged": bool(rank == 3),
         "phase2": phase2,
     }
     raw = {"detuning_khz": grid, "transfer": transfer}
@@ -551,34 +543,29 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
                    shots: int = 10_000) -> ProtocolResult:
     """Reconstruction round-trip over random two-qubit pure states.
 
-    Samples counts for all nine settings per state, reruns the
-    maximum-likelihood fit and summarizes the fidelity distribution and the
-    monotonicity of every likelihood trace.
+    Draws every state and its counts for all nine settings (one generator
+    stream per state), fits all tables in one certified maximum-likelihood
+    batch (an uncertified fit raises ``FitError``) and summarizes the
+    fidelity distribution and the monotonicity of every likelihood trace.
     """
     for name, value in (("states", n_states), ("shots", shots)):
         if value < 1:
             raise ConfigError(name, "must be at least 1")
     settings = all_settings(2)
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    fidelities = []
-    monotone = True
-    iterations = []
-    for child in seed_seq.spawn(n_states):
+    states, tables = [], []
+    for child in np.random.SeedSequence(cfg.seed).spawn(n_states):
         rng = np.random.default_rng(child)
-        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = PureState(vec)
-        report = mle_reconstruct(simulate_counts(state.density(), settings, shots, rng))
-        gains = np.diff(report.ll_history)
-        if gains.size and gains.min() < -1e-9 * (1 + abs(report.log_likelihood)):
-            monotone = False
-        fidelities.append(fidelity_pure(report.rho, state))
-        iterations.append(report.iterations)
-    fidelities = np.asarray(fidelities)
+        states.append(PureState(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        tables.append(simulate_counts(states[-1].density(), settings, shots, rng).counts)
+    reports = [r.certified(f"round-trip state {i} of {n_states}")
+               for i, r in enumerate(mle_batch(settings, tables))]
+    monotone = all(np.diff(r.ll_history).min(initial=0.0) >= 0.0 for r in reports)
+    fidelities = np.array([fidelity_pure(r.rho, s) for r, s in zip(reports, states)])
     derived = {
         "median_fidelity": float(np.median(fidelities)),
         "min_fidelity": float(fidelities.min()),
         "all_monotone": bool(monotone),
-        "mean_iterations": float(np.mean(iterations)),
+        "mean_iterations": float(np.mean([r.iterations for r in reports])),
         "n_states": n_states,
         "shots": shots,
     }

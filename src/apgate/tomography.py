@@ -3,12 +3,14 @@
 Each qubit is read out in one of the three Pauli bases; a complete run covers
 all 3^n basis combinations.  Counts feed either a direct linear inversion
 (exact on infinite statistics, not guaranteed positive on finite counts) or
-an iterative maximum-likelihood reconstruction that is always physical.
+one batched maximum-likelihood core, ``mle_batch``, whose fits are always
+physical and certified within MLE_TOL nats of the maximum.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -17,8 +19,7 @@ from .qlin import (DensityMatrix, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, X_MINUS,
                    X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN)
 
 PROB_FLOOR = 1e-12
-MLE_TOL = 1e-10
-MLE_DILUTION = 0.1
+MLE_TOL = 0.1
 
 _EIGENBASES = {
     "X": np.stack([X_PLUS, X_MINUS]),
@@ -50,10 +51,8 @@ class MeasurementSetting:
 
     def basis_matrix(self) -> np.ndarray:
         """Rows are the outcome bras; |amp|^2 of (matrix @ psi) are Born weights."""
-        rows = np.array([[1.0 + 0j]])
-        for label in self.labels:
-            rows = np.kron(rows, _EIGENBASES[label])
-        return rows.conj()
+        rows = [_EIGENBASES[label] for label in self.labels]
+        return functools.reduce(np.kron, rows, np.array([[1.0 + 0j]])).conj()
 
     def projectors(self) -> np.ndarray:
         """Stack of 2^n rank-1 projectors in outcome order."""
@@ -114,16 +113,6 @@ def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
                                                  p / p.sum(axis=1, keepdims=True)))
 
 
-def _outcome_signs(n: int) -> np.ndarray:
-    """signs[q, o] = +-1 for qubit q in outcome o (bit 0 -> +1)."""
-    outcomes = np.arange(2 ** n)
-    signs = np.empty((n, 2 ** n))
-    for q in range(n):
-        bit = (outcomes >> (n - 1 - q)) & 1
-        signs[q] = 1.0 - 2.0 * bit
-    return signs
-
-
 def linear_inversion(table: CountsTable) -> np.ndarray:
     """Direct Pauli-expectation inversion of a tomographically complete run.
 
@@ -135,84 +124,150 @@ def linear_inversion(table: CountsTable) -> np.ndarray:
     names = [s.name for s in table.settings]
     if {s.name for s in all_settings(n)} - set(names):
         raise ValueError("settings do not form a tomographically complete set")
-    signs = _outcome_signs(n)
+    # signs[q, o] = +-1 for qubit q in outcome o (bit 0 -> +1).
+    signs = 1.0 - 2.0 * ((np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
     freqs = table.frequencies
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for pauli in itertools.product("IXYZ", repeat=n):
-        sign = np.ones(2 ** n)
-        for q, p in enumerate(pauli):
-            if p != "I":
-                sign = sign * signs[q]
+        sign = functools.reduce(np.multiply, [signs[q] for q, p in enumerate(pauli)
+                                              if p != "I"], np.ones(2 ** n))
         estimates = [float(f @ sign) for name, f in zip(names, freqs)
                      if all(p == "I" or p == name[q] for q, p in enumerate(pauli))]
-        op = np.array([[1.0 + 0j]])
-        for p in pauli:
-            op = np.kron(op, _PAULIS[p])
+        op = functools.reduce(np.kron, [_PAULIS[p] for p in pauli], np.array([[1.0 + 0j]]))
         rho += (sum(estimates) / len(estimates)) * op
     rho /= 2 ** n
     return 0.5 * (rho + rho.conj().T)
 
 
+class FitError(RuntimeError):
+    """A maximum-likelihood fit ended at its iteration cap uncertified."""
+
+
 @dataclass
 class ReconstructionReport:
-    """Outcome of an iterative maximum-likelihood reconstruction."""
+    """Outcome of a maximum-likelihood fit: ``gap`` bounds in nats how far
+    ``log_likelihood`` lies below the maximum, certified if <= ``MLE_TOL``."""
 
     rho: DensityMatrix
     log_likelihood: float
     iterations: int
     converged: bool
-    ll_history: list = field(default_factory=list)
+    ll_history: list
+    gap: float
+
+    def certified(self, name: str) -> "ReconstructionReport":
+        """This report, or a ``FitError`` naming the fit if it is uncertified."""
+        if not self.converged:
+            raise FitError(f"{name}: gap {self.gap:.3g} nats > {MLE_TOL} "
+                           f"after {self.iterations} iterations")
+        return self
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, as stacked (1, k) @ (k, 1) products."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _project(x: np.ndarray, dim: int) -> np.ndarray:
+    """Nearest density matrices (Frobenius norm) to the Hermitian rows ``x``:
+    the eigenvalues are projected onto the probability simplex."""
+    values, vectors = np.linalg.eigh(x.view(complex).reshape(-1, dim, dim))
+    excess = np.cumsum(values[:, ::-1], axis=1) - 1.0
+    support = np.sum(values[:, ::-1] - excess / np.arange(1, dim + 1) > 0, axis=1)
+    shift = excess[np.arange(len(x)), support - 1] / support
+    weights = np.maximum(values - shift[:, None], 0.0)
+    rho = (vectors * weights[:, None, :]) @ vectors.conj().swapaxes(1, 2)
+    return rho.reshape(len(x), -1).view(float)
+
+
+def mle_batch(settings: Sequence[MeasurementSetting], counts,
+              max_iter: int = 5000) -> List[ReconstructionReport]:
+    """Maximum-likelihood states of B count tables (B x settings x 2^n).
+
+    Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017))
+    on f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i w_i Pi_i
+    with w_i = (n_i/N)/p_i.  From rho = I/d, each iteration steps from the
+    momentum point sigma to P(sigma + t R(sigma)), P the projection onto
+    density matrices; t halves until f obeys its quadratic upper bound
+    around sigma, then grows by 1.1.  Likelihood changes are summed from the
+    step's own probabilities, so gains below the rounding of l still count.
+    Momentum restarts (sigma <- rho, theta <- 1) when a step would lower the
+    likelihood (rho and its history stay) or an occupied bin has
+    p_i(sigma) <= PROB_FLOOR, whose clipped gradient would collapse t.  A
+    plain step (sigma = rho) that passed the bound cannot lower l, so a
+    measured drop is rounding: the step is kept, the history repeats.
+    Concavity bounds the gap l_max - l(rho) by N (lambda_max(R(rho)) - 1)
+    (Glancy, Knill, Girard, NJP 14, 095017 (2012)); a fit leaves the batch
+    certified at MLE_TOL = 0.1 nats, well below the 0.5-nat one-sigma
+    likelihood scale (0.01 tripled the slowest near-pure fits' iterations).
+    All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products,
+    so a fit's result does not depend, bit for bit, on the rest of its batch.
+    """
+    projs = np.concatenate([s.projectors() for s in settings])
+    dim = projs.shape[1]
+    # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = w @ to_op.
+    to_op = projs.reshape(len(projs), -1).view(float)
+    n = np.array(counts, dtype=float).reshape(-1, len(projs))
+    total = n.sum(axis=1)
+    if np.any(total <= 0):
+        raise ValueError("table contains no counts")
+    freq, occupied, fits = n / total[:, None], n > 0, np.arange(len(n))
+
+    def probs(x):
+        return (x[:, None, :] @ to_op.T)[:, 0, :]
+
+    def gradient(p, idx):
+        return ((freq[idx] / np.maximum(p, PROB_FLOOR))[:, None, :] @ to_op)[:, 0, :]
+
+    def gap(p, idx):
+        r_op = gradient(p, idx).view(complex).reshape(-1, dim, dim)
+        return total[idx] * (np.linalg.eigvalsh(r_op)[:, -1] - 1.0)
+
+    def gain(d, p, idx):                      # l(rho + d) - l(rho), p = p(rho)
+        p = np.maximum(p, PROB_FLOOR)
+        return _dot(n[idx], np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
+
+    x = np.repeat((np.eye(dim, dtype=complex) / dim).reshape(1, -1).view(float), len(n), 0)
+    ll = _dot(n, np.log(np.maximum(probs(x), PROB_FLOOR)))
+    gaps, sigma, theta, step = gap(probs(x), fits), x.copy(), np.ones(len(n)), np.ones(len(n))
+    history = [[v] for v in ll.tolist()]
+    for _ in range(max_iter):
+        active = fits[gaps > MLE_TOL]
+        if not active.size:
+            break
+        xs, ps = sigma[active], probs(sigma[active])
+        out = np.any((ps <= PROB_FLOOR) & occupied[active], axis=1)
+        xs[out], ps[out], theta[active[out]] = x[active[out]], probs(x[active[out]]), 1.0
+        grad, cand = gradient(ps, active), np.empty_like(xs)
+        todo = np.arange(len(active))
+        for _ in range(64):                       # backtracking
+            idx, t = active[todo], step[active[todo]]
+            cand[todo] = _project(xs[todo] + t[:, None] * grad[todo], dim)
+            d = cand[todo] - xs[todo]
+            ok = gain(d, ps[todo], idx) / total[idx] >= _dot(grad[todo] - 0.5 * d / t[:, None], d)
+            step[idx] = np.where(ok, 1.1 * t, 0.5 * t)
+            todo = todo[~ok]
+            if not todo.size:
+                break
+        cand[todo] = x[active[todo]]              # no step passed: stay
+        rise = gain(cand - x[active], probs(x[active]), active)
+        moved = (rise >= 0.0) | (theta[active] == 1.0)
+        up, stay = active[moved], active[~moved]
+        prev, x[up], ll[up] = x[up], cand[moved], ll[up] + np.maximum(rise[moved], 0.0)
+        th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[up] ** 2))
+        sigma[up] = x[up] + ((theta[up] - 1.0) / th)[:, None] * (x[up] - prev)
+        theta[up], sigma[stay], theta[stay] = th, x[stay], 1.0
+        gaps[up] = gap(probs(x[up]), up)
+        for i, v in zip(active.tolist(), ll[active].tolist()):
+            history[i].append(v)
+    return [ReconstructionReport(DensityMatrix(m), float(ll[b]), len(history[b]) - 1,
+                                 bool(gaps[b] <= MLE_TOL), history[b], float(gaps[b]))
+            for b, m in enumerate(x.view(complex).reshape(-1, dim, dim))]
 
 
 def mle_reconstruct(table: CountsTable, max_iter: int = 5000) -> ReconstructionReport:
-    """Diluted R-rho-R fixed-point iteration.
-
-    Updates rho <- N[(1 - d) R rho R + d rho] with d = MLE_DILUTION and
-    R = sum_i (f_i / p_i(rho)) Pi_i, which keeps the iterate physical and the
-    log-likelihood non-decreasing in practice; an iteration whose likelihood
-    gain falls below MLE_TOL stops the loop.  Probabilities are floored at
-    1e-12 so occupied zero-probability bins cannot divide by zero.
-    """
-    projs = np.concatenate([s.projectors() for s in table.settings])
-    counts = table.counts.reshape(-1)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("table contains no counts")
-    dim = projs.shape[1]
-    rho = np.eye(dim, dtype=complex) / dim
-
-    def probs(m):
-        return np.clip(np.einsum("rij,ji->r", projs, m).real, PROB_FLOOR, None)
-
-    ll = float(counts @ np.log(probs(rho)))
-    history = [ll]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        weights = counts / probs(rho) / total
-        r_op = np.einsum("r,rij->ij", weights, projs)
-        cand = (1.0 - MLE_DILUTION) * (r_op @ rho @ r_op) + MLE_DILUTION * rho
-        cand = 0.5 * (cand + cand.conj().T)
-        cand /= np.trace(cand).real
-        ll_new = float(counts @ np.log(probs(cand)))
-        gain = ll_new - ll
-        if gain < -1e-9 * (1.0 + abs(ll)):
-            # Numerical stall; keep the previous (better) iterate.
-            converged = True
-            break
-        rho = cand
-        ll = ll_new
-        history.append(ll)
-        if gain < MLE_TOL:
-            converged = True
-            break
-    return ReconstructionReport(
-        rho=DensityMatrix(rho),
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=converged,
-        ll_history=history,
-    )
+    """Maximum-likelihood state of one table: a batch of one (``mle_batch``)."""
+    return mle_batch(table.settings, table.counts[None], max_iter)[0]
 
 
 def monte_carlo_errors(table: CountsTable,
@@ -221,16 +276,14 @@ def monte_carlo_errors(table: CountsTable,
     """Parametric-bootstrap standard error of a reconstruction metric.
 
     Every replica redraws every setting's counts multinomially from the
-    observed frequencies (one draw for all of them), reruns the
-    maximum-likelihood reconstruction and evaluates the metric; the sample
-    standard deviation across replicas is the reported error, under the key
-    ``"metric"``.
-    """
+    observed frequencies (one draw for all); one ``mle_batch`` call fits them,
+    each must be certified (else ``FitError``), and the metric's sample
+    standard deviation is returned under ``"metric"``."""
     if resamples < 2:
         raise ValueError("need at least two resamples")
     totals = np.round(table.counts.sum(axis=1)).astype(np.int64)
     replicas = rng.multinomial(totals, table.frequencies,
                                size=(resamples, len(table.settings)))
-    values = [metric(mle_reconstruct(CountsTable(table.settings, counts)).rho)
-              for counts in replicas]
+    values = [metric(r.certified(f"bootstrap replica {i} of {resamples}").rho)
+              for i, r in enumerate(mle_batch(table.settings, replicas))]
     return {"metric": float(np.std(values, ddof=1))}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apgate import cli
+from apgate import cli, tomography
 from apgate.cli import main
 from apgate.config import (ConfigError, config_from_dict, load_config,
                            paper_profile)
@@ -278,6 +278,33 @@ def test_cli_nan_result_exit_code(tmp_path, capsys, monkeypatch):
     assert out.out == ""
     assert json.loads(out.err)["error"] == "internal"
     assert not (tmp_path / "bell.json").exists()
+
+
+@pytest.mark.parametrize("argv,fit", [
+    (["bell", "--mode", "monte-carlo"], "top-level fit"),
+    (["tomo-roundtrip", "--states", "3", "--shots", "1000"], "round-trip state 0 of 3"),
+])
+def test_cli_uncertified_fit_exit_code(argv, fit, tmp_path, capsys, monkeypatch):
+    # A fit stopped at its iteration cap is an error, not a silent result.
+    core = tomography.mle_batch
+    capped = lambda settings, counts, max_iter=5000: core(settings, counts, 2)
+    monkeypatch.setattr(tomography, "mle_batch", capped)
+    monkeypatch.setattr("apgate.protocols.mle_batch", capped)
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    error = json.loads(out.err)
+    assert error["error"] == "fit"
+    assert error["message"].startswith(f"{fit}: gap ")
+    assert error["message"].endswith(f"nats > {tomography.MLE_TOL} after 2 iterations")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_cached_parser_survives_a_bad_argv(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["bell", "--trials", "abc", "--out", str(tmp_path)]) == 2
+    assert main(["bell", "--trials", "2000", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["protocol"] == "bell"
 
 
 def test_perfbench_patch_points_resolve(monkeypatch):

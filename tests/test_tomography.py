@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from apgate import tomography
+from apgate.config import paper_profile
+from apgate.protocols import run_bell, tomo_roundtrip
 from apgate.qlin import DensityMatrix, PureState, UP, fidelity_pure
-from apgate.tomography import (CountsTable, MeasurementSetting, all_settings,
-                               born_probabilities, linear_inversion,
+from apgate.tomography import (MLE_TOL, CountsTable, FitError,
+                               MeasurementSetting, all_settings,
+                               born_probabilities, linear_inversion, mle_batch,
                                mle_reconstruct, monte_carlo_errors,
                                simulate_counts)
 
@@ -181,6 +185,89 @@ def test_mle_iteration_cap_reported():
     report = mle_reconstruct(table, max_iter=3)
     assert report.iterations == 3
     assert not report.converged
+
+
+def assert_report_consistent(report):
+    assert len(report.ll_history) == report.iterations + 1
+    assert np.all(np.diff(report.ll_history) >= 0.0)
+    assert report.log_likelihood == report.ll_history[-1]
+    assert report.converged == (report.gap <= MLE_TOL)
+
+
+def test_mle_batch_is_batch_invariant():
+    rng = np.random.default_rng(14)
+    counts = [simulate_counts(random_pure(rng).density(), all_settings(2), 2000, rng).counts
+              for _ in range(7)]
+    batch = mle_batch(all_settings(2), counts)
+    alone = mle_batch(all_settings(2), counts[4:5])[0]
+    assert np.array_equal(alone.rho.entries, batch[4].rho.entries)
+    assert (alone.ll_history, alone.iterations, alone.gap) == (
+        batch[4].ll_history, batch[4].iterations, batch[4].gap)
+    for report in batch:
+        assert report.converged
+        assert_report_consistent(report)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_mle_certifies_high_shot_pure_states(seed):
+    # Plain R-rho-R ends these at the 5000 cap with gaps of 0.8-2.7 nats.
+    rng = np.random.default_rng(seed)
+    state = PureState(rng.normal(size=4) + 1j * rng.normal(size=4))
+    report = mle_reconstruct(simulate_counts(state.density(), all_settings(2), 100_000, rng))
+    assert report.converged and report.gap <= MLE_TOL
+    assert_report_consistent(report)
+
+
+def test_mle_restarts_momentum_outside_the_state_space():
+    # Bootstrap replica 17 of criterion 11's 5000-shot table: without the
+    # restart when an occupied bin's probability at the momentum point drops
+    # to the floor, its fit needs several times the iterations.
+    rho = DensityMatrix.from_json_dict(run_bell(paper_profile()).derived["density_matrix"])
+    table = simulate_counts(rho, all_settings(2), 5000, np.random.default_rng(200))
+    replicas = np.random.default_rng(201).multinomial(
+        np.round(table.counts.sum(axis=1)).astype(np.int64), table.frequencies,
+        size=(100, len(table.settings)))
+    report = mle_reconstruct(CountsTable(table.settings, replicas[17]))
+    assert report.converged and report.iterations <= 100
+    assert_report_consistent(report)
+
+
+def test_mle_keeps_plain_steps_whose_drop_is_rounding():
+    # A 1e5-shot near-pure table: near the optimum the projection's rounding
+    # outweighs the true gain of a plain step; rejecting such steps left the
+    # fit at a 0.25-nat gap until the cap.
+    counts = [[18101, 24631, 5367, 51901], [27215, 15655, 40168, 16962],
+              [41913, 1109, 40143, 16835], [7004, 8122, 16193, 68681],
+              [15018, 26, 52240, 32716], [7777, 7579, 74142, 10502],
+              [3027, 19092, 20256, 57625], [6404, 15880, 61089, 16627],
+              [17149, 5004, 64884, 12963]]
+    report = mle_reconstruct(CountsTable(all_settings(2), counts))
+    assert report.converged
+    assert_report_consistent(report)
+
+
+def test_roundtrip_certifies_near_pure_high_shot_state():
+    # Comparing whole log-likelihoods (about -8e5 nats) left this fit at a
+    # 0.42-nat gap after 5000 iterations; gains summed from the step's own
+    # probabilities certify it.
+    derived = tomo_roundtrip(paper_profile(seed=47708599), n_states=1, shots=90_000).derived
+    assert derived["all_monotone"] and derived["mean_iterations"] < 1000
+
+
+def test_mle_capped_report_is_consistent():
+    rng = np.random.default_rng(15)
+    table = simulate_counts(random_pure(rng).density(), all_settings(2), 10_000, rng)
+    for cap in (1, 3, 5000):
+        assert_report_consistent(mle_reconstruct(table, max_iter=cap))
+
+
+def test_monte_carlo_uncertified_replica_raises(monkeypatch):
+    core = tomography.mle_batch
+    monkeypatch.setattr(tomography, "mle_batch",
+                        lambda settings, counts, max_iter=5000: core(settings, counts, 1))
+    table = simulate_counts(BELL.density(), all_settings(2), 1000, np.random.default_rng(16))
+    with pytest.raises(FitError, match=r"^bootstrap replica 0 of 4: gap .* after 1 iterations$"):
+        monte_carlo_errors(table, lambda r: 1.0, resamples=4, rng=np.random.default_rng(17))
 
 
 # --- Monte-Carlo errors -------------------------------------------------------------
