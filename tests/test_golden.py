@@ -4,9 +4,12 @@
 the sha256 of stdout (output directory replaced by ``<out>``) and stderr, and
 the sha256 of every file written.  It was captured before the estimation
 path, the subcommand table and the config schema were folded into one each,
-and recaptured once when the outcome-table engine became one array
-contraction (rounding-level changes, compared run by run in CHANGES.md);
-refactors must reproduce it byte for byte.  The runs are the 8 subcommands
+recaptured when the outcome-table engine became one array contraction
+(rounding-level changes), and recaptured when the maximum-likelihood fit
+became one certified accelerated-gradient batch (the 15 Monte-Carlo
+bell/eraser/ghz and tomo-roundtrip runs, each fidelity within 0.14
+bootstrap std); both are compared run by run in CHANGES.md.  Refactors
+must reproduce it byte for byte.  The runs are the 8 subcommands
 x {analytic, monte-carlo} x {paper, ideal}, one full-schema config with a
 non-default value in every section (both modes), and a few odd documents.
 
