@@ -36,9 +36,11 @@ from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
                     multiphoton_fraction, spectral_sigma_khz)
 from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS,
                    fidelity_pure, optimal_phase_fidelity, rotation)
+# mle_reconstruct and monte_carlo_errors are unused here but stay importable:
+# perfbench's tracer patches them at this module.
 from .tomography import (CountsTable, MeasurementSetting, all_settings,
-                         linear_inversion, mle_batch, mle_reconstruct,
-                         monte_carlo_errors, simulate_counts)
+                         fit_with_errors, linear_inversion, mle_batch,
+                         mle_reconstruct, monte_carlo_errors, simulate_counts)
 
 RAMSEY_PULSE_SEPARATION_US = 7.5
 
@@ -242,22 +244,22 @@ def _observe(cfg: RunConfig, settings: Sequence[MeasurementSetting],
     return rows, np.random.default_rng(seed_seq.spawn(1)[0])
 
 
-def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows,
-              target: PureState, rng):
-    """Reconstructed state, method and bootstrap fidelity error (or None).
+def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], tables,
+              targets: Sequence[PureState], rng):
+    """Reconstructed states, method and bootstrap fidelity errors (or None)
+    of one run's tables, table j against ``targets[j]``.
 
-    Analytic rows are exact probabilities: linear inversion, with no
-    fallback.  Monte-Carlo rows are counts: a certified MLE fit, and the
-    parametric bootstrap of the fidelity against ``target`` from ``rng``.
+    Analytic tables are exact probabilities: linear inversion, with no
+    fallback.  Monte-Carlo tables are counts: they and all their parametric
+    bootstrap replicas, drawn from ``rng``, share one certified MLE batch.
     """
     if cfg.mode != "monte-carlo":
-        rho, method = _reconstruct(settings, rows)
-        return rho, method, None
-    table = CountsTable(settings, rows)
-    rho = mle_reconstruct(table).certified("top-level fit").rho
-    std = monte_carlo_errors(table, lambda m: fidelity_pure(m, target),
-                             cfg.mc_replicas, rng)["metric"]
-    return rho, "mle", std
+        rhos, methods = zip(*(_reconstruct(settings, t) for t in tables))
+        return rhos, methods[0], None
+    rhos, stds = zip(*fit_with_errors(
+        settings, tables, [functools.partial(fidelity_pure, target=t) for t in targets],
+        cfg.mc_replicas, rng))
+    return rhos, "mle", stds
 
 
 def _raw(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows) -> dict:
@@ -330,7 +332,7 @@ def _tomography_protocol(cfg: RunConfig, label: str, n_photons: int,
         settings, atom_phase=drift)
     keep_prob = survival * cfg.preselection_pass
     rows, rng = _observe(cfg, settings, tables, keep_prob)
-    rho, method, std = _estimate(cfg, settings, rows, target, rng)
+    (rho,), method, stds = _estimate(cfg, settings, [rows], [target], rng)
     phi_star, f_max = optimal_phase_fidelity(rho, phase_u, phase_v)
     derived = {
         "fidelity": fidelity_pure(rho, target),
@@ -340,8 +342,8 @@ def _tomography_protocol(cfg: RunConfig, label: str, n_photons: int,
         "density_matrix": rho.to_json_dict(),
         "reconstruction": method,
     }
-    if std is not None:
-        derived["fidelity_std"] = std
+    if stds is not None:
+        derived["fidelity_std"] = stds[0]
     meta = _metadata(cfg, cfg.trials, {"survival": survival, "keep_prob": keep_prob})
     return ProtocolResult(label, _raw(cfg, settings, rows), derived, meta)
 
@@ -404,10 +406,9 @@ def run_eraser(cfg: RunConfig) -> ProtocolResult:
                               f"for setting {settings[s].name}")
     if cfg.mode != "monte-carlo":
         heralded = heralded / p_atom[:, :, None]    # condition on each herald
-    rho_f1, method, std_plus = _estimate(cfg, photon_settings, heralded[:, 1],
-                                         phi_plus_photons(), rng)
-    rho_f2, _, std_minus = _estimate(cfg, photon_settings, heralded[:, 0],
-                                     phi_minus_photons(), rng)
+    (rho_f1, rho_f2), method, stds = _estimate(
+        cfg, photon_settings, [heralded[:, 1], heralded[:, 0]],
+        [phi_plus_photons(), phi_minus_photons()], rng)
 
     u = PureState(np.kron(X_PLUS, X_PLUS))
     v = PureState(np.kron(X_MINUS, X_MINUS))
@@ -426,8 +427,8 @@ def run_eraser(cfg: RunConfig) -> ProtocolResult:
         "density_matrix_phi_minus": rho_f2.to_json_dict(),
         "reconstruction": method,
     }
-    if std_plus is not None:
-        derived.update(fidelity_phi_plus_std=std_plus, fidelity_phi_minus_std=std_minus)
+    if stds is not None:
+        derived.update(fidelity_phi_plus_std=stds[0], fidelity_phi_minus_std=stds[1])
     meta = _metadata(cfg, cfg.trials, {"survival": survival, "keep_prob": keep_prob})
     return ProtocolResult("eraser", _raw(cfg, settings, rows), derived, meta)
 

@@ -4,7 +4,9 @@ Each qubit is read out in one of the three Pauli bases; a complete run covers
 all 3^n basis combinations.  Counts feed either a direct linear inversion
 (exact on infinite statistics, not guaranteed positive on finite counts) or
 one batched maximum-likelihood core, ``mle_batch``, whose fits are always
-physical and certified within MLE_TOL nats of the maximum.
+physical and certified within MLE_TOL nats of the maximum.  A Monte-Carlo
+run's observed tables and all their bootstrap replicas share one certified
+batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -89,8 +91,8 @@ class CountsTable:
             raise ValueError("counts need one row per setting")
         if {2 ** s.n_qubits for s in settings} != {c.shape[1]}:
             raise ValueError("row width does not match the settings")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
+        if not np.all(np.isfinite(c)) or np.any(c < 0):
+            raise ValueError("counts must be finite and nonnegative")
         c.setflags(write=False)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", c)
@@ -228,8 +230,9 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         return _dot(n[idx], np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
     x = np.repeat((np.eye(dim, dtype=complex) / dim).reshape(1, -1).view(float), len(n), 0)
-    ll = _dot(n, np.log(np.maximum(probs(x), PROB_FLOOR)))
-    gaps, sigma, theta, step = gap(probs(x), fits), x.copy(), np.ones(len(n)), np.ones(len(n))
+    px = probs(x)                                 # p(x), refreshed where x moves
+    ll = _dot(n, np.log(np.maximum(px, PROB_FLOOR)))
+    gaps, sigma, theta, step = gap(px, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
     history = [[v] for v in ll.tolist()]
     for _ in range(max_iter):
         active = fits[gaps > MLE_TOL]
@@ -237,7 +240,8 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
             break
         xs, ps = sigma[active], probs(sigma[active])
         out = np.any((ps <= PROB_FLOOR) & occupied[active], axis=1)
-        xs[out], ps[out], theta[active[out]] = x[active[out]], probs(x[active[out]]), 1.0
+        if out.any():
+            xs[out], ps[out], theta[active[out]] = x[active[out]], px[active[out]], 1.0
         grad, cand = gradient(ps, active), np.empty_like(xs)
         todo = np.arange(len(active))
         for _ in range(64):                       # backtracking
@@ -250,14 +254,15 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
             if not todo.size:
                 break
         cand[todo] = x[active[todo]]              # no step passed: stay
-        rise = gain(cand - x[active], probs(x[active]), active)
+        rise = gain(cand - x[active], px[active], active)
         moved = (rise >= 0.0) | (theta[active] == 1.0)
         up, stay = active[moved], active[~moved]
         prev, x[up], ll[up] = x[up], cand[moved], ll[up] + np.maximum(rise[moved], 0.0)
         th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[up] ** 2))
         sigma[up] = x[up] + ((theta[up] - 1.0) / th)[:, None] * (x[up] - prev)
         theta[up], sigma[stay], theta[stay] = th, x[stay], 1.0
-        gaps[up] = gap(probs(x[up]), up)
+        px[up] = probs(x[up])
+        gaps[up] = gap(px[up], up)
         for i, v in zip(active.tolist(), ll[active].tolist()):
             history[i].append(v)
     return [ReconstructionReport(DensityMatrix(m), float(ll[b]), len(history[b]) - 1,
@@ -270,20 +275,44 @@ def mle_reconstruct(table: CountsTable, max_iter: int = 5000) -> ReconstructionR
     return mle_batch(table.settings, table.counts[None], max_iter)[0]
 
 
-def monte_carlo_errors(table: CountsTable,
-                       metric: Callable[[DensityMatrix], float],
-                       resamples: int, rng: np.random.Generator) -> Dict[str, float]:
-    """Parametric-bootstrap standard error of a reconstruction metric.
-
-    Every replica redraws every setting's counts multinomially from the
-    observed frequencies (one draw for all); one ``mle_batch`` call fits them,
-    each must be certified (else ``FitError``), and the metric's sample
-    standard deviation is returned under ``"metric"``."""
+def _replicas(table: CountsTable, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """Bootstrap replicas of ``table``: every setting's counts redrawn
+    multinomially from the observed frequencies, all in one draw."""
     if resamples < 2:
         raise ValueError("need at least two resamples")
     totals = np.round(table.counts.sum(axis=1)).astype(np.int64)
-    replicas = rng.multinomial(totals, table.frequencies,
-                               size=(resamples, len(table.settings)))
-    values = [metric(r.certified(f"bootstrap replica {i} of {resamples}").rho)
-              for i, r in enumerate(mle_batch(table.settings, replicas))]
-    return {"metric": float(np.std(values, ddof=1))}
+    return rng.multinomial(totals, table.frequencies, size=(resamples, len(table.settings)))
+
+
+def _replica_std(reports: List[ReconstructionReport], metric: Callable) -> float:
+    """Sample standard deviation of ``metric`` over the replica fits, each of
+    which must be certified (else ``FitError``)."""
+    values = [metric(r.certified(f"bootstrap replica {i} of {len(reports)}").rho)
+              for i, r in enumerate(reports)]
+    return float(np.std(values, ddof=1))
+
+
+def monte_carlo_errors(table: CountsTable,
+                       metric: Callable[[DensityMatrix], float],
+                       resamples: int, rng: np.random.Generator) -> Dict[str, float]:
+    """Parametric-bootstrap standard error of a reconstruction metric, under
+    ``"metric"``, from the replicas alone (``fit_with_errors`` fits the
+    observed table in the same batch as its replicas)."""
+    replicas = _replicas(table, resamples, rng)
+    return {"metric": _replica_std(mle_batch(table.settings, replicas), metric)}
+
+
+def fit_with_errors(settings: Sequence[MeasurementSetting], counts: Sequence,
+                    metrics: Sequence[Callable], resamples: int,
+                    rng: np.random.Generator) -> List[tuple]:
+    """(certified MLE state, bootstrap error of ``metrics[j]``) per table j:
+    the tables and all their replicas, drawn table by table, share one
+    ``mle_batch`` call, and table j's fit is certified before its replicas.
+    By batch invariance each pair equals, bit for bit, ``mle_reconstruct``
+    followed by ``monte_carlo_errors`` on the same generator."""
+    tables = [CountsTable(settings, c) for c in counts]
+    k, replicas = len(tables), [_replicas(t, resamples, rng) for t in tables]
+    reports = mle_batch(settings, np.concatenate([[t.counts for t in tables]] + replicas))
+    return [(reports[j].certified("top-level fit").rho,
+             _replica_std(reports[k + j * resamples:k + (j + 1) * resamples], metric))
+            for j, metric in enumerate(metrics)]

@@ -300,6 +300,39 @@ def test_cli_uncertified_fit_exit_code(argv, fit, tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_eraser_uncertified_fit_exit_code(tmp_path, capsys, monkeypatch):
+    # The Phi+ herald's observed fit is certified first.
+    core = tomography.mle_batch
+    capped = lambda settings, counts, max_iter=5000: core(settings, counts, 2)
+    monkeypatch.setattr(tomography, "mle_batch", capped)
+    monkeypatch.setattr("apgate.protocols.mle_batch", capped)
+    argv = ["eraser", "--mode", "monte-carlo", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    error = json.loads(out.err)
+    assert error["error"] == "fit"
+    assert error["message"].startswith("top-level fit: gap ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_zero_trials_override_exit_code(tmp_path, capsys):
+    assert main(["bell", "--trials", "0", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "config",
+                                   "message": "overrides: trials must be at least 1"}
+
+
+def test_cli_out_under_regular_file_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["bell", "--out", str(blocker / "sub")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "io"
+
+
 def test_cli_cached_parser_survives_a_bad_argv(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
     assert main(["bell", "--trials", "abc", "--out", str(tmp_path)]) == 2

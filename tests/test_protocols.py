@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apgate import protocols, tomography
 from apgate.cavity import CavityParams
 from apgate.config import RunConfig, ideal_profile, paper_profile
 from apgate.protocols import (StarvationError, bell_target, ghz_target,
@@ -16,7 +18,8 @@ from apgate.protocols import (StarvationError, bell_target, ghz_target,
 from apgate.pulse import CoherentPulse, DetectionModel, ImperfectionConfig
 from apgate.qlin import DensityMatrix
 from apgate.tomography import (CountsTable, MeasurementSetting, all_settings,
-                               linear_inversion)
+                               linear_inversion, mle_reconstruct,
+                               monte_carlo_errors)
 
 CNOT_PERMUTATION = np.array([
     [1, 0, 0, 0],
@@ -420,6 +423,44 @@ def test_monte_carlo_ghz_and_eraser():
     # conditioned outcome split carries through from the analytic tables
     assert eraser["p_atom_f1"] + eraser["p_atom_f2"] == pytest.approx(1.0,
                                                                       abs=1e-9)
+
+
+MC_SMALL = dataclasses.replace(paper_profile(seed=31), mode="monte-carlo",
+                               trials=20_000, mc_replicas=6)
+
+
+def test_monte_carlo_run_is_one_fit_batch(monkeypatch):
+    # The observed tables (two for the eraser) ride in the replicas' batch.
+    core, batches = tomography.mle_batch, []
+    def counted(settings, counts, max_iter=5000):
+        batches.append(len(counts))
+        return core(settings, counts, max_iter)
+    monkeypatch.setattr(tomography, "mle_batch", counted)
+    monkeypatch.setattr(protocols, "mle_batch", counted)
+    for runner, tables in ((run_bell, 1), (run_ghz, 1), (run_eraser, 2)):
+        batches.clear()
+        runner(MC_SMALL)
+        assert batches == [tables * (1 + MC_SMALL.mc_replicas)], runner.__name__
+
+
+@pytest.mark.parametrize("runner", [run_bell, run_ghz, run_eraser])
+def test_one_batch_matches_separate_fits(runner, monkeypatch):
+    # Bit for bit: each observed fit as mle_reconstruct, each error as
+    # monte_carlo_errors on the same generator stream, herald after herald.
+    merged, calls = protocols.fit_with_errors, []
+    def spy(settings, counts, metrics, resamples, rng):
+        start = copy.deepcopy(rng)
+        fits = merged(settings, counts, metrics, resamples, rng)
+        calls.append((settings, counts, metrics, resamples, start, fits))
+        return fits
+    monkeypatch.setattr(protocols, "fit_with_errors", spy)
+    runner(MC_SMALL)
+    (settings, counts, metrics, resamples, rng, fits), = calls
+    assert len(fits) == len(counts) == (2 if runner is run_eraser else 1)
+    for c, metric, (rho, std) in zip(counts, metrics, fits):
+        table = CountsTable(settings, c)
+        assert np.array_equal(rho.entries, mle_reconstruct(table).rho.entries)
+        assert std == monte_carlo_errors(table, metric, resamples, rng)["metric"]
 
 
 def test_monte_carlo_truth_table_and_ramsey():

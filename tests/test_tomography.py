@@ -330,3 +330,9 @@ def test_counts_record_validation():
         CountsTable([MeasurementSetting(("Z", "X"))], np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         CountsTable(all_settings(1), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_counts_table_rejects_non_finite_counts(bad):
+    with pytest.raises(ValueError, match="finite"):
+        CountsTable(all_settings(1), [[bad, 1], [1, 1], [1, 1]])
