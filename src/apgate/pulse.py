@@ -1,6 +1,7 @@
 """Faint-pulse photon statistics, the imperfection budget and detection models."""
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,15 +120,21 @@ class ImperfectionConfig:
         return min(1.0, contrast / self.prep_fidelity)
 
 
+@functools.lru_cache(maxsize=None)
+def _hermgauss(n: int) -> tuple:
+    return np.polynomial.hermite.hermgauss(n)
+
+
 def jitter_nodes(sigma_khz: float, bias_khz: float = 0.0):
     """Gauss-Hermite nodes/weights of the jitter distribution (angular MHz).
 
     Used by the deterministic mode to average channels over the Gaussian
-    detuning; a zero width collapses to the single bias point.
+    detuning; a zero width collapses to the single bias point.  The rule is
+    computed once per node count, on first use; the returned arrays are new.
     """
     if sigma_khz == 0.0:
         return np.array([TWO_PI * bias_khz * 1e-3]), np.array([1.0])
-    x, w = np.polynomial.hermite.hermgauss(N_JITTER_NODES)
+    x, w = _hermgauss(N_JITTER_NODES)
     deltas_khz = bias_khz + math.sqrt(2.0) * sigma_khz * x
     return TWO_PI * deltas_khz * 1e-3, w / math.sqrt(math.pi)
 

@@ -1,12 +1,13 @@
 """Measurement simulation and density-matrix reconstruction.
 
 Each qubit is read out in one of the three Pauli bases; a complete run covers
-all 3^n basis combinations.  Counts feed either a direct linear inversion
-(exact on infinite statistics, not guaranteed positive on finite counts) or
-one batched maximum-likelihood core, ``mle_batch``, whose fits are always
-physical and certified within MLE_TOL nats of the maximum.  A Monte-Carlo
-run's observed tables and all their bootstrap replicas share one certified
-batch (``fit_with_errors``).
+all 3^n basis combinations, whose basis matrices and inversion plan are built
+once per process.  Counts feed either a direct linear inversion (exact on
+infinite statistics, not guaranteed positive on finite counts) or one batched
+maximum-likelihood core, ``mle_batch``, whose fits are always physical and
+certified within MLE_TOL nats of the maximum.  A Monte-Carlo run's observed
+tables and all their bootstrap replicas share one certified batch
+(``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -31,6 +32,14 @@ _EIGENBASES = {
 _PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_matrix(labels: tuple) -> np.ndarray:
+    rows = [_EIGENBASES[label] for label in labels]
+    bras = functools.reduce(np.kron, rows, np.array([[1.0 + 0j]])).conj()
+    bras.setflags(write=False)
+    return bras
+
+
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One basis label per qubit; outcomes are ordered by (+,-) bits."""
@@ -52,9 +61,9 @@ class MeasurementSetting:
         return "".join(self.labels)
 
     def basis_matrix(self) -> np.ndarray:
-        """Rows are the outcome bras; |amp|^2 of (matrix @ psi) are Born weights."""
-        rows = [_EIGENBASES[label] for label in self.labels]
-        return functools.reduce(np.kron, rows, np.array([[1.0 + 0j]])).conj()
+        """Rows are the outcome bras; |amp|^2 of (matrix @ psi) are Born
+        weights.  One shared, read-only array per label tuple."""
+        return _basis_matrix(self.labels)
 
     def projectors(self) -> np.ndarray:
         """Stack of 2^n rank-1 projectors in outcome order."""
@@ -115,29 +124,40 @@ def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
                                                  p / p.sum(axis=1, keepdims=True)))
 
 
-def linear_inversion(table: CountsTable) -> np.ndarray:
-    """Direct Pauli-expectation inversion of a tomographically complete run.
-
-    Exact on exact probabilities; finite counts can produce small negative
-    eigenvalues, so the raw Hermitian matrix is returned unclamped for
-    diagnostic use.
-    """
-    n = table.settings[0].n_qubits
-    names = [s.name for s in table.settings]
+@functools.lru_cache(maxsize=None)
+def _inversion_plan(names: tuple) -> list:
+    """(outcome signs, rows of the settings that measure it, operator) per
+    Pauli string, in product order; an incomplete set raises every time."""
+    n = len(names[0])
     if {s.name for s in all_settings(n)} - set(names):
         raise ValueError("settings do not form a tomographically complete set")
     # signs[q, o] = +-1 for qubit q in outcome o (bit 0 -> +1).
     signs = 1.0 - 2.0 * ((np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
-    freqs = table.frequencies
-    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    plan = []
     for pauli in itertools.product("IXYZ", repeat=n):
         sign = functools.reduce(np.multiply, [signs[q] for q, p in enumerate(pauli)
                                               if p != "I"], np.ones(2 ** n))
-        estimates = [float(f @ sign) for name, f in zip(names, freqs)
-                     if all(p == "I" or p == name[q] for q, p in enumerate(pauli))]
+        rows = [i for i, name in enumerate(names)
+                if all(p == "I" or p == name[q] for q, p in enumerate(pauli))]
         op = functools.reduce(np.kron, [_PAULIS[p] for p in pauli], np.array([[1.0 + 0j]]))
+        plan.append((sign, rows, op))
+    return plan
+
+
+def linear_inversion(table: CountsTable) -> np.ndarray:
+    """Direct Pauli-expectation inversion of a tomographically complete run.
+
+    Each Pauli expectation averages its compatible settings' estimates, from
+    a plan built once per tuple of setting names.  Exact on exact
+    probabilities; finite counts can produce small negative eigenvalues, so
+    the raw Hermitian matrix is returned unclamped for diagnostic use.
+    """
+    freqs = table.frequencies
+    rho = np.zeros((freqs.shape[1],) * 2, dtype=complex)
+    for sign, rows, op in _inversion_plan(tuple(s.name for s in table.settings)):
+        estimates = [float(freqs[i] @ sign) for i in rows]
         rho += (sum(estimates) / len(estimates)) * op
-    rho /= 2 ** n
+    rho /= len(rho)
     return 0.5 * (rho + rho.conj().T)
 
 

@@ -4,6 +4,8 @@ The protocol engine works on branch amplitudes and Born vectors; these
 helpers build the same physics as Kraus channels on density matrices, so the
 engine cross-check tests can compare the two.  ``oracle_tables`` rebuilds a
 whole analytic run this way, one Kraus operator at a time.
+``reference_linear_inversion`` is the per-call inversion loop that the cached
+inversion plan replaced; the plan must reproduce it bit for bit.
 """
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ from apgate.cavity import CavityParams, gate_branch_amplitudes
 from apgate.protocols import ERASER_ROTATION_PHASE, StarvationError
 from apgate.pulse import (confusion_matrix, detection_confusion, jitter_nodes,
                           multiphoton_fraction, spectral_sigma_khz)
-from apgate.qlin import (DOWN, HERMITICITY_TOL, UP, X_MINUS, X_PLUS,
-                         DensityMatrix, rotation)
-from apgate.tomography import MeasurementSetting, all_settings
+from apgate.qlin import (DOWN, HERMITICITY_TOL, PAULI_I, PAULI_X, PAULI_Y,
+                         PAULI_Z, UP, X_MINUS, X_PLUS, DensityMatrix, rotation)
+from apgate.tomography import CountsTable, MeasurementSetting, all_settings
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,3 +208,28 @@ def oracle_tables(cfg, protocol: str):
                          atom_phase=drift, pre_measure=pre)
     survival = tables[0].sum()
     return tables / survival, survival
+
+
+_PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def reference_linear_inversion(table: CountsTable) -> np.ndarray:
+    """Pauli-expectation inversion that rebuilds every sign vector, setting
+    match and Kronecker operator on each call."""
+    n = table.settings[0].n_qubits
+    names = [s.name for s in table.settings]
+    if {s.name for s in all_settings(n)} - set(names):
+        raise ValueError("settings do not form a tomographically complete set")
+    # signs[q, o] = +-1 for qubit q in outcome o (bit 0 -> +1).
+    signs = 1.0 - 2.0 * ((np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+    freqs = table.frequencies
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for pauli in itertools.product("IXYZ", repeat=n):
+        sign = functools.reduce(np.multiply, [signs[q] for q, p in enumerate(pauli)
+                                              if p != "I"], np.ones(2 ** n))
+        estimates = [float(f @ sign) for name, f in zip(names, freqs)
+                     if all(p == "I" or p == name[q] for q, p in enumerate(pauli))]
+        op = functools.reduce(np.kron, [_PAULIS[p] for p in pauli], np.array([[1.0 + 0j]]))
+        rho += (sum(estimates) / len(estimates)) * op
+    rho /= 2 ** n
+    return 0.5 * (rho + rho.conj().T)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apgate import cli, tomography
+from apgate import cli, protocols, tomography
 from apgate.cli import main
 from apgate.config import (ConfigError, config_from_dict, load_config,
                            paper_profile)
@@ -266,6 +266,43 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     error = json.loads(capsys.readouterr().err)
     assert error == {"error": "internal",
                      "message": "RuntimeError: survival weight leaked a setting dependence"}
+
+
+def test_cli_sampling_starvation_exit_code(tmp_path, capsys):
+    # One attempt keeps no event for the first setting: sampling starves.
+    assert main(["bell", "--mode", "monte-carlo", "--trials", "1",
+                 "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "starvation",
+                                   "message": "no surviving events for setting XX"}
+    assert not (tmp_path / "bell.json").exists()
+
+
+def _assert_internal_error(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "internal", "message": f"RuntimeError: {message}"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["analytic", "monte-carlo"])
+def test_cli_survival_guard_exit_code(mode, tmp_path, capsys, monkeypatch):
+    # Unequal column sums make the kept weight depend on the setting.
+    monkeypatch.setattr(protocols, "confusion_matrix",
+                        lambda e: np.array([[1.0, 0.0], [0.5, 1.0]]))
+    _assert_internal_error(["bell", "--mode", mode],
+                           "survival weight leaked a setting dependence", tmp_path, capsys)
+
+
+def test_cli_eraser_atom_marginal_guard_exit_code(tmp_path, capsys, monkeypatch):
+    # Every setting keeps the same total, but the first one's atom marginal differs.
+    tables = np.full((9, 8), 1.0 / 8)
+    tables[0] = [0.15] * 4 + [0.1] * 4
+    monkeypatch.setattr(protocols, "_protocol_tables", lambda *a, **k: (tables, 0.5))
+    _assert_internal_error(["eraser"], "atom outcome probability leaked a setting dependence",
+                           tmp_path, capsys)
 
 
 def test_cli_nan_result_exit_code(tmp_path, capsys, monkeypatch):

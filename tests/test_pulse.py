@@ -103,6 +103,16 @@ def test_jitter_nodes_integrate_gaussian_moments():
     assert len(d0) == 1 and w0[0] == 1.0
 
 
+def test_jitter_nodes_are_fresh_arrays():
+    deltas, weights = jitter_nodes(300.0, 50.0)
+    expected = deltas.copy(), weights.copy()
+    deltas[:] = 0.0
+    weights *= 2.0
+    again = jitter_nodes(300.0, 50.0)
+    assert again[0].tobytes() == expected[0].tobytes()
+    assert again[1].tobytes() == expected[1].tobytes()
+
+
 # --- analyzer errors -----------------------------------------------------------
 
 def _bell_with_analyzer_error(e):

@@ -12,6 +12,7 @@ from apgate.tomography import (MLE_TOL, CountsTable, FitError,
                                born_probabilities, linear_inversion, mle_batch,
                                mle_reconstruct, monte_carlo_errors,
                                simulate_counts)
+from oracle import reference_linear_inversion
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -114,6 +115,41 @@ def test_linear_inversion_requires_complete_settings():
     table = exact_records(BELL.density(), 2)
     with pytest.raises(ValueError):
         linear_inversion(CountsTable(table.settings[:5], table.counts[:5]))
+
+
+def _random_table(settings, seed):
+    rng = np.random.default_rng(seed)
+    return CountsTable(settings, rng.integers(0, 50, (len(settings), 2 ** settings[0].n_qubits)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_linear_inversion_matches_reference_loop(n):
+    for seed in range(3):
+        table = _random_table(all_settings(n), 60 + 10 * n + seed)
+        assert linear_inversion(table).tobytes() == reference_linear_inversion(table).tobytes()
+
+
+def test_linear_inversion_matches_reference_on_reordered_and_repeated_settings():
+    settings = all_settings(2)
+    shuffled = [settings[i] for i in np.random.default_rng(7).permutation(len(settings))]
+    for chosen in (shuffled, settings + [settings[4], settings[0]]):
+        table = _random_table(chosen, 8)
+        assert linear_inversion(table).tobytes() == reference_linear_inversion(table).tobytes()
+
+
+def test_linear_inversion_incomplete_set_raises_on_every_call():
+    table = exact_records(BELL.density(), 2)
+    incomplete = CountsTable(table.settings[1:], table.counts[1:])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="tomographically complete"):
+            linear_inversion(incomplete)
+
+
+def test_basis_matrix_is_shared_and_read_only():
+    first = MeasurementSetting(("X", "Y")).basis_matrix()
+    assert MeasurementSetting(("x", "y")).basis_matrix() is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
 
 
 def test_linear_inversion_finite_counts_can_go_negative():
