@@ -113,8 +113,9 @@ def test_linear_inversion_single_qubit_up():
 
 def test_linear_inversion_requires_complete_settings():
     table = exact_records(BELL.density(), 2)
-    with pytest.raises(ValueError):
-        linear_inversion(CountsTable(table.settings[:5], table.counts[:5]))
+    for _ in range(2):        # on every call: the cached plan stores no failure
+        with pytest.raises(ValueError, match="tomographically complete"):
+            linear_inversion(CountsTable(table.settings[:5], table.counts[:5]))
 
 
 def _random_table(settings, seed):
@@ -135,14 +136,6 @@ def test_linear_inversion_matches_reference_on_reordered_and_repeated_settings()
     for chosen in (shuffled, settings + [settings[4], settings[0]]):
         table = _random_table(chosen, 8)
         assert linear_inversion(table).tobytes() == reference_linear_inversion(table).tobytes()
-
-
-def test_linear_inversion_incomplete_set_raises_on_every_call():
-    table = exact_records(BELL.density(), 2)
-    incomplete = CountsTable(table.settings[1:], table.counts[1:])
-    for _ in range(2):
-        with pytest.raises(ValueError, match="tomographically complete"):
-            linear_inversion(incomplete)
 
 
 def test_basis_matrix_is_shared_and_read_only():
