@@ -8,7 +8,6 @@ Failures emit a machine-readable error JSON on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -16,11 +15,11 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import PROFILES, ConfigError, RunConfig, load_config
+from .config import MODES, PROFILES, ConfigError, RunConfig, load_config
 from .protocols import (ProtocolResult, StarvationError, loss_budget, run_bell,
                         run_eraser, run_ghz, run_ramsey, run_state_detection,
                         run_truth_table, tomo_roundtrip)
@@ -29,51 +28,38 @@ from .tomography import FitError
 ENV_OUTPUT_DIR = "APGATE_OUT"
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+def _truth_table(result: ProtocolResult):
+    d = result.derived
+    yield ("truth_table", ["input", *d["output_labels"]],
+           [(d["input_labels"], ""), *((col, ".6f") for col in np.transpose(d["matrix"]))])
 
 
-def _truth_table_csv(result: ProtocolResult, out_dir: Path):
-    derived = result.derived
-    matrix = np.asarray(derived["matrix"])
-    header = ["input"] + list(derived["output_labels"])
-    rows = [[label] + [f"{matrix[i, j]:.6f}" for j in range(4)]
-            for i, label in enumerate(derived["input_labels"])]
-    _write_csv(out_dir / "truth_table.csv", header, rows)
+def _tomography(result: ProtocolResult, **files):
+    """Tables of the |rho| moduli (file stem -> derived density-matrix key)
+    and the per-setting table of the raw rows."""
+    for stem, key in files.items():
+        dm = result.derived[key]
+        mat = np.abs(np.asarray(dm["re"]) + 1j * np.asarray(dm["im"]))
+        yield (stem, ["row", *map(str, range(dm["dim"]))],
+               [(range(dm["dim"]), ""), *((col, ".6f") for col in mat.T)])
+    raw = result.raw_counts
+    key = "counts" if "counts" in raw else "probabilities"
+    rows = np.asarray(raw[key], dtype=float).reshape(len(raw["settings"]), -1)
+    yield (f"{result.label}_settings",
+           ["setting", *(f"{key}_{i}" for i in range(rows.shape[1]))],
+           [(raw["settings"], ""), *((col, "") for col in rows.T)])
 
 
-def _tomography_csvs(**files):
-    """Writer of the |rho| tables (file stem -> derived density-matrix key)
-    and of the per-setting table of the raw rows."""
-    def write(result: ProtocolResult, out_dir: Path):
-        for stem, key in files.items():
-            dm = result.derived[key]
-            dim = dm["dim"]
-            mat = np.abs(np.asarray(dm["re"]) + 1j * np.asarray(dm["im"]))
-            rows = [[i] + [f"{mat[i, j]:.6f}" for j in range(dim)] for i in range(dim)]
-            _write_csv(out_dir / f"{stem}.csv", ["row"] + [str(j) for j in range(dim)], rows)
-        raw = result.raw_counts
-        key = "counts" if "counts" in raw else "probabilities"
-        rows = [[s] + [repr(float(x)) for x in np.asarray(row).ravel()]
-                for s, row in zip(raw["settings"], raw[key])]
-        header = ["setting"] + [f"{key}_{i}" for i in range(len(rows[0]) - 1)]
-        _write_csv(out_dir / f"{result.label}_settings.csv", header, rows)
-    return write
+def _ramsey_curve(result: ProtocolResult):
+    raw = result.raw_counts
+    yield ("ramsey_curve", ["detuning_khz", "transfer"],
+           [(raw["detuning_khz"], ".6f"), (raw["transfer"], ".8f")])
 
 
-def _ramsey_csv(result: ProtocolResult, out_dir: Path):
-    grid = np.asarray(result.raw_counts["detuning_khz"])
-    transfer = np.asarray(result.raw_counts["transfer"])
-    rows = [[f"{g:.6f}", f"{t:.8f}"] for g, t in zip(grid, transfer)]
-    _write_csv(out_dir / "ramsey_curve.csv", ["detuning_khz", "transfer"], rows)
-
-
-def _state_detection_csv(result: ProtocolResult, out_dir: Path):
-    h2 = np.asarray(result.raw_counts["histogram_f2"])
-    h1 = np.asarray(result.raw_counts["histogram_f1"])
-    rows = [[k, f"{h1[k]:.8f}", f"{h2[k]:.8f}"] for k in range(len(h2))]
-    _write_csv(out_dir / "state_detection_hist.csv", ["count", "p_f1", "p_f2"], rows)
+def _histograms(result: ProtocolResult):
+    h1, h2 = result.raw_counts["histogram_f1"], result.raw_counts["histogram_f2"]
+    yield ("state_detection_hist", ["count", "p_f1", "p_f2"],
+           [(range(len(h2)), ""), (h1, ".8f"), (h2, ".8f")])
 
 
 def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
@@ -91,26 +77,25 @@ def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
 
 class Subcommand(NamedTuple):
     run: Callable[..., ProtocolResult]      # run(cfg, args)
-    write_csv: Optional[Callable] = None    # write_csv(result, out_dir)
+    tables: Callable = lambda result: ()    # (stem, header, [(column, spec)])
     options: tuple = ()                     # extra (flag, argparse kwargs)
 
 
 SUBCOMMANDS = {
-    "truth-table": Subcommand(lambda cfg, args: run_truth_table(cfg), _truth_table_csv),
+    "truth-table": Subcommand(lambda cfg, args: run_truth_table(cfg), _truth_table),
     "bell": Subcommand(lambda cfg, args: run_bell(cfg),
-                       _tomography_csvs(bell_density_abs="density_matrix")),
+                       functools.partial(_tomography, bell_density_abs="density_matrix")),
     "ghz": Subcommand(lambda cfg, args: run_ghz(cfg),
-                      _tomography_csvs(ghz_density_abs="density_matrix")),
-    "eraser": Subcommand(lambda cfg, args: run_eraser(cfg), _tomography_csvs(
-        eraser_phi_plus_abs="density_matrix_phi_plus",
+                      functools.partial(_tomography, ghz_density_abs="density_matrix")),
+    "eraser": Subcommand(lambda cfg, args: run_eraser(cfg), functools.partial(
+        _tomography, eraser_phi_plus_abs="density_matrix_phi_plus",
         eraser_phi_minus_abs="density_matrix_phi_minus")),
-    "ramsey": Subcommand(_run_ramsey, _ramsey_csv, (
+    "ramsey": Subcommand(_run_ramsey, _ramsey_curve, (
         ("--phase2", dict(type=float, default=0.0,
                           help="phase of the second pulse (radians)")),
         ("--grid-khz", dict(type=float, nargs=3, metavar=("START", "STOP", "POINTS"),
                             help="detuning grid: start stop points")))),
-    "state-detection": Subcommand(lambda cfg, args: run_state_detection(cfg),
-                                  _state_detection_csv),
+    "state-detection": Subcommand(lambda cfg, args: run_state_detection(cfg), _histograms),
     "tomo-roundtrip": Subcommand(
         lambda cfg, args: tomo_roundtrip(cfg, n_states=args.states, shots=args.shots),
         options=(("--states", dict(type=int, default=50)),
@@ -140,8 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bundled parameter profile (default: paper)")
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--mode", choices=("analytic", "monte-carlo"),
-                       help="override the run mode")
+        p.add_argument("--mode", choices=MODES, help="override the run mode")
         p.add_argument("--out", help="output directory")
         for flag, kwargs in subcommand.options:
             p.add_argument(flag, **kwargs)
@@ -166,9 +150,12 @@ def _resolve_out_dir(args, cfg: RunConfig) -> Path:
 
 def _emit(result: ProtocolResult, out_dir: Path):
     (out_dir / f"{result.label}.json").write_text(result.to_json())
-    write_csv = SUBCOMMANDS[result.label].write_csv
-    if write_csv is not None:
-        write_csv(result, out_dir)
+    for stem, header, columns in SUBCOMMANDS[result.label].tables(result):
+        cells = [[format(x, spec) for x in np.asarray(col).tolist()]
+                 for col, spec in columns]
+        # csv's default dialect: CRLF line ends; no label needs quoting.
+        text = "".join(",".join(row) + "\r\n" for row in [header, *zip(*cells)])
+        (out_dir / f"{stem}.csv").write_text(text, newline="")
 
 
 def _dispatch(args, cfg: RunConfig) -> ProtocolResult:

@@ -26,9 +26,9 @@ class CoherentPulse:
             raise ValueError("mean photon number must be nonnegative")
         if self.fwhm_us <= 0:
             raise ValueError("pulse FWHM must be positive")
-        if self.mean_photons > 1:
-            warnings.warn("mean photon number above 1; protocols assume faint pulses",
-                          stacklevel=2)
+        if self.mean_photons > 1:   # stacklevel 3: past the generated __init__
+            warnings.warn(f"mean photon number {self.mean_photons} above 1; "
+                          "protocols assume faint pulses", stacklevel=3)
 
 
 def multiphoton_fraction(pulse: CoherentPulse) -> float:

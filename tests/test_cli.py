@@ -1,5 +1,7 @@
+import csv
 import importlib
 import inspect
+import io
 import json
 import math
 import sys
@@ -112,6 +114,47 @@ def test_cli_truth_table_csv(tmp_path):
     assert main(["truth-table", "--out", str(out)]) == 0
     lines = (out / "truth_table.csv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 rows
+
+
+def _abs_table(dim):
+    return ["row", *map(str, range(dim))], dim
+
+
+def _settings_table(outcomes, settings):
+    return ["setting", *(f"probabilities_{i}" for i in range(outcomes))], settings
+
+
+TRUTH_LABELS = ["down_a down_px", "down_a up_px", "up_a down_px", "up_a up_px"]
+CSV_TABLES = {      # subcommand -> {file: (header, data rows)}, analytic paper profile
+    "truth-table": {"truth_table.csv": (["input", *TRUTH_LABELS], 4)},
+    "bell": {"bell_density_abs.csv": _abs_table(4),
+             "bell_settings.csv": _settings_table(4, 9)},
+    "ghz": {"ghz_density_abs.csv": _abs_table(8),
+            "ghz_settings.csv": _settings_table(8, 27)},
+    "eraser": {"eraser_phi_plus_abs.csv": _abs_table(4),
+               "eraser_phi_minus_abs.csv": _abs_table(4),
+               "eraser_settings.csv": _settings_table(8, 9)},
+    "ramsey": {"ramsey_curve.csv": (["detuning_khz", "transfer"], 41)},
+    "state-detection": {"state_detection_hist.csv": (["count", "p_f1", "p_f2"], 19)},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CSV_TABLES))
+def test_cli_csv_dialect(subcommand, tmp_path):
+    # Pins the CSV bytes under any numpy: every table is csv's default
+    # dialect (CRLF line ends, minimal quoting) with its header and row count.
+    out = tmp_path / "out"
+    assert main([subcommand, "--profile", "paper", "--mode", "analytic",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(CSV_TABLES[subcommand])
+    for name, (header, n_rows) in CSV_TABLES[subcommand].items():
+        data = (out / name).read_bytes()
+        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+        assert rows[0] == header, name
+        assert len(rows) == 1 + n_rows and all(len(r) == len(header) for r in rows), name
+        rendered = io.StringIO(newline="")
+        csv.writer(rendered).writerows(rows)
+        assert rendered.getvalue().encode() == data, name
 
 
 def test_cli_eraser_and_ghz_artifacts(tmp_path):
@@ -256,6 +299,29 @@ def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, caps
     error = json.loads(capsys.readouterr().err)
     assert error == {"error": "config", "message":
                      f"{section or 'run'}: {key} must be {kind}, got {value!r}"}
+
+
+@pytest.mark.parametrize("document,message", [
+    ({"seed": 1, "preselection_pass": 0}, "run: preselection_pass must lie in (0, 1]"),
+    ({"seed": 1, "preselection_pass": 1.5}, "run: preselection_pass must lie in (0, 1]"),
+    ({"seed": 1, "shots_per_setting": 0}, "run: shots_per_setting must be at least 1"),
+    ({"seed": 1, "mc_replicas": 1}, "run: mc_replicas must be at least 2"),
+    ([], "{path}: top-level config must be an object"),
+    (None, "{path}: cannot read config: "),     # --config names a directory
+])
+def test_cli_rejected_config_document_exit_code(document, message, tmp_path, capsys):
+    if document is None:
+        path = tmp_path / "cfg.json"
+        path.mkdir()
+    else:
+        path = write_config(tmp_path, document)
+    out = tmp_path / "out"
+    assert main(["bell", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(message.format(path=path))
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):

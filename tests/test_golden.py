@@ -9,9 +9,11 @@ recaptured when the outcome-table engine became one array contraction
 became one certified accelerated-gradient batch (the 15 Monte-Carlo
 bell/eraser/ghz and tomo-roundtrip runs, each fidelity within 0.14
 bootstrap std); both are compared run by run in CHANGES.md.  Refactors
-must reproduce it byte for byte.  The runs are the 8 subcommands
-x {analytic, monte-carlo} x {paper, ideal}, one full-schema config with a
-non-default value in every section (both modes), and a few odd documents.
+must reproduce it byte for byte.  The runs are every subcommand of
+``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage test until it is
+captured) x {analytic, monte-carlo} x {paper, ideal}, one full-schema
+config with a non-default value in every section (both modes), and a few
+odd documents.
 
 Regenerate only for an intended output change, and say so::
 
@@ -28,12 +30,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apgate.cli import main
+from apgate.cli import SUBCOMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
-SUBCOMMANDS = ("truth-table", "bell", "ghz", "eraser", "ramsey",
-               "state-detection", "tomo-roundtrip", "loss-budget")
 EXTRA_ARGS = {"ramsey": ["--grid-khz", "-60", "60", "7"],
               "tomo-roundtrip": ["--states", "2", "--shots", "1000"]}
 ODD_DOCUMENTS = ("int-floats", "missing-seed", "unknown-key", "bad-type",

@@ -31,8 +31,10 @@ def test_multiphoton_fraction_matches_ratio():
 
 
 def test_pulse_warns_above_one_photon():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=r"^mean photon number 1\.5 above 1; ") as caught:
         CoherentPulse(1.5)
+    # Attributed to the caller, not to the dataclass-generated __init__.
+    assert [w.filename for w in caught] == [__file__]
 
 
 # --- preparation errors -------------------------------------------------------
