@@ -77,7 +77,7 @@ def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
 
 class Subcommand(NamedTuple):
     run: Callable[..., ProtocolResult]      # run(cfg, args)
-    tables: Callable = lambda result: ()    # (stem, header, [(column, spec)])
+    tables: Callable = lambda result: ()    # yields (stem, header, [(column, spec)])
     options: tuple = ()                     # extra (flag, argparse kwargs)
 
 
