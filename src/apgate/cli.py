@@ -69,7 +69,9 @@ def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
     grid = None
     if args.grid_khz:
         start, stop, points = args.grid_khz
-        if int(points) < 1:
+        if not points.is_integer():
+            raise ConfigError("grid-khz", "POINTS must be an integer")
+        if points < 1:
             raise ConfigError("grid-khz", "POINTS must be at least 1")
         grid = np.linspace(start, stop, int(points))
     return run_ramsey(cfg, detuning_grid_khz=grid, phase2=args.phase2)

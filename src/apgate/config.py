@@ -184,23 +184,19 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
-def paper_profile(seed: int = 20140401, mode: str = "analytic",
-                  trials: int = 100_000) -> RunConfig:
+def paper_profile(seed: int = 20140401) -> RunConfig:
     """Calibrated operating point of the simulated setup."""
     return RunConfig(
-        seed=seed, mode=mode, trials=trials,
+        seed=seed,
         imperfections=ImperfectionConfig(
             drift_phase_per_reflection=DRIFT_PHASE_PER_REFLECTION),
     )
 
 
-def ideal_profile(seed: int = 20140401, mode: str = "analytic",
-                  trials: int = 100_000) -> RunConfig:
+def ideal_profile(seed: int = 20140401) -> RunConfig:
     """Every imperfection switched off; protocols then reach their targets exactly."""
     return RunConfig(
         seed=seed,
-        mode=mode,
-        trials=trials,
         imperfections=ImperfectionConfig.ideal(),
         detection=DetectionModel(mean_signal_photons=50.0, dark_prob=0.0),
         assume_single_photon=True,

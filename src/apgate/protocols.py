@@ -14,9 +14,12 @@ figures of merit.  Every protocol runs in one of two modes:
   from the per-setting mixture distribution is statistically identical to
   looping over trials; retention is binomial in the survival probability.
 
-Trials are independent given partitioned generator streams: every setting
-owns a child of the run's seed sequence, which makes results independent of
-any worker fan-out.
+Every random draw comes from one child of the run's seed sequence, handed
+out by ``_streams``: a sampled protocol run draws setting ``s``'s counts from
+child ``s`` and its bootstrap from the next child, ``S`` for ``S`` settings;
+Ramsey and state detection draw from child 0; the reconstruction round trip
+draws state ``i`` and its counts from child ``i``.  Results therefore do not
+depend on any worker fan-out.
 """
 from __future__ import annotations
 
@@ -211,17 +214,21 @@ def _reconstruct(settings: Sequence[MeasurementSetting], tables: np.ndarray):
     return DensityMatrix(linear_inversion(CountsTable(settings, tables))), "linear-inversion"
 
 
+def _streams(cfg: RunConfig, n: int) -> list:
+    """Generators of children 0..n-1 of the run's seed sequence, the only
+    source of randomness of every driver."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(n)]
+
+
 def _sample_records(settings: Sequence[MeasurementSetting], tables: np.ndarray,
-                    trials: int, keep_prob, seed_seq) -> np.ndarray:
+                    trials: int, keep_prob, rngs) -> np.ndarray:
     """Binomial retention of ``trials`` attempts, then multinomial outcome
     counts, per setting, as a float array of one row per setting.
     ``keep_prob`` is one probability for every setting or one per setting;
-    setting ``s`` draws from child ``s`` of ``seed_seq``."""
+    setting ``s`` draws from ``rngs[s]``."""
     rows = []
     keep = np.broadcast_to(keep_prob, len(settings))
-    children = seed_seq.spawn(len(settings))
-    for s, p, k, child in zip(settings, tables, keep, children):
-        rng = np.random.default_rng(child)
+    for s, p, k, rng in zip(settings, tables, keep, rngs):
         retained = int(rng.binomial(trials, min(1.0, k)))
         if retained == 0:
             raise StarvationError(f"no surviving events for setting {s.name}")
@@ -234,14 +241,13 @@ def _observe(cfg: RunConfig, settings: Sequence[MeasurementSetting],
     """Rows the estimator sees, and the bootstrap generator.
 
     Analytic mode sees the exact tables and needs no generator.  Monte-Carlo
-    mode sees counts sampled from the run's seed sequence; the bootstrap
-    draws from the next child of the same sequence.
+    mode sees counts sampled from one stream per setting; the bootstrap
+    draws from the stream after them.
     """
     if cfg.mode != "monte-carlo":
         return tables, None
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    rows = _sample_records(settings, tables, cfg.trials, keep_prob, seed_seq)
-    return rows, np.random.default_rng(seed_seq.spawn(1)[0])
+    *rngs, bootstrap = _streams(cfg, len(settings) + 1)
+    return _sample_records(settings, tables, cfg.trials, keep_prob, rngs), bootstrap
 
 
 def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], tables,
@@ -260,11 +266,6 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], tables,
         settings, tables, [functools.partial(fidelity_pure, target=t) for t in targets],
         cfg.mc_replicas, rng))
     return rhos, "mle", stds
-
-
-def _raw(cfg: RunConfig, settings: Sequence[MeasurementSetting], rows) -> dict:
-    key = "counts" if cfg.mode == "monte-carlo" else "probabilities"
-    return {"settings": [s.name for s in settings], key: rows}
 
 
 def _metadata(cfg: RunConfig, trials: int, extra: Optional[dict] = None) -> dict:
@@ -322,37 +323,51 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
                           _metadata(cfg, cfg.trials, {"survival": survivals}))
 
 
-def _tomography_protocol(cfg: RunConfig, label: str, n_photons: int,
-                         target: PureState, phase_u: PureState,
-                         phase_v: PureState) -> ProtocolResult:
-    settings = all_settings(1 + n_photons)
+def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSetting],
+                  states, u: PureState, v: PureState, herald=None,
+                  atom_pre_measure: Optional[np.ndarray] = None) -> ProtocolResult:
+    """Reflect, observe, report: the pipeline every entanglement protocol runs.
+
+    One faint pulse per photon qubit of ``settings`` reflects off
+    |down_ax down_px ...>, the atom (rotated by ``atom_pre_measure``) and the
+    photons are read in every setting, and each reconstructed state is
+    reported against its target and the (``u``, ``v``) phase family.
+    ``states`` holds one (target, fidelity key suffix, phase key suffix) per
+    state.  Without ``herald`` the rows are one joint tomography;
+    ``herald(cfg, settings, tables, rows)`` splits them instead into the
+    tomography settings, one table per state and the derived keys of its own.
+    """
+    n_photons = settings[0].n_qubits - 1
     drift = cfg.imperfections.drift_phase_per_reflection * n_photons
     tables, survival = _protocol_tables(
         cfg.cavity, *_model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS] * n_photons,
-        settings, atom_phase=drift)
+        settings, atom_phase=drift, atom_pre_measure=atom_pre_measure)
     keep_prob = survival * cfg.preselection_pass
     rows, rng = _observe(cfg, settings, tables, keep_prob)
-    (rho,), method, stds = _estimate(cfg, settings, [rows], [target], rng)
-    phi_star, f_max = optimal_phase_fidelity(rho, phase_u, phase_v)
-    derived = {
-        "fidelity": fidelity_pure(rho, target),
-        "phi_star": phi_star,
-        "f_max": f_max,
-        "populations": np.real(np.diag(rho.entries)),
-        "density_matrix": rho.to_json_dict(),
-        "reconstruction": method,
-    }
-    if stds is not None:
-        derived["fidelity_std"] = stds[0]
+    fit_settings, fitted, derived = ((settings, [rows], {}) if herald is None
+                                     else herald(cfg, settings, tables, rows))
+    rhos, method, stds = _estimate(cfg, fit_settings, fitted, [t for t, _, _ in states], rng)
+    for (target, key, phase_key), rho, std in zip(states, rhos, stds or [None] * len(rhos)):
+        phi_star, f_max = optimal_phase_fidelity(rho, u, v)
+        derived.update({f"fidelity{key}": fidelity_pure(rho, target),
+                        f"phi_star{phase_key}": phi_star, f"f_max{phase_key}": f_max,
+                        f"density_matrix{key}": rho.to_json_dict()})
+        if std is not None:
+            derived[f"fidelity{key}_std"] = std
+    if herald is None:
+        derived["populations"] = np.real(np.diag(rhos[0].entries))
+    derived["reconstruction"] = method
+    raw = {"settings": [s.name for s in settings],
+           "counts" if cfg.mode == "monte-carlo" else "probabilities": rows}
     meta = _metadata(cfg, cfg.trials, {"survival": survival, "keep_prob": keep_prob})
-    return ProtocolResult(label, _raw(cfg, settings, rows), derived, meta)
+    return ProtocolResult(label, raw, derived, meta)
 
 
 def run_bell(cfg: RunConfig) -> ProtocolResult:
     """Atom-photon entanglement: reflect one faint pulse off |down_ax down_px>
     and tomograph the post-selected joint state."""
-    return _tomography_protocol(
-        cfg, "bell", 1, bell_target(),
+    return _entanglement(
+        cfg, "bell", all_settings(2), [(bell_target(), "", "")],
         PureState(np.kron(UP, X_PLUS)), PureState(np.kron(DOWN, X_MINUS)))
 
 
@@ -363,8 +378,8 @@ def run_ghz(cfg: RunConfig) -> ProtocolResult:
     shared by all protocols; the three-particle target itself sits at
     phi = pi, so the rotation relative to it is phi_star - pi.
     """
-    return _tomography_protocol(
-        cfg, "ghz", 2, ghz_target(),
+    return _entanglement(
+        cfg, "ghz", all_settings(3), [(ghz_target(), "", "")],
         PureState(np.kron(UP, np.kron(X_PLUS, X_PLUS))),
         PureState(np.kron(DOWN, np.kron(X_MINUS, X_MINUS))))
 
@@ -375,29 +390,15 @@ def run_ghz(cfg: RunConfig) -> ProtocolResult:
 ERASER_ROTATION_PHASE = -math.pi / 2
 
 
-def run_eraser(cfg: RunConfig) -> ProtocolResult:
-    """Photon-photon entanglement heralded by a rotated atom measurement.
-
-    The three-particle pipeline runs first; a pi/2 rotation then maps the
-    atomic superposition onto the hyperfine basis and the detected state
-    selects which photon-photon Bell state remains.
-    """
-    rot = rotation(math.pi / 2, ERASER_ROTATION_PHASE)
-    photon_settings = all_settings(2)
-    settings = [MeasurementSetting(("Z",) + s.labels) for s in photon_settings]
-    drift = cfg.imperfections.drift_phase_per_reflection * 2
-    tables, survival = _protocol_tables(
-        cfg.cavity, *_model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS, X_MINUS],
-        settings, atom_phase=drift, atom_pre_measure=rot)
-    keep_prob = survival * cfg.preselection_pass
-
+def _split_heralds(cfg: RunConfig, settings: Sequence[MeasurementSetting],
+                   tables: np.ndarray, rows: np.ndarray):
+    """The eraser's rows split by the atom outcome: the photon settings, the
+    F1 (Phi+) and F2 (Phi-) conditioned tables and the herald probabilities."""
     # Axis 1 is the atom outcome: 0 is the upper hyperfine state F2, which
     # heralds Phi-; 1 is F1, which heralds Phi+.
     p_atom = tables.reshape(len(settings), 2, 4).sum(axis=2)
     if np.max(np.abs(p_atom[:, 1] - p_atom[0, 1])) > 1e-9:
         raise RuntimeError("atom outcome probability leaked a setting dependence")
-
-    rows, rng = _observe(cfg, settings, tables, keep_prob)
     heralded = rows.reshape(len(settings), 2, 4)
     empty = np.argwhere(heralded.sum(axis=2) == 0)
     if empty.size:
@@ -406,35 +407,27 @@ def run_eraser(cfg: RunConfig) -> ProtocolResult:
                               f"for setting {settings[s].name}")
     if cfg.mode != "monte-carlo":
         heralded = heralded / p_atom[:, :, None]    # condition on each herald
-    (rho_f1, rho_f2), method, stds = _estimate(
-        cfg, photon_settings, [heralded[:, 1], heralded[:, 0]],
-        [phi_plus_photons(), phi_minus_photons()], rng)
+    return (all_settings(2), [heralded[:, 1], heralded[:, 0]],
+            {"p_atom_f1": float(p_atom[0, 1]), "p_atom_f2": float(p_atom[0, 0])})
 
-    u = PureState(np.kron(X_PLUS, X_PLUS))
-    v = PureState(np.kron(X_MINUS, X_MINUS))
-    phi_p, fmax_p = optimal_phase_fidelity(rho_f1, u, v)
-    phi_m, fmax_m = optimal_phase_fidelity(rho_f2, u, v)
-    derived = {
-        "fidelity_phi_plus": fidelity_pure(rho_f1, phi_plus_photons()),
-        "fidelity_phi_minus": fidelity_pure(rho_f2, phi_minus_photons()),
-        "p_atom_f1": float(p_atom[0, 1]),
-        "p_atom_f2": float(p_atom[0, 0]),
-        "phi_star_plus": phi_p,
-        "f_max_plus": fmax_p,
-        "phi_star_minus": phi_m,
-        "f_max_minus": fmax_m,
-        "density_matrix_phi_plus": rho_f1.to_json_dict(),
-        "density_matrix_phi_minus": rho_f2.to_json_dict(),
-        "reconstruction": method,
-    }
-    if stds is not None:
-        derived.update(fidelity_phi_plus_std=stds[0], fidelity_phi_minus_std=stds[1])
-    meta = _metadata(cfg, cfg.trials, {"survival": survival, "keep_prob": keep_prob})
-    return ProtocolResult("eraser", _raw(cfg, settings, rows), derived, meta)
+
+def run_eraser(cfg: RunConfig) -> ProtocolResult:
+    """Photon-photon entanglement heralded by a rotated atom measurement.
+
+    The three-particle pipeline runs first; a pi/2 rotation then maps the
+    atomic superposition onto the hyperfine basis and the detected state
+    selects which photon-photon Bell state remains.
+    """
+    return _entanglement(
+        cfg, "eraser", [MeasurementSetting(("Z",) + s.labels) for s in all_settings(2)],
+        [(phi_plus_photons(), "_phi_plus", "_plus"),
+         (phi_minus_photons(), "_phi_minus", "_minus")],
+        PureState(np.kron(X_PLUS, X_PLUS)), PureState(np.kron(X_MINUS, X_MINUS)),
+        herald=_split_heralds, atom_pre_measure=rotation(math.pi / 2, ERASER_ROTATION_PHASE))
 
 
 def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = None,
-               phase2: float = 0.0, trials: Optional[int] = None) -> ProtocolResult:
+               phase2: float = 0.0) -> ProtocolResult:
     """Two-pulse interference of the atomic qubit versus drive detuning.
 
     The ideal transfer probability follows (1 + cos(delta T - phase2))/2.
@@ -444,7 +437,6 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
     sinusoid is fitted by linear least squares and reported as amplitude,
     offset and phase.
     """
-    trials = trials or cfg.trials
     if detuning_grid_khz is None:
         detuning_grid_khz = np.linspace(-60.0, 60.0, 41)
     grid = np.asarray(detuning_grid_khz, dtype=float)
@@ -461,12 +453,11 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
         amp = (r2 @ free @ r1 @ UP)[1]
         p = float(np.abs(amp) ** 2)
         transfer[i] = 0.5 + chain * (p - 0.5)
-    counts = None
+    raw = {"detuning_khz": grid}
     if cfg.mode == "monte-carlo":
-        seed_seq = np.random.SeedSequence(cfg.seed)
-        rng = np.random.default_rng(seed_seq.spawn(1)[0])
-        counts = rng.binomial(trials, transfer)
-        transfer = counts / trials
+        raw["counts"] = _streams(cfg, 1)[0].binomial(cfg.trials, transfer)
+        transfer = raw["counts"] / cfg.trials
+    raw["transfer"] = transfer
 
     design = np.column_stack([np.cos(phases), np.sin(phases), np.ones_like(phases)])
     coeffs, _, rank, _ = np.linalg.lstsq(design, transfer, rcond=None)
@@ -482,10 +473,7 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
         "fit_converged": bool(rank == 3),
         "phase2": phase2,
     }
-    raw = {"detuning_khz": grid, "transfer": transfer}
-    if counts is not None:
-        raw["counts"] = counts
-    return ProtocolResult("ramsey", raw, derived, _metadata(cfg, trials))
+    return ProtocolResult("ramsey", raw, derived, _metadata(cfg, cfg.trials))
 
 
 def run_state_detection(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
@@ -494,12 +482,11 @@ def run_state_detection(cfg: RunConfig, trials: Optional[int] = None) -> Protoco
     This driver always samples (half the trials per prepared state); the
     closed-form balanced fidelity is reported alongside for reference.
     """
-    trials = trials or cfg.trials
+    trials = cfg.trials if trials is None else trials
     if trials < 2:
         raise ConfigError("trials", "state detection needs at least two trials")
     model = cfg.detection
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    rng = np.random.default_rng(seed_seq.spawn(1)[0])
+    rng = _streams(cfg, 1)[0]
     n_each = trials // 2
     counts_f2 = rng.poisson(model.mean_signal_photons, size=n_each)
     counts_f1 = rng.poisson(model.dark_rate, size=n_each)
@@ -554,8 +541,7 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
             raise ConfigError(name, "must be at least 1")
     settings = all_settings(2)
     states, tables = [], []
-    for child in np.random.SeedSequence(cfg.seed).spawn(n_states):
-        rng = np.random.default_rng(child)
+    for rng in _streams(cfg, n_states):
         states.append(PureState(rng.normal(size=4) + 1j * rng.normal(size=4)))
         tables.append(simulate_counts(states[-1].density(), settings, shots, rng).counts)
     reports = [r.certified(f"round-trip state {i} of {n_states}")

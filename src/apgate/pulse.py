@@ -174,8 +174,6 @@ class DetectionModel:
 
 
 def _poisson_cdf(k: int, lam: float) -> float:
-    if k < 0:
-        return 0.0
     if lam == 0.0:
         return 1.0
     term = math.exp(-lam)

@@ -214,6 +214,8 @@ def test_mirror_budget_fraction():
     assert MirrorBudget().kappa_in_fraction == pytest.approx(95 / 103, abs=1e-12)
     with pytest.raises(ValueError):
         MirrorBudget(t_coupling_ppm=-1.0)
+    with pytest.raises(ValueError, match="cannot be all zero"):
+        MirrorBudget(0.0, 0.0)
 
 
 def test_loss_from_first_principles():

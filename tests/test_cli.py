@@ -248,6 +248,7 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     ["ramsey", "--phase2", "-inf"],
     ["no-such-protocol"],
     ["bell", "--bogus", "1"],
+    ["ramsey", "--grid-khz", "0", "1", "7.5"],
 ])
 def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2

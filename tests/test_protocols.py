@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from apgate import protocols, tomography
 from apgate.cavity import CavityParams
-from apgate.config import RunConfig, ideal_profile, paper_profile
+from apgate.config import ConfigError, RunConfig, ideal_profile, paper_profile
 from apgate.protocols import (StarvationError, bell_target, ghz_target,
                               loss_budget, phi_minus_photons, phi_plus_photons,
                               run_bell, run_eraser, run_ghz, run_ramsey,
@@ -202,6 +202,12 @@ def test_ramsey_reports_degenerate_fit():
 def test_state_detection_ideal_limit():
     result = run_state_detection(ideal_profile(), trials=10_000)
     assert result.derived["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_state_detection_rejects_zero_trials():
+    # An explicit 0 is a trial count, not a request for the config's default.
+    with pytest.raises(ConfigError, match="state detection needs at least two trials"):
+        run_state_detection(paper_profile(), trials=0)
 
 
 def test_state_detection_calibrated_sampling():
@@ -470,7 +476,7 @@ def test_monte_carlo_truth_table_and_ramsey():
     matrix = np.asarray(tt["matrix"])
     assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
     assert tt["control_up_flip"] == pytest.approx(0.83, abs=0.03)
-    ramsey = run_ramsey(cfg, trials=20_000).derived
+    ramsey = run_ramsey(dataclasses.replace(cfg, trials=20_000)).derived
     assert ramsey["peak_transfer"] == pytest.approx(0.95, abs=0.02)
     assert ramsey["contrast"] == pytest.approx(0.90, abs=0.04)
 

@@ -165,6 +165,20 @@ def test_imperfection_validation():
         ImperfectionConfig(freq_jitter_khz=-1.0)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: CoherentPulse(-0.1, 0.7), "mean photon number must be nonnegative"),
+    (lambda: CoherentPulse(0.07, 0.0), "FWHM must be positive"),
+    (lambda: confusion_matrix(1.5), r"flip probability must lie in \[0, 1\]"),
+    (lambda: DetectionModel(mean_signal_photons=-1.0), "signal photon number must be nonnegative"),
+    (lambda: DetectionModel(dark_prob=1.0), r"dark probability must lie in \[0, 1\)"),
+    (lambda: DetectionModel(threshold=0), "threshold must be at least 1"),
+], ids=["negative-mean", "zero-fwhm", "flip-range", "negative-signal", "dark-range",
+        "zero-threshold"])
+def test_pulse_and_detection_guards(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # --- hyperfine detection ---------------------------------------------------------
 
 def test_detection_model_calibration():

@@ -266,3 +266,20 @@ def test_density_json_validates_on_load():
     bad = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(ValueError):
         DensityMatrix.from_json_dict(bad)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: PureState(np.ones(3)), "dimension 3 is not a power of two"),
+    (lambda: PureState(np.ones(16)), "4 qubits exceed the supported 3-qubit scope"),
+    (lambda: PureState(np.zeros(2)), "cannot normalize a zero state vector"),
+    (lambda: DensityMatrix(np.full((2, 4), 0.25)), "density matrix must be square"),
+    (lambda: DensityMatrix.from_json_dict({"dim": 4, "re": [[1.0, 0.0], [0.0, 0.0]],
+                                           "im": [[0.0, 0.0], [0.0, 0.0]]}),
+     "payload does not match declared dimension"),
+    (lambda: optimal_phase_fidelity(DensityMatrix(np.eye(2) / 2), U2, V2),
+     "dimension mismatch"),
+], ids=["not-power-of-two", "four-qubits", "zero-vector", "not-square", "payload-shape",
+        "phase-dimension"])
+def test_qlin_guards(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -365,3 +365,16 @@ def test_counts_record_validation():
 def test_counts_table_rejects_non_finite_counts(bad):
     with pytest.raises(ValueError, match="finite"):
         CountsTable(all_settings(1), [[bad, 1], [1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: MeasurementSetting(("Q",)), "labels must each be one of X, Y, Z"),
+    (lambda: born_probabilities(BELL.density(), MeasurementSetting(("Z",))),
+     "state and setting dimensions differ"),
+    (lambda: CountsTable(all_settings(1), [[0, 0], [1, 1], [1, 1]]).frequencies,
+     "a setting has no counts"),
+    (lambda: mle_batch(all_settings(1), np.zeros((1, 3, 2))), "table contains no counts"),
+], ids=["bad-label", "born-dimension", "empty-setting", "empty-table"])
+def test_tomography_guards(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
