@@ -27,6 +27,10 @@ from .tomography import FitError
 
 ENV_OUTPUT_DIR = "APGATE_OUT"
 
+# (exception type, error kind, exit code), first match wins; else "internal", 3.
+FAILURES = ((ConfigError, "config", 2), (StarvationError, "starvation", 3),
+            (FitError, "fit", 3), (OSError, "io", 3))
+
 
 def _truth_table(result: ProtocolResult):
     d = result.derived
@@ -164,12 +168,6 @@ def _dispatch(args, cfg: RunConfig) -> ProtocolResult:
     return SUBCOMMANDS[args.subcommand].run(cfg, args)
 
 
-def _fail(kind: str, exc: Exception | str, code: int) -> int:
-    print(json.dumps({"error": kind, "message": str(exc)}, sort_keys=True),
-          file=sys.stderr)
-    return code
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -181,16 +179,13 @@ def main(argv=None) -> int:
                    if isinstance(v, (int, float, bool))}
         print(json.dumps({"protocol": result.label, "out": str(out_dir), **summary},
                          sort_keys=True, allow_nan=False, default=float))
-    except ConfigError as exc:
-        return _fail("config", exc, 2)
-    except StarvationError as exc:
-        return _fail("starvation", exc, 3)
-    except FitError as exc:
-        return _fail("fit", exc, 3)
-    except OSError as exc:
-        return _fail("io", exc, 3)
-    except Exception as exc:    # last resort: an error JSON, not a traceback
-        return _fail("internal", f"{type(exc).__name__}: {exc}", 3)
+    except Exception as exc:    # every failure: an error JSON, not a traceback
+        kind, code = next(((kind, code) for cls, kind, code in FAILURES
+                           if isinstance(exc, cls)), ("internal", 3))
+        message = f"{type(exc).__name__}: {exc}" if kind == "internal" else str(exc)
+        print(json.dumps({"error": kind, "message": message}, sort_keys=True),
+              file=sys.stderr)
+        return code
     return 0
 
 

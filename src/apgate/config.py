@@ -53,6 +53,14 @@ class RunConfig:
     mc_replicas: int = 100
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        # to_dict() records one FWHM and derives kappa_in from the mirrors.
+        if self.truth_table_pulse.fwhm_us != self.bell_pulse.fwhm_us:
+            raise ValueError("both pulses must share one fwhm_us")
+        kappa_in = self.cavity.kappa * self.mirrors.kappa_in_fraction
+        if not math.isclose(self.cavity.kappa_in, kappa_in, rel_tol=1e-12):
+            raise ValueError("cavity.kappa_in must be kappa times the mirrors' fraction")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.mode not in MODES:

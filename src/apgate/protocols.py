@@ -255,7 +255,7 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], tables,
     """Reconstructed states, method and bootstrap fidelity errors (or None)
     of one run's tables, table j against ``targets[j]``.
 
-    Analytic tables are exact probabilities: linear inversion, with no
+    Analytic tables are exact outcome weights: linear inversion, with no
     fallback.  Monte-Carlo tables are counts: they and all their parametric
     bootstrap replicas, drawn from ``rng``, share one certified MLE batch.
     """
@@ -304,11 +304,9 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     survivals = [survival for _, survival in runs]
     rows, _ = _observe(cfg, [setting] * 4, np.concatenate([t for t, _ in runs]),
                        survivals)
-    if cfg.mode == "monte-carlo":   # sampled counts are floats; the raw table keeps ints
-        probs, raw = rows / rows.sum(axis=1, keepdims=True), {"counts": rows.astype(int)}
-    else:
-        probs, raw = rows, {"probabilities": rows}
-    matrix = probs[:, ::-1]
+    raw = ({"counts": rows.astype(int)} if cfg.mode == "monte-carlo"   # sampled as floats
+           else {"probabilities": rows})
+    matrix = (rows / rows.sum(axis=1, keepdims=True))[:, ::-1]
     correct = [float(matrix[i, _TT_CORRECT_COLUMN[i]]) for i in range(4)]
     derived = {
         "input_labels": list(TRUTH_TABLE_LABELS),
@@ -334,8 +332,8 @@ def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSett
     reported against its target and the (``u``, ``v``) phase family.
     ``states`` holds one (target, fidelity key suffix, phase key suffix) per
     state.  Without ``herald`` the rows are one joint tomography;
-    ``herald(cfg, settings, tables, rows)`` splits them instead into the
-    tomography settings, one table per state and the derived keys of its own.
+    ``herald(settings, tables, rows)`` splits them instead into the
+    tomography settings, one block of joint rows per state and its own derived keys.
     """
     n_photons = settings[0].n_qubits - 1
     drift = cfg.imperfections.drift_phase_per_reflection * n_photons
@@ -345,7 +343,7 @@ def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSett
     keep_prob = survival * cfg.preselection_pass
     rows, rng = _observe(cfg, settings, tables, keep_prob)
     fit_settings, fitted, derived = ((settings, [rows], {}) if herald is None
-                                     else herald(cfg, settings, tables, rows))
+                                     else herald(settings, tables, rows))
     rhos, method, stds = _estimate(cfg, fit_settings, fitted, [t for t, _, _ in states], rng)
     for (target, key, phase_key), rho, std in zip(states, rhos, stds or [None] * len(rhos)):
         phi_star, f_max = optimal_phase_fidelity(rho, u, v)
@@ -390,10 +388,11 @@ def run_ghz(cfg: RunConfig) -> ProtocolResult:
 ERASER_ROTATION_PHASE = -math.pi / 2
 
 
-def _split_heralds(cfg: RunConfig, settings: Sequence[MeasurementSetting],
-                   tables: np.ndarray, rows: np.ndarray):
+def _split_heralds(settings: Sequence[MeasurementSetting], tables: np.ndarray,
+                   rows: np.ndarray):
     """The eraser's rows split by the atom outcome: the photon settings, the
-    F1 (Phi+) and F2 (Phi-) conditioned tables and the herald probabilities."""
+    F1 (Phi+) and F2 (Phi-) blocks of joint rows, which the estimator's row
+    normalization conditions on each herald, and the herald probabilities."""
     # Axis 1 is the atom outcome: 0 is the upper hyperfine state F2, which
     # heralds Phi-; 1 is F1, which heralds Phi+.
     p_atom = tables.reshape(len(settings), 2, 4).sum(axis=2)
@@ -405,8 +404,6 @@ def _split_heralds(cfg: RunConfig, settings: Sequence[MeasurementSetting],
         s, atom = empty[0]
         raise StarvationError(f"no {('f2', 'f1')[atom]}-conditioned events "
                               f"for setting {settings[s].name}")
-    if cfg.mode != "monte-carlo":
-        heralded = heralded / p_atom[:, :, None]    # condition on each herald
     return (all_settings(2), [heralded[:, 1], heralded[:, 0]],
             {"p_atom_f1": float(p_atom[0, 1]), "p_atom_f2": float(p_atom[0, 0])})
 
@@ -430,11 +427,11 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
                phase2: float = 0.0) -> ProtocolResult:
     """Two-pulse interference of the atomic qubit versus drive detuning.
 
-    The ideal transfer probability follows (1 + cos(delta T - phase2))/2.
-    Dephasing between the pulses damps the fringe by the calibrated atomic
-    coherence factor and wrongly prepared atoms contribute an even
-    background, so the fringe has peak f_rr and contrast 2 f_rr - 1.  A
-    sinusoid is fitted by linear least squares and reported as amplitude,
+    The ideal transfer is (1 + cos(delta T - phase2))/2, in closed form.
+    Dephasing between the pulses (the atomic coherence factor) and wrongly
+    prepared atoms (an even background) scale its cosine by f_prep times
+    that factor, 2 f_rr - 1 unless clamped: peak f_rr, contrast 2 f_rr - 1.
+    A sinusoid is fitted by linear least squares and reported as amplitude,
     offset and phase.
     """
     if detuning_grid_khz is None:
@@ -444,15 +441,8 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
         raise ValueError("detuning grid must not be empty")
     imp = cfg.imperfections
     chain = imp.prep_fidelity * imp.atomic_coherence_factor
-    r1 = rotation(math.pi / 2, 0.0)
-    r2 = rotation(math.pi / 2, phase2)
     phases = 2.0 * math.pi * grid * 1e-3 * RAMSEY_PULSE_SEPARATION_US
-    transfer = np.empty_like(phases)
-    for i, phi in enumerate(phases):
-        free = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
-        amp = (r2 @ free @ r1 @ UP)[1]
-        p = float(np.abs(amp) ** 2)
-        transfer[i] = 0.5 + chain * (p - 0.5)
+    transfer = 0.5 + 0.5 * chain * np.cos(phases - phase2)
     raw = {"detuning_khz": grid}
     if cfg.mode == "monte-carlo":
         raw["counts"] = _streams(cfg, 1)[0].binomial(cfg.trials, transfer)

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import importlib
 import inspect
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 
 from apgate import cli, protocols, tomography
+from apgate.cavity import CavityParams
 from apgate.cli import main
 from apgate.config import (ConfigError, config_from_dict, load_config,
                            paper_profile)
 from apgate.protocols import ProtocolResult
+from apgate.pulse import CoherentPulse
 from apgate.qlin import DensityMatrix
 
 MIN_CONFIG = {"seed": 42}
@@ -69,6 +73,18 @@ def test_config_round_trip_equality():
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
     assert again.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"truth_table_pulse": CoherentPulse(0.3, 1.5)}, "both pulses must share one fwhm_us"),
+    ({"cavity": CavityParams(kappa_in=2 * math.pi * 2.0)},
+     "cavity.kappa_in must be kappa times the mirrors' fraction"),
+])
+def test_config_rejects_what_its_snapshot_cannot_record(change, message):
+    # metadata.config is to_dict(), which holds one FWHM and no kappa_in: a
+    # config that disagreed with it would run one model and record another.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(paper_profile(), **change)
 
 
 def test_config_from_minimal_dict():
@@ -249,6 +265,7 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     ["no-such-protocol"],
     ["bell", "--bogus", "1"],
     ["ramsey", "--grid-khz", "0", "1", "7.5"],
+    ["bell", "--seed", "-1"],
 ])
 def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -309,6 +326,7 @@ def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, caps
     ({"seed": 1, "mc_replicas": 1}, "run: mc_replicas must be at least 2"),
     ([], "{path}: top-level config must be an object"),
     (None, "{path}: cannot read config: "),     # --config names a directory
+    ({"seed": -1}, "run: seed must be nonnegative"),
 ])
 def test_cli_rejected_config_document_exit_code(document, message, tmp_path, capsys):
     if document is None:

@@ -8,8 +8,11 @@ recaptured when the outcome-table engine became one array contraction
 (rounding-level changes), and recaptured when the maximum-likelihood fit
 became one certified accelerated-gradient batch (the 15 Monte-Carlo
 bell/eraser/ghz and tomo-roundtrip runs, each fidelity within 0.14
-bootstrap std); both are compared run by run in CHANGES.md.  Refactors
-must reproduce it byte for byte.  The runs are every subcommand of
+bootstrap std), and recaptured when the analytic eraser stopped dividing
+by the herald probabilities and the Ramsey fringe became one closed form
+(five analytic runs, each value within 2.3e-16); each recapture is
+compared run by run in CHANGES.md.  Refactors must reproduce it byte for
+byte.  The runs are every subcommand of
 ``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage test until it is
 captured) x {analytic, monte-carlo} x {paper, ideal}, one full-schema
 config with a non-default value in every section (both modes), and a few

@@ -16,7 +16,7 @@ from apgate.protocols import (StarvationError, bell_target, ghz_target,
                               run_state_detection, run_truth_table,
                               tomo_roundtrip)
 from apgate.pulse import CoherentPulse, DetectionModel, ImperfectionConfig
-from apgate.qlin import DensityMatrix
+from apgate.qlin import UP, DensityMatrix, rotation
 from apgate.tomography import (CountsTable, MeasurementSetting, all_settings,
                                linear_inversion, mle_reconstruct,
                                monte_carlo_errors)
@@ -195,6 +195,27 @@ def test_ramsey_rejects_empty_grid():
 def test_ramsey_reports_degenerate_fit():
     derived = run_ramsey(paper_profile(), detuning_grid_khz=[0.0]).derived
     assert derived["fit_converged"] is False
+
+
+@pytest.mark.parametrize("profile", [paper_profile, ideal_profile])
+@pytest.mark.parametrize("phase2", [0.0, 0.7, -math.pi / 2, math.pi, 2.9])
+@pytest.mark.parametrize("start,stop,points", [(-60.0, 60.0, 1001), (-300.0, 17.0, 23),
+                                               (5.0, 5.0, 1)])
+def test_ramsey_fringe_matches_pulse_sequence(profile, phase2, start, stop, points):
+    # Independent route for the closed-form fringe: apply the pi/2 pulse, the
+    # free precession and the phase2 pulse to |up> and read |down>, then damp
+    # the fringe about 1/2 by the prepare-rotate-read chain factor.
+    cfg = profile()
+    grid = np.linspace(start, stop, points)
+    imp = cfg.imperfections
+    chain = imp.prep_fidelity * imp.atomic_coherence_factor
+    expected = []
+    for phi in 2.0 * math.pi * grid * 1e-3 * protocols.RAMSEY_PULSE_SEPARATION_US:
+        free = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+        amp = (rotation(math.pi / 2, phase2) @ free @ rotation(math.pi / 2, 0.0) @ UP)[1]
+        expected.append(0.5 + chain * (abs(amp) ** 2 - 0.5))
+    transfer = run_ramsey(cfg, detuning_grid_khz=grid, phase2=phase2).raw_counts["transfer"]
+    assert np.max(np.abs(transfer - np.array(expected))) < 1e-12
 
 
 # --- state detection ----------------------------------------------------------------
