@@ -32,40 +32,6 @@ FAILURES = ((ConfigError, "config", 2), (StarvationError, "starvation", 3),
             (FitError, "fit", 3), (OSError, "io", 3))
 
 
-def _truth_table(result: ProtocolResult):
-    d = result.derived
-    yield ("truth_table", ["input", *d["output_labels"]],
-           [(d["input_labels"], ""), *((col, ".6f") for col in np.transpose(d["matrix"]))])
-
-
-def _tomography(result: ProtocolResult, **files):
-    """Tables of the |rho| moduli (file stem -> derived density-matrix key)
-    and the per-setting table of the raw rows."""
-    for stem, key in files.items():
-        dm = result.derived[key]
-        mat = np.abs(np.asarray(dm["re"]) + 1j * np.asarray(dm["im"]))
-        yield (stem, ["row", *map(str, range(dm["dim"]))],
-               [(range(dm["dim"]), ""), *((col, ".6f") for col in mat.T)])
-    raw = result.raw_counts
-    key = "counts" if "counts" in raw else "probabilities"
-    rows = np.asarray(raw[key], dtype=float).reshape(len(raw["settings"]), -1)
-    yield (f"{result.label}_settings",
-           ["setting", *(f"{key}_{i}" for i in range(rows.shape[1]))],
-           [(raw["settings"], ""), *((col, "") for col in rows.T)])
-
-
-def _ramsey_curve(result: ProtocolResult):
-    raw = result.raw_counts
-    yield ("ramsey_curve", ["detuning_khz", "transfer"],
-           [(raw["detuning_khz"], ".6f"), (raw["transfer"], ".8f")])
-
-
-def _histograms(result: ProtocolResult):
-    h1, h2 = result.raw_counts["histogram_f1"], result.raw_counts["histogram_f2"]
-    yield ("state_detection_hist", ["count", "p_f1", "p_f2"],
-           [(range(len(h2)), ""), (h1, ".8f"), (h2, ".8f")])
-
-
 def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
     for flag, values in (("phase2", [args.phase2]), ("grid-khz", args.grid_khz or [])):
         if not all(map(math.isfinite, values)):
@@ -83,25 +49,20 @@ def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
 
 class Subcommand(NamedTuple):
     run: Callable[..., ProtocolResult]      # run(cfg, args)
-    tables: Callable = lambda result: ()    # yields (stem, header, [(column, spec)])
     options: tuple = ()                     # extra (flag, argparse kwargs)
 
 
 SUBCOMMANDS = {
-    "truth-table": Subcommand(lambda cfg, args: run_truth_table(cfg), _truth_table),
-    "bell": Subcommand(lambda cfg, args: run_bell(cfg),
-                       functools.partial(_tomography, bell_density_abs="density_matrix")),
-    "ghz": Subcommand(lambda cfg, args: run_ghz(cfg),
-                      functools.partial(_tomography, ghz_density_abs="density_matrix")),
-    "eraser": Subcommand(lambda cfg, args: run_eraser(cfg), functools.partial(
-        _tomography, eraser_phi_plus_abs="density_matrix_phi_plus",
-        eraser_phi_minus_abs="density_matrix_phi_minus")),
-    "ramsey": Subcommand(_run_ramsey, _ramsey_curve, (
+    "truth-table": Subcommand(lambda cfg, args: run_truth_table(cfg)),
+    "bell": Subcommand(lambda cfg, args: run_bell(cfg)),
+    "ghz": Subcommand(lambda cfg, args: run_ghz(cfg)),
+    "eraser": Subcommand(lambda cfg, args: run_eraser(cfg)),
+    "ramsey": Subcommand(_run_ramsey, (
         ("--phase2", dict(type=float, default=0.0,
                           help="phase of the second pulse (radians)")),
         ("--grid-khz", dict(type=float, nargs=3, metavar=("START", "STOP", "POINTS"),
                             help="detuning grid: start stop points")))),
-    "state-detection": Subcommand(lambda cfg, args: run_state_detection(cfg), _histograms),
+    "state-detection": Subcommand(lambda cfg, args: run_state_detection(cfg)),
     "tomo-roundtrip": Subcommand(
         lambda cfg, args: tomo_roundtrip(cfg, n_states=args.states, shots=args.shots),
         options=(("--states", dict(type=int, default=50)),
@@ -156,7 +117,7 @@ def _resolve_out_dir(args, cfg: RunConfig) -> Path:
 
 def _emit(result: ProtocolResult, out_dir: Path):
     (out_dir / f"{result.label}.json").write_text(result.to_json())
-    for stem, header, columns in SUBCOMMANDS[result.label].tables(result):
+    for stem, header, columns in result.tables:
         cells = [[format(x, spec) for x in np.asarray(col).tolist()]
                  for col, spec in columns]
         # csv's default dialect: CRLF line ends; no label needs quoting.

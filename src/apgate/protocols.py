@@ -87,6 +87,7 @@ class ProtocolResult:
     raw_counts: dict
     derived: dict
     metadata: dict
+    tables: tuple = ()      # CSVs, (stem, header, [(column, format spec)]); not in to_json
 
     def to_json(self) -> str:
         payload = {"label": self.label, "raw_counts": self.raw_counts,
@@ -317,8 +318,10 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
         "control_up_flip": 0.5 * (correct[2] + correct[3]),
     }
     raw.update(setting=setting.name, rows=list(TRUTH_TABLE_LABELS))
+    csv = ("truth_table", ["input", *TRUTH_TABLE_LABELS],
+           [(TRUTH_TABLE_LABELS, ""), *((col, ".6f") for col in matrix.T)])
     return ProtocolResult("truth-table", raw, derived,
-                          _metadata(cfg, cfg.trials, {"survival": survivals}))
+                          _metadata(cfg, cfg.trials, {"survival": survivals}), (csv,))
 
 
 def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSetting],
@@ -345,6 +348,7 @@ def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSett
     fit_settings, fitted, derived = ((settings, [rows], {}) if herald is None
                                      else herald(settings, tables, rows))
     rhos, method, stds = _estimate(cfg, fit_settings, fitted, [t for t, _, _ in states], rng)
+    csvs = []
     for (target, key, phase_key), rho, std in zip(states, rhos, stds or [None] * len(rhos)):
         phi_star, f_max = optimal_phase_fidelity(rho, u, v)
         derived.update({f"fidelity{key}": fidelity_pure(rho, target),
@@ -352,13 +356,17 @@ def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSett
                         f"density_matrix{key}": rho.to_json_dict()})
         if std is not None:
             derived[f"fidelity{key}_std"] = std
+        csvs.append((f"{label}{key or '_density'}_abs", ["row", *map(str, range(rho.dim))],
+                     [(range(rho.dim), ""), *((col, ".6f") for col in np.abs(rho.entries).T)]))
     if herald is None:
         derived["populations"] = np.real(np.diag(rhos[0].entries))
     derived["reconstruction"] = method
-    raw = {"settings": [s.name for s in settings],
-           "counts" if cfg.mode == "monte-carlo" else "probabilities": rows}
+    row_key = "counts" if cfg.mode == "monte-carlo" else "probabilities"
+    raw = {"settings": [s.name for s in settings], row_key: rows}
+    header = ["setting", *(f"{row_key}_{i}" for i in range(rows.shape[1]))]
+    csvs.append((f"{label}_settings", header, [(raw["settings"], ""), *((c, "") for c in rows.T)]))
     meta = _metadata(cfg, cfg.trials, {"survival": survival, "keep_prob": keep_prob})
-    return ProtocolResult(label, raw, derived, meta)
+    return ProtocolResult(label, raw, derived, meta, tuple(csvs))
 
 
 def run_bell(cfg: RunConfig) -> ProtocolResult:
@@ -463,7 +471,8 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
         "fit_converged": bool(rank == 3),
         "phase2": phase2,
     }
-    return ProtocolResult("ramsey", raw, derived, _metadata(cfg, cfg.trials))
+    csv = ("ramsey_curve", ["detuning_khz", "transfer"], [(grid, ".6f"), (transfer, ".8f")])
+    return ProtocolResult("ramsey", raw, derived, _metadata(cfg, cfg.trials), (csv,))
 
 
 def run_state_detection(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
@@ -493,7 +502,9 @@ def run_state_detection(cfg: RunConfig, trials: Optional[int] = None) -> Protoco
         "threshold": model.threshold,
     }
     raw = {"histogram_f2": hist_f2, "histogram_f1": hist_f1}
-    return ProtocolResult("state-detection", raw, derived, _metadata(cfg, trials))
+    csv = ("state_detection_hist", ["count", "p_f1", "p_f2"],
+           [(range(top), ""), (hist_f1, ".8f"), (hist_f2, ".8f")])
+    return ProtocolResult("state-detection", raw, derived, _metadata(cfg, trials), (csv,))
 
 
 def loss_budget(cfg: RunConfig) -> ProtocolResult:
