@@ -115,12 +115,21 @@ def _keys_checked(section, defaults: dict, path: str) -> dict:
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
+# Frequencies a config sets stay within 1 PHz, and a pulse lasts at least
+# 1e-9 us (an rms spectral width below 2e11 kHz), so the reflection formula
+# cannot overflow.  Not checked in the dataclasses: jitter-node detunings and
+# the spectrally widened jitter pass through them and may exceed these bounds.
+_RANGES = {**dict.fromkeys(("g_mhz", "kappa_mhz", "gamma_mhz", "delta_c_mhz",
+                            "delta_a_mhz"), (-1e9, 1e9)),
+           "freq_jitter_khz": (-1e12, 1e12), "freq_bias_khz": (-1e12, 1e12),
+           "fwhm_us": (1e-9, math.inf)}
+
 
 def _cast(key: str, value, default):
     """``value`` as the type of ``default``; no bool converts to or from
     another type, an integer takes only an integral number, a string key
-    takes only a string, and no number may be NaN or infinite (``json``
-    reads ``NaN`` and ``Infinity``)."""
+    takes only a string, no number may be NaN or infinite (``json`` reads
+    ``NaN`` and ``Infinity``) and a frequency must lie in ``_RANGES``."""
     kind = type(default)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
@@ -128,7 +137,12 @@ def _cast(key: str, value, default):
             kind is str and not isinstance(value, str)) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    return kind(value)
+    value = kind(value)
+    if key in _RANGES:
+        low, high = _RANGES[key]
+        if not low <= value <= high:
+            raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {value!r}")
+    return value
 
 
 def _build(path: str, make, section: dict, defaults: dict):

@@ -174,12 +174,12 @@ class DetectionModel:
 
 
 def _poisson_cdf(k: int, lam: float) -> float:
-    if lam == 0.0:
-        return 1.0
     term = math.exp(-lam)
     total = term
     for i in range(1, k + 1):
         term *= lam / i
+        if term == 0.0:     # every later term is 0.0 too: the sum is final
+            break
         total += term
     return min(1.0, total)
 

@@ -5,7 +5,8 @@ helpers build the same physics as Kraus channels on density matrices, so the
 engine cross-check tests can compare the two.  ``oracle_tables`` rebuilds a
 whole analytic run this way, one Kraus operator at a time.
 ``reference_linear_inversion`` is the per-call inversion loop that the cached
-inversion plan replaced; the plan must reproduce it bit for bit.
+inversion plan replaced, and ``reference_poisson_cdf`` the full k-term Poisson
+sum that the early-stopping one replaced; each must be reproduced bit for bit.
 """
 from __future__ import annotations
 
@@ -233,3 +234,15 @@ def reference_linear_inversion(table: CountsTable) -> np.ndarray:
         rho += (sum(estimates) / len(estimates)) * op
     rho /= 2 ** n
     return 0.5 * (rho + rho.conj().T)
+
+
+def reference_poisson_cdf(k: int, lam: float) -> float:
+    """P(n <= k) for a Poisson mean ``lam``, summed over all k + 1 terms."""
+    if lam == 0.0:
+        return 1.0
+    term = math.exp(-lam)
+    total = term
+    for i in range(1, k + 1):
+        term *= lam / i
+        total += term
+    return min(1.0, total)

@@ -5,7 +5,9 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -476,3 +478,71 @@ def test_perfbench_patch_points_resolve(monkeypatch):
         fit = importlib.import_module(module).mle_reconstruct
         default = inspect.signature(fit).parameters["max_iter"].default
         assert default is not inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("subcommand", sorted(CSV_TABLES))
+def test_result_tables_are_the_written_csvs(subcommand, tmp_path, monkeypatch):
+    # The driver returns its CSV tables with the result; main writes exactly
+    # those files, and the tables stay out of the result JSON.
+    results = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda result, out: (results.append(result),
+                                                           emit(result, out)))
+    out = tmp_path / "out"
+    assert main([subcommand, "--profile", "paper", "--mode", "analytic",
+                 "--out", str(out)]) == 0
+    [result] = results
+    assert sorted(f"{stem}.csv" for stem, _, _ in result.tables) == sorted(
+        p.name for p in out.glob("*.csv"))
+    assert "tables" not in json.loads(result.to_json())
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("imperfections", "freq_jitter_khz", 1e160),
+    ("imperfections", "freq_bias_khz", 1e160),
+    ("cavity", "delta_c_mhz", 1e160),
+    ("cavity", "delta_a_mhz", 1e160),
+    ("cavity", "g_mhz", 1e160),
+    ("cavity", "kappa_mhz", 1e300),
+    ("cavity", "gamma_mhz", 1e300),
+    ("pulses", "fwhm_us", 1e-320),
+    ("imperfections", "freq_jitter_khz", 1e308),
+])
+def test_cli_frequency_beyond_ceiling_exit_code(section, key, value, tmp_path, capsys):
+    # Each value overflowed the reflection formula (an overflow warning, a
+    # wrong fidelity or an internal exit); it is now a config error.
+    document = {"seed": 1, section: {key: value}}
+    if key == "fwhm_us":    # only the spectral correction reads the pulse's width
+        document["pulses"]["spectral_correction"] = True
+    path = write_config(tmp_path, document)
+    assert main(["bell", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(f"{section}: {key} must lie in ")
+    assert error["message"].endswith(f"got {value!r}")
+
+
+@pytest.mark.parametrize("subcommand", ["truth-table", "bell", "ghz", "eraser",
+                                        "loss-budget"])
+def test_cli_runs_at_every_frequency_ceiling(subcommand, tmp_path, capsys):
+    # Jitter nodes and the spectrally widened jitter go past the ceilings a
+    # config obeys; the run must still finish without an overflow warning.
+    path = write_config(tmp_path, {
+        "seed": 1,
+        "cavity": {"g_mhz": 1e9, "kappa_mhz": 1e9, "gamma_mhz": 1e9,
+                   "delta_c_mhz": -1e9, "delta_a_mhz": 1e9},
+        "imperfections": {"freq_jitter_khz": 1e12, "freq_bias_khz": -1e12},
+        "pulses": {"fwhm_us": 1e-9, "spectral_correction": True}})
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 0, \
+        capsys.readouterr().err
+
+
+def test_cli_huge_detection_threshold_finishes(tmp_path):
+    # The Poisson sum used to run threshold terms: 10**12 would take days.
+    path = write_config(tmp_path, {"seed": 1, "detection": {"threshold": 10 ** 12}})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "apgate", "truth-table", "--config", path,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr

@@ -7,11 +7,11 @@ import pytest
 from apgate.config import ideal_profile
 from apgate.protocols import bell_target, run_bell, run_truth_table
 from apgate.pulse import (CoherentPulse, DetectionModel, ImperfectionConfig,
-                          confusion_matrix, detection_confusion,
+                          _poisson_cdf, confusion_matrix, detection_confusion,
                           hyperfine_fidelity, jitter_nodes,
                           multiphoton_fraction)
 from apgate.qlin import DensityMatrix, PureState, X_PLUS
-from oracle import apply_channel, mode_mismatch_channel
+from oracle import apply_channel, mode_mismatch_channel, reference_poisson_cdf
 
 IDEAL_GATE = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -201,3 +201,15 @@ def test_detection_confusion_columns():
     assert np.allclose(m.sum(axis=0), [1.0, 1.0], atol=1e-12)
     assert m[0, 0] == pytest.approx(0.996, abs=1e-12)
     assert m[1, 1] == pytest.approx(0.997, abs=1e-12)
+
+
+def test_poisson_cdf_matches_full_sum_bit_for_bit():
+    # The sum stops at the first term that underflows to 0.0; every later
+    # term is 0.0 as well, so the result must equal the full k-term sum,
+    # including at a zero mean, a mean below rounding and means whose first
+    # term exp(-lam) already underflows.
+    lams = [0.0, 5e-324, 1e-300, 1e-5, 0.3, 1.0, 5.52, 30.0, 700.0, 745.2, 800.0, 1e5]
+    ks = [0, 1, 2, 5, 17, 100, 1000, 5000, 120_000]
+    for lam in lams:
+        for k in ks:
+            assert _poisson_cdf(k, lam) == reference_poisson_cdf(k, lam), (k, lam)
