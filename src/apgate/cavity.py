@@ -19,48 +19,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class CavityParams:
-    """Atom-cavity rates and probe detunings, all angular MHz (omega = 2*pi*f).
-
-    Defaults are the operating point of the simulated setup: g = 2pi*6.7 MHz,
-    kappa = 2pi*2.5 MHz, gamma = 2pi*3 MHz, with the coupling-mirror fraction
-    kappa_in/kappa = 95/103 set by the mirror budget.
-    """
-
-    g: float = TWO_PI * 6.7
-    kappa: float = TWO_PI * 2.5
-    kappa_in: float = TWO_PI * 2.5 * (95.0 / 103.0)
-    gamma: float = TWO_PI * 3.0
-    delta_c: float = 0.0
-    delta_a: float = 0.0
-
-    def __post_init__(self):
-        for name in ("g", "kappa", "kappa_in", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.kappa_in > self.kappa * (1 + 1e-12):
-            raise ValueError("kappa_in cannot exceed kappa")
-
-    @classmethod
-    def from_mhz(cls, g_mhz: float = 6.7, kappa_mhz: float = 2.5,
-                 gamma_mhz: float = 3.0, kappa_in_fraction: float = 95.0 / 103.0,
-                 delta_c_mhz: float = 0.0, delta_a_mhz: float = 0.0) -> "CavityParams":
-        """Build from plain frequencies in MHz; stores angular rates."""
-        return cls(
-            g=TWO_PI * g_mhz,
-            kappa=TWO_PI * kappa_mhz,
-            kappa_in=TWO_PI * kappa_mhz * kappa_in_fraction,
-            gamma=TWO_PI * gamma_mhz,
-            delta_c=TWO_PI * delta_c_mhz,
-            delta_a=TWO_PI * delta_a_mhz,
-        )
-
-    def detuned_by(self, delta: float) -> "CavityParams":
-        """Shift both probe detunings by ``delta`` (angular MHz)."""
-        return dataclasses.replace(
-            self, delta_c=self.delta_c + delta, delta_a=self.delta_a + delta)
-
-@dataclass(frozen=True)
 class MirrorBudget:
     """Coupling-mirror transmission vs. the remaining round-trip losses (ppm)."""
 
@@ -78,8 +36,49 @@ class MirrorBudget:
         return self.t_coupling_ppm / (self.t_coupling_ppm + self.loss_other_ppm)
 
 
-def reflection_coefficient(params: CavityParams, coupled: bool) -> complex:
-    """Steady-state reflection amplitude of a single-sided atom-cavity system.
+@dataclass(frozen=True)
+class CavityParams:
+    """Atom-cavity rates and probe detunings (angular MHz, omega = 2*pi*f), and
+    the mirror budget; the input coupling kappa_in is derived from it.
+
+    Defaults are the operating point of the simulated setup: g = 2pi*6.7 MHz,
+    kappa = 2pi*2.5 MHz, gamma = 2pi*3 MHz and kappa_in/kappa = 95/103.
+    """
+
+    g: float = TWO_PI * 6.7
+    kappa: float = TWO_PI * 2.5
+    gamma: float = TWO_PI * 3.0
+    delta_c: float = 0.0
+    delta_a: float = 0.0
+    mirrors: MirrorBudget = MirrorBudget()
+
+    def __post_init__(self):
+        for name in ("g", "kappa", "kappa_in", "gamma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+    @property
+    def kappa_in(self) -> float:
+        return self.kappa * self.mirrors.kappa_in_fraction
+
+    @classmethod
+    def from_mhz(cls, g_mhz: float = 6.7, kappa_mhz: float = 2.5,
+                 gamma_mhz: float = 3.0, mirrors: MirrorBudget = MirrorBudget(),
+                 delta_c_mhz: float = 0.0, delta_a_mhz: float = 0.0) -> "CavityParams":
+        """Build from plain frequencies in MHz; stores angular rates."""
+        return cls(
+            g=TWO_PI * g_mhz,
+            kappa=TWO_PI * kappa_mhz,
+            gamma=TWO_PI * gamma_mhz,
+            delta_c=TWO_PI * delta_c_mhz,
+            delta_a=TWO_PI * delta_a_mhz,
+            mirrors=mirrors,
+        )
+
+
+def reflection_coefficient(params: CavityParams, coupled: bool, delta=0.0) -> complex:
+    """Steady-state reflection amplitude of a single-sided atom-cavity system,
+    probed at offset ``delta`` (angular MHz, added to both detunings).
 
     r = 1 - 2 kappa_in (i Delta_a + gamma) /
             [(i Delta_c + kappa)(i Delta_a + gamma) + g^2]
@@ -89,9 +88,9 @@ def reflection_coefficient(params: CavityParams, coupled: bool) -> complex:
     to 1 - (2 kappa_in/kappa)/(1 + 2C) > 0 (phase 0).
     """
     g2 = params.g ** 2 if coupled else 0.0
-    atom = 1j * params.delta_a + params.gamma
+    atom = 1j * (params.delta_a + delta) + params.gamma
     num = 2.0 * params.kappa_in * atom
-    den = (1j * params.delta_c + params.kappa) * atom + g2
+    den = (1j * (params.delta_c + delta) + params.kappa) * atom + g2
     return 1.0 - num / den
 
 
@@ -113,10 +112,10 @@ def gate_branch_amplitudes(params: CavityParams, losses, delta=0.0) -> np.ndarra
     delta = np.asarray(delta, dtype=float)
     # The resonant reference rides along as offset 0, so it rounds as the
     # other offsets do and the zero-offset modulus is exactly sqrt(1 - loss).
-    shifted = params.detuned_by(np.concatenate([[0.0], delta.reshape(-1)]))
+    offsets = np.concatenate([[0.0], delta.reshape(-1)])
     amps = []
     for coupled, loss in zip((True, False), losses):
-        r = reflection_coefficient(shifted, coupled)
+        r = reflection_coefficient(params, coupled, offsets)
         size = np.abs(r)
         # Calibrated modulus cannot exceed 1 even where the off-resonance
         # reflectivity rises above its resonant value.
@@ -127,7 +126,7 @@ def gate_branch_amplitudes(params: CavityParams, losses, delta=0.0) -> np.ndarra
     return np.stack([a_c, a_u, a_u, a_u], axis=-1).reshape(delta.shape + (4,))
 
 
-def loss_from_first_principles(params: CavityParams, budget: MirrorBudget):
+def loss_from_first_principles(params: CavityParams):
     """Resonant photon loss 1 - |r|^2 for the coupled and uncoupled branches.
 
     The uncoupled value lands at the measured ~0.30.  The coupled value
@@ -135,12 +134,7 @@ def loss_from_first_principles(params: CavityParams, budget: MirrorBudget):
     steady-state model is kept as a cross-check only and the measured numbers
     remain the calibration inputs for the gate channel.
     """
-    p = dataclasses.replace(
-        params,
-        kappa_in=params.kappa * budget.kappa_in_fraction,
-        delta_c=0.0,
-        delta_a=0.0,
-    )
+    p = dataclasses.replace(params, delta_c=0.0, delta_a=0.0)
     loss_coupled = 1.0 - abs(reflection_coefficient(p, True)) ** 2
     loss_uncoupled = 1.0 - abs(reflection_coefficient(p, False)) ** 2
     return loss_coupled, loss_uncoupled

@@ -38,7 +38,6 @@ class RunConfig:
 
     seed: int
     cavity: CavityParams = field(default_factory=CavityParams)
-    mirrors: MirrorBudget = field(default_factory=MirrorBudget)
     imperfections: ImperfectionConfig = field(default_factory=ImperfectionConfig)
     detection: DetectionModel = field(default_factory=DetectionModel)
     bell_pulse: CoherentPulse = CoherentPulse(0.07, 0.7)
@@ -55,12 +54,9 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # to_dict() records one FWHM and derives kappa_in from the mirrors.
+        # to_dict() records one FWHM.
         if self.truth_table_pulse.fwhm_us != self.bell_pulse.fwhm_us:
             raise ValueError("both pulses must share one fwhm_us")
-        kappa_in = self.cavity.kappa * self.mirrors.kappa_in_fraction
-        if not math.isclose(self.cavity.kappa_in, kappa_in, rel_tol=1e-12):
-            raise ValueError("cavity.kappa_in must be kappa times the mirrors' fraction")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.mode not in MODES:
@@ -87,7 +83,7 @@ class RunConfig:
                 "delta_c_mhz": c.delta_c / TWO_PI,
                 "delta_a_mhz": c.delta_a / TWO_PI,
             },
-            "mirrors": asdict(self.mirrors),
+            "mirrors": asdict(c.mirrors),
             "imperfections": asdict(self.imperfections),
             "detection": asdict(self.detection),
             "pulses": {
@@ -117,8 +113,8 @@ _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a strin
 
 # Frequencies a config sets stay within 1 PHz, and a pulse lasts at least
 # 1e-9 us (an rms spectral width below 2e11 kHz), so the reflection formula
-# cannot overflow.  Not checked in the dataclasses: jitter-node detunings and
-# the spectrally widened jitter pass through them and may exceed these bounds.
+# cannot overflow.  Not checked in the dataclasses: the spectrally widened
+# jitter passes through them and may exceed these bounds.
 _RANGES = {**dict.fromkeys(("g_mhz", "kappa_mhz", "gamma_mhz", "delta_c_mhz",
                             "delta_a_mhz"), (-1e9, 1e9)),
            "freq_jitter_khz": (-1e12, 1e12), "freq_bias_khz": (-1e12, 1e12),
@@ -177,8 +173,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 for name, defaults in schema.items() if isinstance(defaults, dict)}
 
     mirrors = _build("mirrors", MirrorBudget, sections["mirrors"], schema["mirrors"])
-    cavity = _build("cavity", partial(CavityParams.from_mhz,
-                                      kappa_in_fraction=mirrors.kappa_in_fraction),
+    cavity = _build("cavity", partial(CavityParams.from_mhz, mirrors=mirrors),
                     sections["cavity"], schema["cavity"])
     imperfections = _build("imperfections", ImperfectionConfig,
                            sections["imperfections"], schema["imperfections"])
@@ -187,7 +182,7 @@ def config_from_dict(data: dict) -> RunConfig:
     pulses = _build("pulses", _pulse_fields, sections["pulses"], schema["pulses"])
     run = {k: d for k, d in schema.items() if not isinstance(d, dict)}
     return _build("run", partial(
-        RunConfig, cavity=cavity, mirrors=mirrors, imperfections=imperfections,
+        RunConfig, cavity=cavity, imperfections=imperfections,
         detection=detection, **pulses), data, run)
 
 

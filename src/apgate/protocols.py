@@ -514,7 +514,7 @@ def loss_budget(cfg: RunConfig) -> ProtocolResult:
     steady-state value overshoots it, so a discrepancy flag is raised and the
     measured calibration stays authoritative for the gate channel.
     """
-    model_c, model_u = loss_from_first_principles(cfg.cavity, cfg.mirrors)
+    model_c, model_u = loss_from_first_principles(cfg.cavity)
     measured_c = cfg.imperfections.loss_coupled
     measured_u = cfg.imperfections.loss_uncoupled
     derived = {

@@ -14,7 +14,7 @@ KAPPA_IN_FRACTION = 95.0 / 103.0
 
 
 def test_lossless_overcoupled_mirror():
-    p = CavityParams.from_mhz(kappa_in_fraction=1.0)
+    p = CavityParams.from_mhz(mirrors=MirrorBudget(95.0, 0.0))
     r = reflection_coefficient(p, coupled=False)
     assert r == pytest.approx(-1.0, abs=1e-12)
 
@@ -49,11 +49,11 @@ def test_reflection_bounded_on_grid():
     p0 = CavityParams()
     deltas = np.linspace(-2 * math.pi * 50, 2 * math.pi * 50, 10_000)
     for coupled in (True, False):
-        mags = [abs(reflection_coefficient(p0.detuned_by(d), coupled))
+        mags = [abs(reflection_coefficient(p0, coupled, d))
                 for d in deltas[::37]]
         assert max(mags) <= 1.0 + 1e-12
     # dense scan on the uncoupled branch where the dip is sharpest
-    mags = np.array([abs(reflection_coefficient(p0.detuned_by(d), False))
+    mags = np.array([abs(reflection_coefficient(p0, False, d))
                      for d in deltas])
     assert mags.max() <= 1.0 + 1e-12
 
@@ -220,17 +220,15 @@ def test_mirror_budget_fraction():
 
 def test_loss_from_first_principles():
     p = CavityParams()
-    lc, lu = loss_from_first_principles(p, MirrorBudget())
+    lc, lu = loss_from_first_principles(p)
     assert lu == pytest.approx(0.287, abs=1e-3)
     assert abs(lu - 0.30) <= 0.04
     assert lc == pytest.approx(0.458, abs=1e-3)
     # Lossless mirror budget: kappa_in = kappa, zero uncoupled loss.
-    _, lu0 = loss_from_first_principles(p, MirrorBudget(95.0, 0.0))
+    _, lu0 = loss_from_first_principles(CavityParams(mirrors=MirrorBudget(95.0, 0.0)))
     assert lu0 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cavity_params_validation():
     with pytest.raises(ValueError):
         CavityParams(g=-1.0)
-    with pytest.raises(ValueError):
-        CavityParams(kappa_in=100.0, kappa=10.0)

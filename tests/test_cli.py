@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from apgate import cli, protocols, tomography
-from apgate.cavity import CavityParams
 from apgate.cli import main
 from apgate.config import (ConfigError, config_from_dict, load_config,
                            paper_profile)
@@ -79,12 +78,10 @@ def test_config_round_trip_equality():
 
 @pytest.mark.parametrize("change,message", [
     ({"truth_table_pulse": CoherentPulse(0.3, 1.5)}, "both pulses must share one fwhm_us"),
-    ({"cavity": CavityParams(kappa_in=2 * math.pi * 2.0)},
-     "cavity.kappa_in must be kappa times the mirrors' fraction"),
 ])
 def test_config_rejects_what_its_snapshot_cannot_record(change, message):
-    # metadata.config is to_dict(), which holds one FWHM and no kappa_in: a
-    # config that disagreed with it would run one model and record another.
+    # metadata.config is to_dict(), which holds one FWHM: a config that
+    # disagreed with it would run one model and record another.
     with pytest.raises(ValueError, match=re.escape(message)):
         dataclasses.replace(paper_profile(), **change)
 
