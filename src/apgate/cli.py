@@ -1,8 +1,8 @@
 """Command-line entry point: run a protocol, write JSON results and CSV tables.
 
 Exit codes: 0 success, 2 configuration error (a non-finite number included),
-3 runtime, post-selection starvation, uncertified maximum-likelihood fit or
-internal error (a NaN in a result included, which writes no result file).
+3 runtime, post-selection starvation, uncertified fit, memory or internal
+error (a NaN in a result included, which writes no result file).
 Failures emit a machine-readable error JSON on stderr.
 """
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,21 +28,17 @@ ENV_OUTPUT_DIR = "APGATE_OUT"
 
 # (exception type, error kind, exit code), first match wins; else "internal", 3.
 FAILURES = ((ConfigError, "config", 2), (StarvationError, "starvation", 3),
-            (FitError, "fit", 3), (OSError, "io", 3))
+            (FitError, "fit", 3), (OSError, "io", 3), (MemoryError, "memory", 3))
 
 
 def _run_ramsey(cfg: RunConfig, args) -> ProtocolResult:
-    for flag, values in (("phase2", [args.phase2]), ("grid-khz", args.grid_khz or [])):
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(flag, "must be finite")
     grid = None
     if args.grid_khz:
         start, stop, points = args.grid_khz
-        if not points.is_integer():
-            raise ConfigError("grid-khz", "POINTS must be an integer")
-        if points < 1:
-            raise ConfigError("grid-khz", "POINTS must be at least 1")
-        grid = np.linspace(start, stop, int(points))
+        if not (points.is_integer() and 1 <= points < 2**53):
+            raise ConfigError("grid-khz", "POINTS must be an integer in [1, 2**53)")
+        with np.errstate(over="ignore", invalid="ignore"):  # run_ramsey rejects inf, nan
+            grid = np.linspace(start, stop, int(points))
     return run_ramsey(cfg, detuning_grid_khz=grid, phase2=args.phase2)
 
 
@@ -87,9 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, subcommand in SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--profile", choices=sorted(PROFILES),
-                       help="bundled parameter profile (default: paper)")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON config file")
+        source.add_argument("--profile", choices=sorted(PROFILES),
+                            help="bundled parameter profile (default: paper)")
         p.add_argument("--seed", type=int, help="override the RNG seed")
         p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--mode", choices=MODES, help="override the run mode")

@@ -67,6 +67,11 @@ class RunConfig:
             raise ValueError("shots_per_setting must be at least 1")
         if self.mc_replicas < 2:
             raise ValueError("mc_replicas must be at least 2")
+        # Below 2**53, the integers JSON holds exactly (RFC 8259), numpy
+        # refuses an array it cannot allocate with a MemoryError.
+        for name in ("trials", "mc_replicas"):
+            if getattr(self, name) >= 2**53:
+                raise ValueError(f"{name} must be below 2**53")
 
     def to_dict(self) -> dict:
         """The config document of this run: plain units, every key present."""
@@ -111,34 +116,34 @@ def _keys_checked(section, defaults: dict, path: str) -> dict:
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
-# Frequencies a config sets stay within 1 PHz, and a pulse lasts at least
-# 1e-9 us (an rms spectral width below 2e11 kHz), so the reflection formula
-# cannot overflow.  Not checked in the dataclasses: the spectrally widened
-# jitter passes through them and may exceed these bounds.
-_RANGES = {**dict.fromkeys(("g_mhz", "kappa_mhz", "gamma_mhz", "delta_c_mhz",
-                            "delta_a_mhz"), (-1e9, 1e9)),
+# Frequencies a config sets stay within 1 PHz, a rate is at least 1e-9 MHz
+# and a pulse lasts at least 1e-9 us (an rms spectral width below 2e11 kHz),
+# so the reflection formula cannot overflow.  Not checked in the dataclasses:
+# the spectrally widened jitter passes through them and may exceed these bounds.
+_RANGES = {**dict.fromkeys(("g_mhz", "kappa_mhz", "gamma_mhz"), (1e-9, 1e9)),
+           **dict.fromkeys(("delta_c_mhz", "delta_a_mhz"), (-1e9, 1e9)),
            "freq_jitter_khz": (-1e12, 1e12), "freq_bias_khz": (-1e12, 1e12),
            "fwhm_us": (1e-9, math.inf)}
 
 
 def _cast(key: str, value, default):
     """``value`` as the type of ``default``; no bool converts to or from
-    another type, an integer takes only an integral number, a string key
-    takes only a string, no number may be NaN or infinite (``json`` reads
-    ``NaN`` and ``Infinity``) and a frequency must lie in ``_RANGES``."""
+    another type, a number key takes only a number and an integer key only
+    an integral one, a string key takes only a string, no number may be NaN
+    or infinite (``json`` reads ``NaN`` and ``Infinity``) and a key in
+    ``_RANGES`` must lie in its range."""
     kind = type(default)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
-    if isinstance(value, bool) != (kind is bool) or (
-            kind is str and not isinstance(value, str)) or (
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind in (int, float) else kind) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    value = kind(value)
     if key in _RANGES:
         low, high = _RANGES[key]
         if not low <= value <= high:
             raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {value!r}")
-    return value
+    return kind(value)
 
 
 def _build(path: str, make, section: dict, defaults: dict):

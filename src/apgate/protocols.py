@@ -182,7 +182,8 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     grid = (grid @ confusion.T).reshape(grid.shape[:3] + (2,) * n)
     outcomes = tuple(range(3, 3 + n))
     total = grid.sum(axis=outcomes, keepdims=True)
-    scale = q2 / np.where(total > 0.0, total, 1.0)
+    # A subnormal total would overflow; its branch is below 1e-308 anyway.
+    scale = q2 / np.where(total >= np.finfo(float).tiny, total, np.inf)
     for axis in outcomes[1:]:     # in place: the grids are the engine's largest arrays
         marginal = grid.sum(axis=tuple(a for a in outcomes if a != axis), keepdims=True)
         rest = grid.sum(axis=axis, keepdims=True)
@@ -205,9 +206,9 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
 def _reconstruct(settings: Sequence[MeasurementSetting], tables: np.ndarray):
     """Linear inversion of exact tables: ``(rho, "linear-inversion")``.
 
-    The tables are Born vectors of a physical state passed through
-    symmetric per-qubit outcome flips, convex mixtures over branches and
-    per-branch contamination, each of which keeps the state physical, so
+    The tables are Born vectors of a physical state passed through per-qubit
+    outcome flips of probability at most 1/2, convex mixtures over branches
+    and per-branch contamination, each of which keeps the state physical, so
     only rounding can push an eigenvalue below zero.  ``DensityMatrix``'s
     eigenvalue floor is the guard: a table that fails it raises
     ``ValueError`` rather than being fitted.
@@ -445,8 +446,11 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
     if detuning_grid_khz is None:
         detuning_grid_khz = np.linspace(-60.0, 60.0, 41)
     grid = np.asarray(detuning_grid_khz, dtype=float)
-    if grid.size == 0:
-        raise ValueError("detuning grid must not be empty")
+    for flag, values in (("phase2", [phase2]), ("grid-khz", grid)):
+        if not np.isfinite(values).all():
+            raise ConfigError(flag, "must be finite")
+    if grid.size == 0 or np.abs(grid).max() > 1e12:
+        raise ConfigError("grid-khz", "must hold at least one point, each within 1e12 kHz")
     imp = cfg.imperfections
     chain = imp.prep_fidelity * imp.atomic_coherence_factor
     phases = 2.0 * math.pi * grid * 1e-3 * RAMSEY_PULSE_SEPARATION_US

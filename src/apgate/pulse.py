@@ -82,17 +82,18 @@ class ImperfectionConfig:
     rotation_readout_fidelity: float = 0.95
 
     def __post_init__(self):
+        # An analyzer that flips more often than not is a relabelled one.
         probs = {
-            "mode_overlap": self.mode_overlap,
-            "prep_fidelity": self.prep_fidelity,
-            "photonic_meas_error": self.photonic_meas_error,
-            "loss_coupled": self.loss_coupled,
-            "loss_uncoupled": self.loss_uncoupled,
-            "rotation_readout_fidelity": self.rotation_readout_fidelity,
+            "mode_overlap": (self.mode_overlap, 1.0),
+            "prep_fidelity": (self.prep_fidelity, 1.0),
+            "photonic_meas_error": (self.photonic_meas_error, 0.5),
+            "loss_coupled": (self.loss_coupled, 1.0),
+            "loss_uncoupled": (self.loss_uncoupled, 1.0),
+            "rotation_readout_fidelity": (self.rotation_readout_fidelity, 1.0),
         }
-        for name, val in probs.items():
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
+        for name, (val, high) in probs.items():
+            if not 0.0 <= val <= high:
+                raise ValueError(f"{name} must lie in [0, {high:g}], got {val}")
         if self.freq_jitter_khz < 0:
             raise ValueError("freq_jitter_khz must be nonnegative")
 
@@ -162,6 +163,8 @@ class DetectionModel:
     def __post_init__(self):
         if self.mean_signal_photons < 0:
             raise ValueError("mean signal photon number must be nonnegative")
+        if self.mean_signal_photons > 700:     # exp(-700) is still a normal float
+            raise ValueError("mean signal photon number must be at most 700")
         if not 0.0 <= self.dark_prob < 1.0:
             raise ValueError("dark probability must lie in [0, 1)")
         if self.threshold < 1:

@@ -265,6 +265,10 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     ["bell", "--bogus", "1"],
     ["ramsey", "--grid-khz", "0", "1", "7.5"],
     ["bell", "--seed", "-1"],
+    ["ramsey", "--grid-khz", "0", "1e308", "3"],
+    ["ramsey", "--grid-khz", f"{-1e308:f}", "1e308", "3"],
+    ["ramsey", "--grid-khz", "0", "1", "1e300"],
+    ["state-detection", "--trials", str(2 ** 53)],
 ])
 def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -308,6 +312,11 @@ def test_cli_non_object_section_exit_code(section, value, tmp_path, capsys):
     ("cavity", "g_mhz", math.nan, "finite"),
     ("imperfections", "mode_overlap", math.inf, "finite"),
     (None, "output_dir", 5, "a string"),
+    # A number key takes only a JSON number, never a numeric string.
+    (None, "seed", "5", "an integer"),
+    (None, "trials", "2000", "an integer"),
+    ("cavity", "g_mhz", "6.7", "a number"),
+    ("imperfections", "drift_phase_per_reflection", "nan", "a number"),
 ])
 def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, capsys):
     data = {"seed": 1, **({section: {key: value}} if section else {key: value})}
@@ -326,6 +335,9 @@ def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, caps
     ([], "{path}: top-level config must be an object"),
     (None, "{path}: cannot read config: "),     # --config names a directory
     ({"seed": -1}, "run: seed must be nonnegative"),
+    # Counts this large could fail inside numpy, an internal exit.
+    ({"seed": 1, "trials": 1e300}, "run: trials must be below 2**53"),
+    ({"seed": 1, "mc_replicas": 2 ** 53}, "run: mc_replicas must be below 2**53"),
 ])
 def test_cli_rejected_config_document_exit_code(document, message, tmp_path, capsys):
     if document is None:
@@ -504,10 +516,14 @@ def test_result_tables_are_the_written_csvs(subcommand, tmp_path, monkeypatch):
     ("cavity", "gamma_mhz", 1e300),
     ("pulses", "fwhm_us", 1e-320),
     ("imperfections", "freq_jitter_khz", 1e308),
+    ("cavity", "kappa_mhz", 5e-324),
+    ("cavity", "gamma_mhz", 5e-324),
+    ("cavity", "g_mhz", 1e-10),
 ])
 def test_cli_frequency_beyond_ceiling_exit_code(section, key, value, tmp_path, capsys):
     # Each value overflowed the reflection formula (an overflow warning, a
-    # wrong fidelity or an internal exit); it is now a config error.
+    # wrong fidelity or an internal exit); it is now a config error.  A rate
+    # also has a floor, at 1e-9 MHz.
     document = {"seed": 1, section: {key: value}}
     if key == "fwhm_us":    # only the spectral correction reads the pulse's width
         document["pulses"]["spectral_correction"] = True
@@ -534,12 +550,95 @@ def test_cli_runs_at_every_frequency_ceiling(subcommand, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def _subprocess_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_huge_detection_threshold_finishes(tmp_path):
     # The Poisson sum used to run threshold terms: 10**12 would take days.
     path = write_config(tmp_path, {"seed": 1, "detection": {"threshold": 10 ** 12}})
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "apgate", "truth-table", "--config", path,
                            "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("subcommand", ["truth-table", "bell", "ghz", "eraser",
+                                        "loss-budget"])
+def test_cli_runs_at_the_rate_floors(subcommand, tmp_path, capsys):
+    # The smallest rates a config may set, with the widest jitter and
+    # detunings: the reflection formula must not overflow.
+    path = write_config(tmp_path, {
+        "seed": 1,
+        "cavity": {"g_mhz": 1e-9, "kappa_mhz": 1e-9, "gamma_mhz": 1e-9,
+                   "delta_c_mhz": 1e9, "delta_a_mhz": -1e9},
+        "imperfections": {"freq_jitter_khz": 1e12, "freq_bias_khz": 1e12},
+        "pulses": {"fwhm_us": 1e-9, "spectral_correction": True}})
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 0, \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand,document", [
+    ("bell", {"imperfections": {"photonic_meas_error": 0.9}}),
+    ("ghz", {"imperfections": {"photonic_meas_error": 1.0}}),
+    ("truth-table", {"detection": {"mean_signal_photons": 800.0, "threshold": 1000}}),
+])
+def test_cli_value_beyond_model_bound_exit_code(subcommand, document, tmp_path, capsys):
+    # Analyzer flips above 1/2 made linear inversion unphysical (an internal
+    # exit); a signal mean above 700 underflowed the Poisson readout into a
+    # perfect one (exit 0).  Both are now config errors.
+    path = write_config(tmp_path, {"seed": 1, **document})
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    [(section, _)] = document.items()
+    assert out.out == "" and json.loads(out.err)["message"].startswith(f"{section}: ")
+
+
+@pytest.mark.parametrize("subcommand", ["bell", "ghz"])
+@pytest.mark.parametrize("key", ["mode_overlap", "prep_fidelity"])
+def test_cli_subnormal_branch_weight_runs(key, subcommand, tmp_path, capsys):
+    # A branch total below the smallest normal float overflowed the
+    # contamination scale (an internal exit); such a branch adds none.
+    path = write_config(tmp_path, {"seed": 1, "imperfections": {key: 1e-310}})
+    assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == 0, \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,document", [
+    (["state-detection"], {"trials": 10 ** 12}),
+    (["bell", "--mode", "monte-carlo"], {"trials": 2000, "mc_replicas": 10 ** 12}),
+    (["ramsey", "--grid-khz", "0", "1", "1e12"], {}),
+])
+def test_cli_count_beyond_memory_exit_code(argv, document, tmp_path, capsys):
+    # numpy refuses the allocation at once: a documented kind, not "internal".
+    path = write_config(tmp_path, {"seed": 1, **document})
+    assert main(argv + ["--config", path, "--out", str(tmp_path / "out")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    error = json.loads(out.err)
+    assert error["error"] == "memory" and error["message"].startswith("Unable to allocate")
+
+
+def test_cli_config_with_profile_exit_code(tmp_path, capsys):
+    # The profile used to be dropped silently in favour of the document.
+    path = write_config(tmp_path, MIN_CONFIG)
+    assert main(["bell", "--config", path, "--profile", "ideal",
+                 "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "config", "message": "argv: argument --profile: not allowed with argument --config"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_runtime_imports_only_numpy_and_the_stdlib():
+    # The runtime depends on numpy alone: importing the CLI in a fresh
+    # interpreter loads no other third-party top-level module.
+    code = ("import sys; before = set(sys.modules); import apgate.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["['apgate',", "'numpy']"]

@@ -192,6 +192,20 @@ def test_ramsey_rejects_empty_grid():
         run_ramsey(paper_profile(), detuning_grid_khz=[])
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"phase2": math.nan}, "phase2: must be finite"),
+    ({"phase2": math.inf}, "phase2: must be finite"),
+    ({"detuning_grid_khz": [0.0, math.nan]}, "grid-khz: must be finite"),
+    ({"detuning_grid_khz": [0.0, 1e308]}, "grid-khz: must hold at least one point"),
+    ({"detuning_grid_khz": []}, "grid-khz: must hold at least one point"),
+])
+def test_ramsey_argument_guards(kwargs, message):
+    # The Python API checks its arguments as the CLI does: a NaN phase or an
+    # overflowing grid used to reach the least-squares fit (LinAlgError).
+    with pytest.raises(ConfigError, match=message):
+        run_ramsey(paper_profile(), **kwargs)
+
+
 def test_ramsey_reports_degenerate_fit():
     derived = run_ramsey(paper_profile(), detuning_grid_khz=[0.0]).derived
     assert derived["fit_converged"] is False

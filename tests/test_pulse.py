@@ -172,8 +172,13 @@ def test_imperfection_validation():
     (lambda: DetectionModel(mean_signal_photons=-1.0), "signal photon number must be nonnegative"),
     (lambda: DetectionModel(dark_prob=1.0), r"dark probability must lie in \[0, 1\)"),
     (lambda: DetectionModel(threshold=0), "threshold must be at least 1"),
+    # exp(-800) underflows: the Poisson readout read as perfect at threshold 1000.
+    (lambda: DetectionModel(mean_signal_photons=800.0, threshold=1000),
+     "mean signal photon number must be at most 700"),
+    (lambda: ImperfectionConfig(photonic_meas_error=0.6),
+     r"photonic_meas_error must lie in \[0, 0.5\], got 0.6"),
 ], ids=["negative-mean", "zero-fwhm", "flip-range", "negative-signal", "dark-range",
-        "zero-threshold"])
+        "zero-threshold", "underflowing-signal", "analyzer-flip-range"])
 def test_pulse_and_detection_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()
