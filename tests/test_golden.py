@@ -10,8 +10,9 @@ became one certified accelerated-gradient batch (the 15 Monte-Carlo
 bell/eraser/ghz and tomo-roundtrip runs, each fidelity within 0.14
 bootstrap std), and recaptured when the analytic eraser stopped dividing
 by the herald probabilities and the Ramsey fringe became one closed form
-(five analytic runs, each value within 2.3e-16); each recapture is
-compared run by run in CHANGES.md.  Refactors must reproduce it byte for
+(five analytic runs, each value within 2.3e-16), and recaptured when a
+number key stopped taking a string (the stderr of the bad-seed and bad-type
+documents); each recapture is compared run by run in CHANGES.md.  Refactors must reproduce it byte for
 byte.  The runs are every subcommand of
 ``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage test until it is
 captured) x {analytic, monte-carlo} x {paper, ideal}, one full-schema
