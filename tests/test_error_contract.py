@@ -75,10 +75,6 @@ def runs(draw):
     return argv, document
 
 
-def _numbers(value):
-    return np.asarray(value, dtype=float).reshape(-1)
-
-
 def _assert_physical(payload: dict):
     for key, value in payload["derived"].items():
         if key.startswith("density_matrix"):
@@ -89,7 +85,7 @@ def _assert_physical(payload: dict):
     for part in ("derived", "raw_counts", "metadata"):
         for key, value in payload[part].items():
             if PROBABILITY.search(key) and not isinstance(value, (str, bool)):
-                numbers = _numbers(value)
+                numbers = np.asarray(value, dtype=float)
                 assert np.all((numbers >= -1e-9) & (numbers <= 1.0 + 1e-9)), (part, key)
 
 
