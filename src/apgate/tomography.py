@@ -1,13 +1,13 @@
 """Measurement simulation and density-matrix reconstruction.
 
 Each qubit is read out in one of the three Pauli bases; a complete run covers
-all 3^n basis combinations, whose basis matrices and inversion plan are built
-once per process.  Counts feed either a direct linear inversion (exact on
-infinite statistics, not guaranteed positive on finite counts) or one batched
-maximum-likelihood core, ``mle_batch``, whose fits are always physical and
-certified within MLE_TOL nats of the maximum.  A Monte-Carlo run's observed
-tables and all their bootstrap replicas share one certified batch
-(``fit_with_errors``).
+all 3^n basis combinations, whose Born map is built once per process and
+tuple of setting names.  Counts feed either a direct linear inversion, the
+map's least-squares inverse (exact on infinite statistics, not guaranteed
+positive on finite counts), or one batched maximum-likelihood core,
+``mle_batch``, whose fits are always physical and certified within MLE_TOL
+nats of the maximum.  A Monte-Carlo run's observed tables and all their
+bootstrap replicas share one certified batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from .qlin import (DensityMatrix, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, X_MINUS,
-                   X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN)
+from .qlin import DensityMatrix, X_MINUS, X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN, _frozen
 
 PROB_FLOOR = 1e-12
 MLE_TOL = 0.1
@@ -29,15 +28,12 @@ _EIGENBASES = {
     "Y": np.stack([Y_PLUS, Y_MINUS]),
     "Z": np.stack([UP, DOWN]),
 }
-_PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @functools.lru_cache(maxsize=None)
 def _basis_matrix(labels: tuple) -> np.ndarray:
     rows = [_EIGENBASES[label] for label in labels]
-    bras = functools.reduce(np.kron, rows, np.array([[1.0 + 0j]])).conj()
-    bras.setflags(write=False)
-    return bras
+    return _frozen(functools.reduce(np.kron, rows, np.array([[1.0 + 0j]])).conj())
 
 
 @dataclass(frozen=True)
@@ -125,39 +121,36 @@ def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
 
 
 @functools.lru_cache(maxsize=None)
-def _inversion_plan(names: tuple) -> list:
-    """(outcome signs, rows of the settings that measure it, operator) per
-    Pauli string, in product order; an incomplete set raises every time."""
-    n = len(names[0])
-    if {s.name for s in all_settings(n)} - set(names):
+def _born_map(names: tuple) -> np.ndarray:
+    """Born map of the settings ``names`` on matrices as real rows of (re, im)
+    pairs: p = rows @ map.T, one row per outcome.  Shared and read-only."""
+    projs = np.concatenate([MeasurementSetting(tuple(name)).projectors() for name in names])
+    return _frozen(projs.reshape(len(projs), -1).view(float))
+
+
+@functools.lru_cache(maxsize=None)
+def _inversion_map(names: tuple) -> np.ndarray:
+    """Least-squares inverse of ``_born_map(names)``: row i is the dual F^-1(Pi_i)
+    of outcome projector Pi_i; an incomplete set raises on every call."""
+    if {s.name for s in all_settings(len(names[0]))} - set(names):
         raise ValueError("settings do not form a tomographically complete set")
-    # signs[q, o] = +-1 for qubit q in outcome o (bit 0 -> +1).
-    signs = 1.0 - 2.0 * ((np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
-    plan = []
-    for pauli in itertools.product("IXYZ", repeat=n):
-        sign = functools.reduce(np.multiply, [signs[q] for q, p in enumerate(pauli)
-                                              if p != "I"], np.ones(2 ** n))
-        rows = [i for i, name in enumerate(names)
-                if all(p == "I" or p == name[q] for q, p in enumerate(pauli))]
-        op = functools.reduce(np.kron, [_PAULIS[p] for p in pauli], np.array([[1.0 + 0j]]))
-        plan.append((sign, rows, op))
-    return plan
+    ops = _born_map(names).view(complex)    # rows vec(Pi_i); F = ops.T @ ops.conj()
+    return _frozen((ops @ np.linalg.inv(ops.T @ ops.conj()).T).view(float))
 
 
 def linear_inversion(table: CountsTable) -> np.ndarray:
-    """Direct Pauli-expectation inversion of a tomographically complete run.
+    """Direct inversion of a tomographically complete run: its frequencies
+    times the least-squares inverse of the Born map, cached per setting tuple.
 
-    Each Pauli expectation averages its compatible settings' estimates, from
-    a plan built once per tuple of setting names.  Exact on exact
-    probabilities; finite counts can produce small negative eigenvalues, so
-    the raw Hermitian matrix is returned unclamped for diagnostic use.
+    That is the Pauli-expectation estimator: the frame operator F = sum
+    |Pi><Pi| of the outcome projectors is diagonal in the Pauli basis, each
+    string weighted by its number of compatible settings, so F^-1 averages each
+    Pauli expectation over those settings, reordered and repeated ones
+    included.  Exact on exact probabilities; finite counts can give small
+    negative eigenvalues, left unclamped for diagnostic use.
     """
-    freqs = table.frequencies
-    rho = np.zeros((freqs.shape[1],) * 2, dtype=complex)
-    for sign, rows, op in _inversion_plan(tuple(s.name for s in table.settings)):
-        estimates = [float(freqs[i] @ sign) for i in rows]
-        rho += (sum(estimates) / len(estimates)) * op
-    rho /= len(rho)
+    rho = table.frequencies.ravel() @ _inversion_map(tuple(s.name for s in table.settings))
+    rho = rho.view(complex).reshape(table.counts.shape[1], -1)
     return 0.5 * (rho + rho.conj().T)
 
 
@@ -225,11 +218,9 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products,
     so a fit's result does not depend, bit for bit, on the rest of its batch.
     """
-    projs = np.concatenate([s.projectors() for s in settings])
-    dim = projs.shape[1]
     # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = w @ to_op.
-    to_op = projs.reshape(len(projs), -1).view(float)
-    n = np.array(counts, dtype=float).reshape(-1, len(projs))
+    to_op, dim = _born_map(tuple(s.name for s in settings)), 2 ** settings[0].n_qubits
+    n = np.array(counts, dtype=float).reshape(-1, len(to_op))
     total = n.sum(axis=1)
     if np.any(total <= 0):
         raise ValueError("table contains no counts")

@@ -4,9 +4,11 @@ The protocol engine works on branch amplitudes and Born vectors; these
 helpers build the same physics as Kraus channels on density matrices, so the
 engine cross-check tests can compare the two.  ``oracle_tables`` rebuilds a
 whole analytic run this way, one Kraus operator at a time.
-``reference_linear_inversion`` is the per-call inversion loop that the cached
-inversion plan replaced, and ``reference_poisson_cdf`` the full k-term Poisson
-sum that the early-stopping one replaced; each must be reproduced bit for bit.
+``reference_linear_inversion`` is the Pauli-string inversion loop that the
+least-squares inverse of the cached Born map replaced; that product sums in
+another order, so it is reproduced to rounding (1e-14).
+``reference_poisson_cdf`` is the full k-term Poisson sum that the
+early-stopping one replaced, and must be reproduced bit for bit.
 """
 from __future__ import annotations
 

@@ -113,7 +113,7 @@ def test_linear_inversion_single_qubit_up():
 
 def test_linear_inversion_requires_complete_settings():
     table = exact_records(BELL.density(), 2)
-    for _ in range(2):        # on every call: the cached plan stores no failure
+    for _ in range(2):        # on every call: the cached inversion map stores no failure
         with pytest.raises(ValueError, match="tomographically complete"):
             linear_inversion(CountsTable(table.settings[:5], table.counts[:5]))
 
@@ -123,19 +123,26 @@ def _random_table(settings, seed):
     return CountsTable(settings, rng.integers(0, 50, (len(settings), 2 ** settings[0].n_qubits)))
 
 
+def _assert_matches_reference(table):
+    # One product with the cached map sums in another order than the
+    # reference loop, so the two agree to rounding (6.7e-16 at most seen),
+    # not bit for bit.  A wrong inversion is far outside 1e-14: dropping the
+    # repeated settings moves an entry by 0.19, reversing the outcome order
+    # by 0.17 to 0.46.
+    assert np.max(np.abs(linear_inversion(table) - reference_linear_inversion(table))) <= 1e-14
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_linear_inversion_matches_reference_loop(n):
     for seed in range(3):
-        table = _random_table(all_settings(n), 60 + 10 * n + seed)
-        assert linear_inversion(table).tobytes() == reference_linear_inversion(table).tobytes()
+        _assert_matches_reference(_random_table(all_settings(n), 60 + 10 * n + seed))
 
 
 def test_linear_inversion_matches_reference_on_reordered_and_repeated_settings():
     settings = all_settings(2)
     shuffled = [settings[i] for i in np.random.default_rng(7).permutation(len(settings))]
     for chosen in (shuffled, settings + [settings[4], settings[0]]):
-        table = _random_table(chosen, 8)
-        assert linear_inversion(table).tobytes() == reference_linear_inversion(table).tobytes()
+        _assert_matches_reference(_random_table(chosen, 8))
 
 
 def test_basis_matrix_is_shared_and_read_only():
@@ -143,6 +150,16 @@ def test_basis_matrix_is_shared_and_read_only():
     assert MeasurementSetting(("x", "y")).basis_matrix() is first
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
+    # The Born map and its least-squares inverse are cached the same way, per
+    # tuple of setting names.  The inverse's rows, the duals of the outcome
+    # projectors, span the Hermitian matrices: rank 4^n of the 2 * 4^n columns.
+    for n in (1, 2, 3):
+        for make in (tomography._born_map, tomography._inversion_map):
+            first = make(tuple(s.name for s in all_settings(n)))
+            assert make(tuple(s.name for s in all_settings(n))) is first
+            with pytest.raises(ValueError):
+                first[0, 0] = 0.0
+        assert np.linalg.matrix_rank(first) == 4 ** n
 
 
 def test_linear_inversion_finite_counts_can_go_negative():
