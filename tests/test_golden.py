@@ -12,12 +12,14 @@ bootstrap std), and recaptured when the analytic eraser stopped dividing
 by the herald probabilities and the Ramsey fringe became one closed form
 (five analytic runs, each value within 2.3e-16), and recaptured when a
 number key stopped taking a string (the stderr of the bad-seed and bad-type
-documents); each recapture is compared run by run in CHANGES.md.  Refactors must reproduce it byte for
-byte.  The runs are every subcommand of
-``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage test until it is
-captured) x {analytic, monte-carlo} x {paper, ideal}, one full-schema
-config with a non-default value in every section (both modes), and a few
-odd documents.
+documents), and recaptured when linear inversion became one product with the
+least-squares inverse of a cached Born map (the ten analytic bell, eraser and
+ghz runs, each value within 4.4e-16); each recapture is compared run by run
+in CHANGES.md.  Refactors must reproduce it byte for byte.  The runs are
+every subcommand of ``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage
+test until it is captured) x {analytic, monte-carlo} x {paper, ideal}, one
+full-schema config with a non-default value in every section (both modes),
+and a few odd documents.
 
 Regenerate only for an intended output change, and say so::
 
