@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -68,7 +69,11 @@ SUBCOMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Parser whose errors are config errors (exit 2, error JSON), not a
-    usage text; subparsers inherit the class."""
+    usage text, and that reads -6e1 as a number; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ConfigError("argv", message)

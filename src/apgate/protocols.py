@@ -544,6 +544,10 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
     for name, value in (("states", n_states), ("shots", shots)):
         if value < 1:
             raise ConfigError(name, "must be at least 1")
+    # CountsTable holds counts as float64, exact only below 2**53: the ceiling
+    # RunConfig already puts on trials and mc_replicas.
+    if shots >= 2**53:
+        raise ConfigError("shots", "must be below 2**53")
     settings = all_settings(2)
     states, tables = [], []
     for rng in _streams(cfg, n_states):

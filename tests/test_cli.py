@@ -206,6 +206,18 @@ def test_cli_ramsey_grid_override(tmp_path):
     assert len(lines) == 22
 
 
+def test_cli_reads_exponent_form_negatives_as_numbers(tmp_path):
+    # argparse read "-6e1" as a flag ("expected 3 arguments") and "-1e-1"
+    # likewise; they are the numbers -60 and -0.1.
+    written = []
+    for start, phase in (("-60", "-0.1"), ("-6e1", "-1e-1")):
+        out = tmp_path / start
+        assert main(["ramsey", "--grid-khz", start, "60", "7", "--phase2", phase,
+                     "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     args = ["bell", "--mode", "monte-carlo", "--trials", "5000", "--seed", "5"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -269,6 +281,9 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     ["ramsey", "--grid-khz", f"{-1e308:f}", "1e308", "3"],
     ["ramsey", "--grid-khz", "0", "1", "1e300"],
     ["state-detection", "--trials", str(2 ** 53)],
+    ["tomo-roundtrip", "--states", "1", "--shots", str(2 ** 53)],
+    ["tomo-roundtrip", "--states", "1", "--shots", str(2 ** 63)],
+    ["tomo-roundtrip", "--states", "1", "--shots", str(10 ** 19)],
 ])
 def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -8,12 +8,15 @@ exit 0, 2 or 3.  A failure prints nothing on stdout and exactly one error
 JSON on stderr, of a documented kind (never ``internal``), with no traceback
 and no usage text.  A success writes only physical density matrices and
 probabilities and fidelities in [0, 1].  Tier-1 makes every
-``RuntimeWarning`` an error, and ``main`` reports it as ``internal``.
+``RuntimeWarning`` an error, and ``main`` reports it as ``internal``.  The
+only other warning a run may raise is the documented faint-pulse
+``UserWarning``; the test records warnings itself, so any new one fails it.
 
 Counts are drawn small, at 1e12, which numpy refuses to allocate at once (a
 ``memory`` error), or at 1e300, past the 2**53 ceiling (a config error), and
 never in between: values in between are legal and can allocate gigabytes and
-run for minutes.
+run for minutes.  Round-trip shots past that ceiling (2**63, 1e19) are
+rejected before any draw.
 """
 import contextlib
 import io
@@ -21,6 +24,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +42,11 @@ KEYS = sorted([(None, key) for key, d in SCHEMA.items() if not isinstance(d, dic
 COUNTS = {"trials", "mc_replicas"}
 EXTREMES = [0, 1, -1, 5e-324, 1e-310, 1e9, -1e9, 1e12, -1e12, 1e300,
             math.nan, math.inf, -math.inf, "1", "6.7", True, None, [], {}]
-# The argv spellings of huge negative numbers argparse reads as numbers, not flags.
+# Argv numbers, negatives in plain and exponent form included: the parser reads
+# both as numbers, not flags.
 ARGV_NUMBERS = ["0", "1", "-60", "60", "-1000000000000", "1e12", "1e13", "1e308",
-                f"{-1e308:f}", "nan", "inf", "2.5"]
+                f"{-1e308:f}", "nan", "inf", "2.5", "-6e1", "-1e-1", "-1e308"]
+FAINT_PULSE = re.compile(r"mean photon number .+ above 1; protocols assume faint pulses")
 KINDS = {kind for _, kind, _ in FAILURES}
 PROBABILITY = re.compile(r"fidelit|probabilit|^p_atom|^correct|^f_max|^populations$|"
                          r"^control_|^matrix$|^transfer$|^histogram_|^survival$|^keep_prob$")
@@ -71,7 +77,7 @@ def runs(draw):
                                                   min_size=2, max_size=2)), points]
     if subcommand == "tomo-roundtrip":
         argv += ["--states", str(draw(st.integers(1, 3))),
-                 "--shots", str(draw(st.sampled_from([0, 1, 10, 1000])))]
+                 "--shots", str(draw(st.sampled_from([0, 1, 10, 1000, 2**63, 10**19])))]
     return argv, document
 
 
@@ -98,8 +104,12 @@ def test_every_run_honours_the_error_contract(run):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(document))
         out = Path(tmp) / "out"
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)    # RuntimeWarning stays an error
             code = main(argv + ["--config", str(path), "--out", str(out)])
+        assert all(w.category is UserWarning and FAINT_PULSE.fullmatch(str(w.message))
+                   for w in caught), (argv, document, [str(w.message) for w in caught])
         err = stderr.getvalue()
         assert code in (0, 2, 3), (argv, document, err)
         if code:
