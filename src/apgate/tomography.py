@@ -131,7 +131,7 @@ def _born_map(names: tuple) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _inversion_map(names: tuple) -> np.ndarray:
     """Least-squares inverse of ``_born_map(names)``: row i is the dual F^-1(Pi_i)
-    of outcome projector Pi_i; an incomplete set raises on every call."""
+    of projector Pi_i; F is invertible on a complete set, and others raise each call."""
     if {s.name for s in all_settings(len(names[0]))} - set(names):
         raise ValueError("settings do not form a tomographically complete set")
     ops = _born_map(names).view(complex)    # rows vec(Pi_i); F = ops.T @ ops.conj()
