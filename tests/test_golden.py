@@ -24,6 +24,13 @@ and a few odd documents.
 Regenerate only for an intended output change, and say so::
 
     PYTHONPATH=src python tests/test_golden.py --capture
+
+To compare a recapture run by run, dump every run's files with each
+checkout's sources (the manifest is left alone) and compare the dumps::
+
+    PYTHONPATH=<old checkout>/src python tests/test_golden.py --dump OLD
+    PYTHONPATH=src python tests/test_golden.py --dump NEW
+    python tests/test_golden.py --compare OLD NEW
 """
 import contextlib
 import hashlib
@@ -71,22 +78,29 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_once(argv, out_dir: Path) -> dict:
+def run_streams(argv, out_dir: Path) -> dict:
+    """Exit code, warnings, stdout (output directory replaced by ``<out>``)
+    and stderr of one run; its files stay in ``out_dir``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = main(list(argv) + ["--out", str(out_dir)])
-    files = {}
-    if out_dir.is_dir():
-        files = {p.name: _sha(p.read_bytes()) for p in sorted(out_dir.iterdir())}
     return {
         "exit": code,
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
-        "stdout": _sha(stdout.getvalue().replace(str(out_dir), "<out>").encode()),
-        "stderr": _sha(stderr.getvalue().encode()),
-        "files": files,
+        "stdout": stdout.getvalue().replace(str(out_dir), "<out>"),
+        "stderr": stderr.getvalue(),
     }
+
+
+def run_once(argv, out_dir: Path) -> dict:
+    record = run_streams(argv, out_dir)
+    files = {}
+    if out_dir.is_dir():
+        files = {p.name: _sha(p.read_bytes()) for p in sorted(out_dir.iterdir())}
+    return {**record, "stdout": _sha(record["stdout"].encode()),
+            "stderr": _sha(record["stderr"].encode()), "files": files}
 
 
 def _manifest() -> dict:
@@ -120,9 +134,71 @@ def capture(scratch: Path):
     print(f"wrote {len(runs)} runs to {MANIFEST}")
 
 
+def dump(root: Path):
+    """Every run's files in ``root/<run>/``, its streams in ``root/<run>.streams.json``."""
+    for name, argv in sorted(golden_runs().items()):
+        record = run_streams(argv, root / name)
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / f"{name}.streams.json").write_text(json.dumps(record, indent=1) + "\n")
+    print(f"dumped {len(golden_runs())} runs to {root}")
+
+
+def _leaves(tree, path=""):
+    """Path -> number of every numeric leaf of a JSON tree."""
+    if isinstance(tree, dict):
+        return {k: v for key, sub in tree.items() for k, v in _leaves(sub, f"{path}.{key}").items()}
+    if isinstance(tree, list):
+        return {k: v for i, sub in enumerate(tree) for k, v in _leaves(sub, f"{path}[{i}]").items()}
+    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        return {path.lstrip("."): tree}
+    return {}
+
+
+def _run_bytes(root: Path, name: str) -> dict:
+    run_dir = root / name
+    files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())} if run_dir.is_dir() else {}
+    return {**files, "<streams>": (root / f"{name}.streams.json").read_bytes()}
+
+
+def compare(old: Path, new: Path):
+    """One line per run whose bytes differ between two dumps: the files that
+    differ, how many numeric leaves of the result JSON moved and the largest
+    move, and each ``fidelity*`` shift in units of the old ``*_std``."""
+    for name in sorted(golden_runs()):
+        before, after = _run_bytes(old, name), _run_bytes(new, name)
+        differing = sorted(k for k in set(before) | set(after) if before.get(k) != after.get(k))
+        if not differing:
+            continue
+        line = f"{name}: {', '.join(differing)}"
+        results = [k for k in differing if k.endswith(".json") and k in before and k in after]
+        if results:
+            a, b = (json.loads(side[results[0]]) for side in (before, after))
+            la, lb = _leaves(a), _leaves(b)
+            moved = {k: lb[k] - la[k] for k in la.keys() & lb.keys() if lb[k] != la[k]}
+            if la.keys() != lb.keys():
+                line += "; numeric leaves differ in structure"
+            if moved:
+                top = max(moved, key=lambda k: abs(moved[k]))
+                line += f"; {len(moved)} moved, largest {abs(moved[top]):.2g} ({top})"
+            derived = a.get("derived", {})
+            for key in sorted(derived):
+                std = derived.get(f"{key}_std")
+                if key.startswith("fidelity") and std and f"derived.{key}" in moved:
+                    shift = moved[f"derived.{key}"]
+                    line += f"; {key} {shift:+.2g} = {shift / std:+.3f} std"
+        print(line)
+
+
 if __name__ == "__main__":
     import tempfile
-    if sys.argv[1:] != ["--capture"]:
-        raise SystemExit("usage: python tests/test_golden.py --capture")
-    with tempfile.TemporaryDirectory() as tmp:
-        capture(Path(tmp))
+    args = sys.argv[1:]
+    if args == ["--capture"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            capture(Path(tmp))
+    elif len(args) == 2 and args[0] == "--dump":
+        dump(Path(args[1]))
+    elif len(args) == 3 and args[0] == "--compare":
+        compare(Path(args[1]), Path(args[2]))
+    else:
+        raise SystemExit("usage: python tests/test_golden.py "
+                         "--capture | --dump DIR | --compare OLD NEW")
