@@ -135,17 +135,17 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     by ``atom_pre_measure`` on the atom.  Atoms prepared in the wrong state
     add one more branch: every photon uncoupled, no rotation, and the atom
     read as |up> since it always fluoresces (the upper hyperfine outcome in
-    a Z readout, an even split in X or Y).  One einsum against the stacked
-    basis matrices gives every Born weight.  Readout confusion is one
-    Kronecker matrix, ``atom_confusion`` (the identity if None) times the
-    photon analyzer flips.
+    a Z readout, an even split in X or Y).  Then each step is one product on
+    the flat outcome index, one row per (node, branch, setting): Born weights
+    with the stacked bras, readout with one Kronecker matrix
+    (``atom_confusion``, the identity if None, times the analyzer flips).
 
     Extra-photon contamination (with weight q2 a photon's record is an
-    independent draw from its own marginal) is applied to each branch before
-    the branches are summed over nodes with the quadrature weights.  The
-    extra photon meets the same detuning, mode pattern and atom as the first,
-    and the map is nonlinear, so the marginal is the branch's, not the
-    mixture's.
+    independent draw from its own marginal) acts on each branch before the
+    quadrature weights average the nodes.  Photon j's marginal sums outcomes
+    sharing its bit, the rest those agreeing on every other bit; the extra
+    photon meets the same detuning, mode pattern and atom as the first, and
+    the map is nonlinear, so the marginal is the branch's, not the mixture's.
     """
     k = len(photon_kets)
     n = 1 + k
@@ -173,23 +173,22 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     err = np.sqrt(err_prior)[:, None, None] * np.kron([1.0, 0.0], phot0)
     vec = np.concatenate([vec, err], axis=1)
 
-    basis = np.array([s.basis_matrix() for s in settings])
-    grid = np.abs(np.einsum("soi,nbi->nbso", basis, vec))
-    grid *= grid
-    confusion = functools.reduce(np.kron, [np.eye(2) if atom_confusion is None
-                                           else atom_confusion]
-                                 + [confusion_matrix(imp.photonic_meas_error)] * k)
-    grid = (grid @ confusion.T).reshape(grid.shape[:3] + (2,) * n)
-    outcomes = tuple(range(3, 3 + n))
-    total = grid.sum(axis=outcomes, keepdims=True)
+    basis = np.concatenate([s.basis_matrix() for s in settings])    # (S 2^n, 2^n) bras
+    grid = np.abs(vec.reshape(-1, 2 ** n) @ basis.T) ** 2     # rows (node, branch)
+    readout = [np.eye(2) if atom_confusion is None else atom_confusion]
+    confusion = functools.reduce(np.kron, readout + [confusion_matrix(imp.photonic_meas_error)] * k)
+    grid = grid.reshape(-1, 2 ** n) @ confusion.T     # rows (node, branch, setting)
+    total = grid.sum(axis=1, keepdims=True)
     # A subnormal total would overflow; its branch is below 1e-308 anyway.
     scale = q2 / np.where(total >= np.finfo(float).tiny, total, np.inf)
-    for axis in outcomes[1:]:     # in place: the grids are the engine's largest arrays
-        marginal = grid.sum(axis=tuple(a for a in outcomes if a != axis), keepdims=True)
-        rest = grid.sum(axis=axis, keepdims=True)
+    agree = (bits.T[:, :, None] == bits.T[:, None]).astype(float)   # [j, o, o']: same bit j
+    for j in range(1, n):     # in place: the grids are the engine's largest arrays
+        marginal = grid @ agree[j]                                 # outcomes sharing bit j
+        rest = grid @ np.delete(agree, j, axis=0).prod(axis=0)     # ... every other bit
         grid *= 1.0 - q2
         grid += rest * (scale * marginal)
-    tables = np.einsum("n,nbso->so", weights, grid.reshape(grid.shape[:3] + (-1,)))
+    node_weights = np.repeat(weights, vec.shape[1])
+    tables = (node_weights @ grid.reshape(len(node_weights), -1)).reshape(len(settings), -1)
 
     sums = tables.sum(axis=1)
     if np.max(np.abs(sums - sums[0])) > 1e-9:
