@@ -14,7 +14,10 @@ by the herald probabilities and the Ramsey fringe became one closed form
 number key stopped taking a string (the stderr of the bad-seed and bad-type
 documents), and recaptured when linear inversion became one product with the
 least-squares inverse of a cached Born map (the ten analytic bell, eraser and
-ghz runs, each value within 4.4e-16); each recapture is compared run by run
+ghz runs, each value within 4.4e-16), and recaptured when the table engine
+became matrix products on the flat outcome index (21 truth-table, bell,
+eraser and ghz runs: each analytic value within 4.4e-16, each Monte-Carlo
+fidelity within 0.61 bootstrap std); each recapture is compared run by run
 in CHANGES.md.  Refactors must reproduce it byte for byte.  The runs are
 every subcommand of ``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage
 test until it is captured) x {analytic, monte-carlo} x {paper, ideal}, one
@@ -30,7 +33,7 @@ checkout's sources (the manifest is left alone) and compare the dumps::
 
     PYTHONPATH=<old checkout>/src python tests/test_golden.py --dump OLD
     PYTHONPATH=src python tests/test_golden.py --dump NEW
-    python tests/test_golden.py --compare OLD NEW
+    PYTHONPATH=src python tests/test_golden.py --compare OLD NEW
 """
 import contextlib
 import hashlib
