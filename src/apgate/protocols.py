@@ -547,6 +547,8 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
     # RunConfig already puts on trials and mc_replicas.
     if shots >= 2**53:
         raise ConfigError("shots", "must be below 2**53")
+    if n_states > 10_000:     # one generator stream per state, all spawned up front
+        raise ConfigError("states", "must be at most 10000")
     settings = all_settings(2)
     states, tables = [], []
     for rng in _streams(cfg, n_states):

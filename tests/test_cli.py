@@ -284,6 +284,8 @@ def test_cli_seed_override_changes_montecarlo(tmp_path):
     ["tomo-roundtrip", "--states", "1", "--shots", str(2 ** 53)],
     ["tomo-roundtrip", "--states", "1", "--shots", str(2 ** 63)],
     ["tomo-roundtrip", "--states", "1", "--shots", str(10 ** 19)],
+    ["tomo-roundtrip", "--states", "10001"],
+    ["tomo-roundtrip", "--states", str(2 ** 63)],
 ])
 def test_cli_invalid_argument_exit_code(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
