@@ -139,21 +139,21 @@ def capture(scratch: Path):
 
 def dump(root: Path):
     """Every run's files in ``root/<run>/``, its streams in ``root/<run>.streams.json``."""
-    for name, argv in sorted(golden_runs().items()):
+    runs = golden_runs()
+    for name, argv in sorted(runs.items()):
         record = run_streams(argv, root / name)
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / f"{name}.streams.json").write_text(json.dumps(record, indent=1) + "\n")
-    print(f"dumped {len(golden_runs())} runs to {root}")
+    print(f"dumped {len(runs)} runs to {root}")
 
 
 def _leaves(tree, path=""):
-    """Path -> number of every numeric leaf of a JSON tree."""
-    if isinstance(tree, dict):
-        return {k: v for key, sub in tree.items() for k, v in _leaves(sub, f"{path}.{key}").items()}
-    if isinstance(tree, list):
-        return {k: v for i, sub in enumerate(tree) for k, v in _leaves(sub, f"{path}[{i}]").items()}
+    """Dotted path -> number, for every numeric leaf of a JSON tree."""
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        return {k: v for key, sub in items for k, v in _leaves(sub, f"{path}{key}.").items()}
     if isinstance(tree, (int, float)) and not isinstance(tree, bool):
-        return {path.lstrip("."): tree}
+        return {path.rstrip("."): tree}
     return {}
 
 
@@ -177,7 +177,7 @@ def compare(old: Path, new: Path):
         if results:
             a, b = (json.loads(side[results[0]]) for side in (before, after))
             la, lb = _leaves(a), _leaves(b)
-            moved = {k: lb[k] - la[k] for k in la.keys() & lb.keys() if lb[k] != la[k]}
+            moved = {k: lb[k] - la[k] for k in sorted(la.keys() & lb.keys()) if lb[k] != la[k]}
             if la.keys() != lb.keys():
                 line += "; numeric leaves differ in structure"
             if moved:
