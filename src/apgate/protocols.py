@@ -224,7 +224,7 @@ def _streams(cfg: RunConfig, n: int) -> list:
 def _sample_records(settings: Sequence[MeasurementSetting], tables: np.ndarray,
                     trials: int, keep_prob, rngs) -> np.ndarray:
     """Binomial retention of ``trials`` attempts, then multinomial outcome
-    counts, per setting, as a float array of one row per setting.
+    counts, per setting, as an integer array of one row per setting.
     ``keep_prob`` is one probability for every setting or one per setting;
     setting ``s`` draws from ``rngs[s]``."""
     rows = []
@@ -234,7 +234,7 @@ def _sample_records(settings: Sequence[MeasurementSetting], tables: np.ndarray,
         if retained == 0:
             raise StarvationError(f"no surviving events for setting {s.name}")
         rows.append(rng.multinomial(retained, p / p.sum()))
-    return np.array(rows, dtype=float)
+    return np.array(rows)
 
 
 def _observe(cfg: RunConfig, settings: Sequence[MeasurementSetting],
@@ -305,8 +305,7 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     survivals = [survival for _, survival in runs]
     rows, _ = _observe(cfg, [setting] * 4, np.concatenate([t for t, _ in runs]),
                        survivals)
-    raw = ({"counts": rows.astype(int)} if cfg.mode == "monte-carlo"   # sampled as floats
-           else {"probabilities": rows})
+    raw = {"counts" if cfg.mode == "monte-carlo" else "probabilities": rows}
     matrix = (rows / rows.sum(axis=1, keepdims=True))[:, ::-1]
     correct = [float(matrix[i, _TT_CORRECT_COLUMN[i]]) for i in range(4)]
     derived = {
