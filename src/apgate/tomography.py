@@ -1,13 +1,12 @@
 """Measurement simulation and density-matrix reconstruction.
 
 Each qubit is read out in one of the three Pauli bases; a complete run covers
-all 3^n basis combinations, whose Born map is built once per process and
-tuple of setting names.  Counts feed either a direct linear inversion, the
-map's least-squares inverse (exact on infinite statistics, not guaranteed
-positive on finite counts), or one batched maximum-likelihood core,
-``mle_batch``, whose fits are always physical and certified within MLE_TOL
-nats of the maximum.  A Monte-Carlo run's observed tables and all their
-bootstrap replicas share one certified batch (``fit_with_errors``).
+all 3^n basis combinations, whose Born map is built once per process and tuple
+of setting names.  Counts feed linear inversion, one product with the map's
+least-squares inverse.  The batched maximum-likelihood core, ``mle_batch``,
+starts every fit there; its fits are always physical and certified within
+MLE_TOL nats of the maximum.  A Monte-Carlo run's observed tables and all
+their bootstrap replicas share one certified batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -197,20 +196,21 @@ def _project(x: np.ndarray, dim: int) -> np.ndarray:
 
 def mle_batch(settings: Sequence[MeasurementSetting], counts,
               max_iter: int = 5000) -> List[ReconstructionReport]:
-    """Maximum-likelihood states of B count tables (B x settings x 2^n).
+    """Maximum-likelihood states of B count tables (B x settings x 2^n) that
+    ``linear_inversion`` accepts: complete, with counts in every setting.
 
     Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017))
     on f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i w_i Pi_i
-    with w_i = (n_i/N)/p_i.  From rho = I/d, each iteration steps from the
+    with w_i = (n_i/N)/p_i.  From its table's projected linear inversion
+    (Smolin, Gambetta, Smith, PRL 108, 070502 (2012)), each fit steps from the
     momentum point sigma to P(sigma + t R(sigma)), P the projection onto
     density matrices; t halves until f obeys its quadratic upper bound
     around sigma, then grows by 1.1.  Likelihood changes are summed from the
     step's own probabilities, so gains below the rounding of l still count.
     Momentum restarts (sigma <- rho, theta <- 1) when a step would lower the
-    likelihood (rho and its history stay) or an occupied bin has
-    p_i(sigma) <= PROB_FLOOR, whose clipped gradient would collapse t.  A
-    plain step (sigma = rho) that passed the bound cannot lower l, so a
-    measured drop is rounding: the step is kept, the history repeats.
+    likelihood (rho and its history stay).  A plain step (sigma = rho) that
+    passed the bound cannot lower l, so a measured drop is rounding: the
+    step is kept, the history repeats.
     Concavity bounds the gap l_max - l(rho) by N (lambda_max(R(rho)) - 1)
     (Glancy, Knill, Girard, NJP 14, 095017 (2012)); a fit leaves the batch
     certified at MLE_TOL = 0.1 nats, well below the 0.5-nat one-sigma
@@ -224,7 +224,7 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     total = n.sum(axis=1)
     if np.any(total <= 0):
         raise ValueError("table contains no counts")
-    freq, occupied, fits = n / total[:, None], n > 0, np.arange(len(n))
+    freq, fits = n / total[:, None], np.arange(len(n))
 
     def probs(x):
         return (x[:, None, :] @ to_op.T)[:, 0, :]
@@ -240,7 +240,8 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         p = np.maximum(p, PROB_FLOOR)
         return _dot(n[idx], np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
-    x = np.repeat((np.eye(dim, dtype=complex) / dim).reshape(1, -1).view(float), len(n), 0)
+    x = _project(np.array([linear_inversion(CountsTable(settings, c.reshape(len(settings), -1)))
+                           .ravel() for c in n]).view(float), dim)
     px = probs(x)                                 # p(x), refreshed where x moves
     ll = _dot(n, np.log(np.maximum(px, PROB_FLOOR)))
     gaps, sigma, theta, step = gap(px, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
@@ -250,9 +251,6 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         if not active.size:
             break
         xs, ps = sigma[active], probs(sigma[active])
-        out = np.any((ps <= PROB_FLOOR) & occupied[active], axis=1)
-        if out.any():
-            xs[out], ps[out], theta[active[out]] = x[active[out]], px[active[out]], 1.0
         grad, cand = gradient(ps, active), np.empty_like(xs)
         todo = np.arange(len(active))
         for _ in range(64):                       # backtracking

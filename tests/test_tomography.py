@@ -226,11 +226,24 @@ def test_mle_output_always_physical():
 
 
 def test_mle_iteration_cap_reported():
-    rng = np.random.default_rng(11)
-    table = simulate_counts(BELL.density(), all_settings(2), 10_000, rng)
+    # The seed-3 state of test_mle_certifies_high_shot_pure_states: from its
+    # linear-inversion start this fit needs 25 iterations, and at 3 its gap is
+    # hundreds of nats, far from MLE_TOL.
+    rng = np.random.default_rng(3)
+    state = PureState(rng.normal(size=4) + 1j * rng.normal(size=4))
+    table = simulate_counts(state.density(), all_settings(2), 100_000, rng)
     report = mle_reconstruct(table, max_iter=3)
     assert report.iterations == 3
     assert not report.converged
+
+
+def test_mle_starts_at_projected_linear_inversion():
+    rng = np.random.default_rng(18)
+    table = simulate_counts(random_pure(rng).density(), all_settings(2), 1000, rng)
+    report = mle_batch(table.settings, [table.counts], max_iter=0)[0]
+    start = tomography._project(linear_inversion(table).reshape(1, -1).view(float), 4)
+    assert np.array_equal(report.rho.entries, DensityMatrix(start.view(complex).reshape(4, 4)).entries)
+    assert report.iterations == 0 and len(report.ll_history) == 1
 
 
 def assert_report_consistent(report):
@@ -264,10 +277,10 @@ def test_mle_certifies_high_shot_pure_states(seed):
     assert_report_consistent(report)
 
 
-def test_mle_restarts_momentum_outside_the_state_space():
-    # Bootstrap replica 17 of criterion 11's 5000-shot table: without the
-    # restart when an occupied bin's probability at the momentum point drops
-    # to the floor, its fit needs several times the iterations.
+def test_mle_certifies_slow_bootstrap_replica():
+    # Bootstrap replica 17 of criterion 11's 5000-shot table, whose momentum
+    # points left the state space when fits started at I/d: from its
+    # linear-inversion start the fit certifies in 27 iterations.
     rho = DensityMatrix.from_json_dict(run_bell(paper_profile()).derived["density_matrix"])
     table = simulate_counts(rho, all_settings(2), 5000, np.random.default_rng(200))
     replicas = np.random.default_rng(201).multinomial(
@@ -391,7 +404,11 @@ def test_counts_table_rejects_non_finite_counts(bad):
     (lambda: CountsTable(all_settings(1), [[0, 0], [1, 1], [1, 1]]).frequencies,
      "a setting has no counts"),
     (lambda: mle_batch(all_settings(1), np.zeros((1, 3, 2))), "table contains no counts"),
-], ids=["bad-label", "born-dimension", "empty-setting", "empty-table"])
+    (lambda: mle_batch(all_settings(1)[:2], np.ones((1, 2, 2))),
+     "settings do not form a tomographically complete set"),
+    (lambda: mle_batch(all_settings(1), [[[0, 0], [1, 1], [1, 1]]]), "a setting has no counts"),
+], ids=["bad-label", "born-dimension", "empty-setting", "empty-table", "mle-incomplete",
+        "mle-empty-setting"])
 def test_tomography_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()
