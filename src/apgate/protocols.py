@@ -256,9 +256,9 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], tables,
     """Reconstructed states, method and bootstrap fidelity errors (or None)
     of one run's tables, table j against ``targets[j]``.
 
-    Analytic tables are exact outcome weights: linear inversion, with no
-    fallback.  Monte-Carlo tables are counts: they and all their parametric
-    bootstrap replicas, drawn from ``rng``, share one certified MLE batch.
+    Analytic tables are exact outcome weights: linear inversion.
+    Monte-Carlo tables are counts: they and all their parametric bootstrap
+    replicas, drawn from ``rng``, share one certified MLE batch.
     """
     if cfg.mode != "monte-carlo":
         rhos, methods = zip(*(_reconstruct(settings, t) for t in tables))

@@ -2,27 +2,13 @@
 
 ``golden/manifest.json`` holds, per run, the exit code, the warnings raised,
 the sha256 of stdout (output directory replaced by ``<out>``) and stderr, and
-the sha256 of every file written.  It was captured before the estimation
-path, the subcommand table and the config schema were folded into one each,
-recaptured when the outcome-table engine became one array contraction
-(rounding-level changes), and recaptured when the maximum-likelihood fit
-became one certified accelerated-gradient batch (the 15 Monte-Carlo
-bell/eraser/ghz and tomo-roundtrip runs, each fidelity within 0.14
-bootstrap std), and recaptured when the analytic eraser stopped dividing
-by the herald probabilities and the Ramsey fringe became one closed form
-(five analytic runs, each value within 2.3e-16), and recaptured when a
-number key stopped taking a string (the stderr of the bad-seed and bad-type
-documents), and recaptured when linear inversion became one product with the
-least-squares inverse of a cached Born map (the ten analytic bell, eraser and
-ghz runs, each value within 4.4e-16), and recaptured when the table engine
-became matrix products on the flat outcome index (21 truth-table, bell,
-eraser and ghz runs: each analytic value within 4.4e-16, each Monte-Carlo
-fidelity within 0.61 bootstrap std); each recapture is compared run by run
-in CHANGES.md.  Refactors must reproduce it byte for byte.  The runs are
-every subcommand of ``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage
-test until it is captured) x {analytic, monte-carlo} x {paper, ideal}, one
-full-schema config with a non-default value in every section (both modes),
-and a few odd documents.
+the sha256 of every file written.  Each recapture, the intended output
+change behind it and its run-by-run comparison are recorded in CHANGES.md.
+Refactors must reproduce it byte for byte.  The runs are every subcommand
+of ``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage test until it
+is captured) x {analytic, monte-carlo} x {paper, ideal}, one full-schema
+config with a non-default value in every section (both modes), and a few
+odd documents.
 
 Regenerate only for an intended output change, and say so::
 
