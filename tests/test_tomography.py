@@ -242,7 +242,8 @@ def test_mle_starts_at_projected_linear_inversion():
     table = simulate_counts(random_pure(rng).density(), all_settings(2), 1000, rng)
     report = mle_batch(table.settings, [table.counts], max_iter=0)[0]
     start = tomography._project(linear_inversion(table).reshape(1, -1).view(float), 4)
-    assert np.array_equal(report.rho.entries, DensityMatrix(start.view(complex).reshape(4, 4)).entries)
+    expected = DensityMatrix(start.view(complex).reshape(4, 4)).entries
+    assert np.array_equal(report.rho.entries, expected)
     assert report.iterations == 0 and len(report.ll_history) == 1
 
 
@@ -278,9 +279,9 @@ def test_mle_certifies_high_shot_pure_states(seed):
 
 
 def test_mle_certifies_slow_bootstrap_replica():
-    # Bootstrap replica 17 of criterion 11's 5000-shot table, whose momentum
-    # points left the state space when fits started at I/d: from its
-    # linear-inversion start the fit certifies in 27 iterations.
+    # Bootstrap replica 17 of criterion 11's 5000-shot table, near the
+    # state-space boundary: from its linear-inversion start the fit certifies
+    # in 27 iterations, well inside the bound.
     rho = DensityMatrix.from_json_dict(run_bell(paper_profile()).derived["density_matrix"])
     table = simulate_counts(rho, all_settings(2), 5000, np.random.default_rng(200))
     replicas = np.random.default_rng(201).multinomial(
