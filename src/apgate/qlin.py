@@ -60,6 +60,26 @@ class PureState:
         return DensityMatrix(np.outer(v, v.conj()))
 
 
+def _checked(m: np.ndarray) -> np.ndarray:
+    """The stack ``m`` (B x d x d), each matrix checked Hermitian, unit-trace and PSD,
+    symmetrized and divided by its trace; row-wise, so independent of the stack."""
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("density matrix must be square")
+    _num_qubits(m.shape[1])
+    h = m.conj().swapaxes(1, 2)
+    if (np.abs(m - h).max(axis=(1, 2)) > HERMITICITY_TOL).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    tr = np.trace(m, axis1=1, axis2=2).real
+    off = tr[np.abs(tr - 1.0) > TRACE_TOL]
+    if off.size:
+        raise ValueError(f"trace {off[0]} differs from 1 beyond tolerance")
+    m = 0.5 * (m + h)
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    if (np.linalg.eigvalsh(m)[:, 0] < EIGENVALUE_FLOOR).any():
+        raise ValueError("matrix has a negative eigenvalue beyond the floor")
+    return _frozen(m)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over 1..3 qubits."""
@@ -67,20 +87,16 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        _num_qubits(m.shape[0])
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
-        m = 0.5 * (m + m.conj().T)
-        m /= np.trace(m).real
-        if np.linalg.eigvalsh(m)[0] < EIGENVALUE_FLOOR:
-            raise ValueError("matrix has a negative eigenvalue beyond the floor")
-        object.__setattr__(self, "entries", _frozen(m))
+        object.__setattr__(self, "entries", _checked(np.array(self.entries, dtype=complex)[None])[0])
+
+    @classmethod
+    def stack(cls, entries) -> list:
+        """``cls(entries[i])`` for each matrix of the stack, bit for bit, checked in one pass."""
+        rhos = []
+        for m in _checked(np.array(entries, dtype=complex)):
+            rhos.append(object.__new__(cls))
+            object.__setattr__(rhos[-1], "entries", m)
+        return rhos
 
     @property
     def dim(self) -> int:

@@ -3,10 +3,10 @@
 Each qubit is read out in one of the three Pauli bases; a complete run covers
 all 3^n basis combinations, whose Born map is built once per process and tuple
 of setting names.  Counts feed linear inversion, one product with the map's
-least-squares inverse.  The batched maximum-likelihood core, ``mle_batch``,
-starts every fit there; its fits are always physical and certified within
-MLE_TOL nats of the maximum.  A Monte-Carlo run's observed tables and all
-their bootstrap replicas share one certified batch (``fit_with_errors``).
+least-squares inverse.  ``mle_batch``, the batched maximum-likelihood core,
+starts all its fits there in one stacked product and checks them as one
+stack; they are physical and certified within MLE_TOL nats of the maximum.
+Monte-Carlo tables and their bootstrap replicas share one batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -103,10 +103,15 @@ class CountsTable:
 
     @property
     def frequencies(self) -> np.ndarray:
-        totals = self.counts.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0):
-            raise ValueError("a setting has no counts")
-        return self.counts / totals
+        return _frequencies(self.counts)
+
+
+def _frequencies(counts: np.ndarray) -> np.ndarray:
+    """Each setting's counts (the last axis) over their total."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("a setting has no counts")
+    return counts / totals
 
 
 def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
@@ -148,9 +153,16 @@ def linear_inversion(table: CountsTable) -> np.ndarray:
     included.  Exact on exact probabilities; finite counts can give small
     negative eigenvalues, left unclamped for diagnostic use.
     """
-    rho = table.frequencies.ravel() @ _inversion_map(tuple(s.name for s in table.settings))
-    rho = rho.view(complex).reshape(table.counts.shape[1], -1)
-    return 0.5 * (rho + rho.conj().T)
+    return _linear_inversions(table.settings, table.counts[None])[0]
+
+
+def _linear_inversions(settings: Sequence[MeasurementSetting], counts: np.ndarray) -> np.ndarray:
+    """``linear_inversion`` of B count tables (B x settings x 2^n) at once: one
+    stacked (1, k) @ (k, m) product, so each is its own table's bit for bit."""
+    freq = _frequencies(counts.reshape(len(counts), len(settings), -1))
+    rho = freq.reshape(len(counts), 1, -1) @ _inversion_map(tuple(s.name for s in settings))
+    rho = rho.view(complex).reshape(len(counts), freq.shape[2], -1)
+    return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
 
 class FitError(RuntimeError):
@@ -197,7 +209,7 @@ def _project(x: np.ndarray, dim: int) -> np.ndarray:
 def mle_batch(settings: Sequence[MeasurementSetting], counts,
               max_iter: int = 5000) -> List[ReconstructionReport]:
     """Maximum-likelihood states of B count tables (B x settings x 2^n) that
-    ``linear_inversion`` accepts: complete, with counts in every setting.
+    ``linear_inversion`` accepts (complete, with counts in every setting).
 
     Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017))
     on f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i w_i Pi_i
@@ -215,8 +227,9 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     (Glancy, Knill, Girard, NJP 14, 095017 (2012)); a fit leaves the batch
     certified at MLE_TOL = 0.1 nats, well below the 0.5-nat one-sigma
     likelihood scale (0.01 tripled the slowest near-pure fits' iterations).
-    All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products,
-    so a fit's result does not depend, bit for bit, on the rest of its batch.
+    All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products, the
+    starts (one stacked product) and the fitted states' checks (one stack)
+    included, so a fit's result does not depend, bit for bit, on its batch.
     """
     # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = w @ to_op.
     to_op, dim = _born_map(tuple(s.name for s in settings)), 2 ** settings[0].n_qubits
@@ -224,6 +237,8 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     total = n.sum(axis=1)
     if np.any(total <= 0):
         raise ValueError("table contains no counts")
+    if not np.all(np.isfinite(n)) or np.any(n < 0):
+        raise ValueError("counts must be finite and nonnegative")
     freq, fits = n / total[:, None], np.arange(len(n))
 
     def probs(x):
@@ -240,8 +255,7 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         p = np.maximum(p, PROB_FLOOR)
         return _dot(n[idx], np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
-    x = _project(np.array([linear_inversion(CountsTable(settings, c.reshape(len(settings), -1)))
-                           .ravel() for c in n]).view(float), dim)
+    x = _project(_linear_inversions(settings, n).reshape(len(n), -1).view(float), dim)
     px = probs(x)                                 # p(x), refreshed where x moves
     ll = _dot(n, np.log(np.maximum(px, PROB_FLOOR)))
     gaps, sigma, theta, step = gap(px, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
@@ -274,9 +288,9 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         gaps[up] = gap(px[up], up)
         for i, v in zip(active.tolist(), ll[active].tolist()):
             history[i].append(v)
-    return [ReconstructionReport(DensityMatrix(m), float(ll[b]), len(history[b]) - 1,
+    return [ReconstructionReport(rho, float(ll[b]), len(history[b]) - 1,
                                  bool(gaps[b] <= MLE_TOL), history[b], float(gaps[b]))
-            for b, m in enumerate(x.view(complex).reshape(-1, dim, dim))]
+            for b, rho in enumerate(DensityMatrix.stack(x.view(complex).reshape(-1, dim, dim)))]
 
 
 def mle_reconstruct(table: CountsTable, max_iter: int = 5000) -> ReconstructionReport:

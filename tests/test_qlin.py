@@ -241,6 +241,40 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+def _rough_densities(rng, dim, count):
+    # Trace and Hermiticity off by rounding-sized amounts, so that the
+    # symmetrization and the division by the trace both change bits.
+    g = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    m = g @ g.conj().swapaxes(1, 2)
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return m * (1.0 + 1e-12 * rng.normal(size=(count, 1, 1))) + 1e-12 * rng.normal(size=m.shape)
+
+
+@pytest.mark.parametrize("count", [1, 5, 101])
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_density_stack_matches_single_constructor(dim, count):
+    ms = _rough_densities(np.random.default_rng(dim * 1000 + count), dim, count)
+    stacked = DensityMatrix.stack(ms)
+    assert len(stacked) == count
+    for m, rho in zip(ms, stacked):
+        assert type(rho) is DensityMatrix
+        assert np.array_equal(rho.entries, DensityMatrix(m).entries)
+        assert not rho.entries.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 0.5], [0.0, 0.0]]), np.eye(2) / 2 * (1 + 3e-10), np.diag([1.5, -0.5]),
+], ids=["not-hermitian", "off-trace", "negative-eigenvalue"])
+def test_density_stack_keeps_every_message(bad):
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad)
+    ms = _rough_densities(np.random.default_rng(19), 2, 5)
+    ms[3] = bad
+    with pytest.raises(ValueError) as stacked:
+        DensityMatrix.stack(ms)
+    assert str(stacked.value) == str(single.value)
+
+
 def test_operations_preserve_physicality():
     rng = np.random.default_rng(12)
     rho = random_density(rng, 4)

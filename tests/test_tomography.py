@@ -238,13 +238,16 @@ def test_mle_iteration_cap_reported():
 
 
 def test_mle_starts_at_projected_linear_inversion():
+    # Every start of a batch is its own table's projected linear inversion.
     rng = np.random.default_rng(18)
-    table = simulate_counts(random_pure(rng).density(), all_settings(2), 1000, rng)
-    report = mle_batch(table.settings, [table.counts], max_iter=0)[0]
-    start = tomography._project(linear_inversion(table).reshape(1, -1).view(float), 4)
-    expected = DensityMatrix(start.view(complex).reshape(4, 4)).entries
-    assert np.array_equal(report.rho.entries, expected)
-    assert report.iterations == 0 and len(report.ll_history) == 1
+    tables = [simulate_counts(random_pure(rng).density(), all_settings(2), 1000, rng)
+              for _ in range(5)]
+    reports = mle_batch(all_settings(2), [t.counts for t in tables], max_iter=0)
+    for table, report in zip(tables, reports):
+        start = tomography._project(linear_inversion(table).reshape(1, -1).view(float), 4)
+        expected = DensityMatrix(start.view(complex).reshape(4, 4)).entries
+        assert np.array_equal(report.rho.entries, expected)
+        assert report.iterations == 0 and len(report.ll_history) == 1
 
 
 def assert_report_consistent(report):
@@ -254,12 +257,13 @@ def assert_report_consistent(report):
     assert report.converged == (report.gap <= MLE_TOL)
 
 
-def test_mle_batch_is_batch_invariant():
+@pytest.mark.parametrize("n", [2, 3])
+def test_mle_batch_is_batch_invariant(n):
     rng = np.random.default_rng(14)
-    counts = [simulate_counts(random_pure(rng).density(), all_settings(2), 2000, rng).counts
-              for _ in range(7)]
-    batch = mle_batch(all_settings(2), counts)
-    alone = mle_batch(all_settings(2), counts[4:5])[0]
+    counts = [simulate_counts(random_pure(rng, 2 ** n).density(), all_settings(n), 2000, rng)
+              .counts for _ in range(7)]
+    batch = mle_batch(all_settings(n), counts)
+    alone = mle_batch(all_settings(n), counts[4:5])[0]
     assert np.array_equal(alone.rho.entries, batch[4].rho.entries)
     assert (alone.ll_history, alone.iterations, alone.gap) == (
         batch[4].ll_history, batch[4].iterations, batch[4].gap)
@@ -408,8 +412,12 @@ def test_counts_table_rejects_non_finite_counts(bad):
     (lambda: mle_batch(all_settings(1)[:2], np.ones((1, 2, 2))),
      "settings do not form a tomographically complete set"),
     (lambda: mle_batch(all_settings(1), [[[0, 0], [1, 1], [1, 1]]]), "a setting has no counts"),
+    (lambda: mle_batch(all_settings(1), [[[3, -1], [1, 1], [1, 1]]]),
+     "counts must be finite and nonnegative"),
+    (lambda: mle_batch(all_settings(1), [[[math.nan, 1], [1, 1], [1, 1]]]),
+     "counts must be finite and nonnegative"),
 ], ids=["bad-label", "born-dimension", "empty-setting", "empty-table", "mle-incomplete",
-        "mle-empty-setting"])
+        "mle-empty-setting", "mle-negative-count", "mle-nan-count"])
 def test_tomography_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()
