@@ -39,10 +39,10 @@ from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
                     multiphoton_fraction, spectral_sigma_khz)
 from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS,
                    fidelity_pure, optimal_phase_fidelity, rotation)
-# mle_reconstruct and monte_carlo_errors are unused here but stay importable:
-# perfbench's tracer patches them at this module.
-from .tomography import (CountsTable, MeasurementSetting, all_settings,
-                         fit_with_errors, linear_inversion, mle_batch,
+# linear_inversion, mle_reconstruct and monte_carlo_errors are unused here but
+# stay importable: perfbench's tracer patches them at this module.
+from .tomography import (MeasurementSetting, all_settings, fit_with_errors,
+                         linear_inversion, linear_inversions, mle_batch,
                          mle_reconstruct, monte_carlo_errors, simulate_counts)
 
 RAMSEY_PULSE_SEPARATION_US = 7.5
@@ -202,17 +202,17 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
 # ---------------------------------------------------------------------------
 # Sampling and estimation, shared by both modes
 
-def _reconstruct(settings: Sequence[MeasurementSetting], tables: np.ndarray):
-    """Linear inversion of exact tables: ``(rho, "linear-inversion")``.
+def _reconstruct(settings: Sequence[MeasurementSetting], tables):
+    """One stacked linear inversion of a run's exact tables: ``(states, label)``,
+    the label read by perfbench's ``protocols.reconstruct`` span.
 
     The tables are Born vectors of a physical state passed through per-qubit
-    outcome flips of probability at most 1/2, convex mixtures over branches
-    and per-branch contamination, each of which keeps the state physical, so
-    only rounding can push an eigenvalue below zero.  ``DensityMatrix``'s
-    eigenvalue floor is the guard: a table that fails it raises
-    ``ValueError`` rather than being fitted.
+    outcome flips of probability at most 1/2, convex mixtures over branches and
+    per-branch contamination, each of which keeps the state physical, so only
+    rounding can push an eigenvalue below zero.  ``DensityMatrix``'s eigenvalue
+    floor is the guard: a table that fails it raises ``ValueError``.
     """
-    return DensityMatrix(linear_inversion(CountsTable(settings, tables))), "linear-inversion"
+    return DensityMatrix.stack(linear_inversions(settings, tables)), "linear-inversion"
 
 
 def _streams(cfg: RunConfig, n: int) -> list:
@@ -256,13 +256,12 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], tables,
     """Reconstructed states, method and bootstrap fidelity errors (or None)
     of one run's tables, table j against ``targets[j]``.
 
-    Analytic tables are exact outcome weights: linear inversion.
+    Analytic tables are exact outcome weights: one stacked linear inversion.
     Monte-Carlo tables are counts: they and all their parametric bootstrap
     replicas, drawn from ``rng``, share one certified MLE batch.
     """
     if cfg.mode != "monte-carlo":
-        rhos, methods = zip(*(_reconstruct(settings, t) for t in tables))
-        return rhos, methods[0], None
+        return (*_reconstruct(settings, tables), None)
     rhos, stds = zip(*fit_with_errors(
         settings, tables, [functools.partial(fidelity_pure, target=t) for t in targets],
         cfg.mc_replicas, rng))
@@ -542,7 +541,7 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
     for name, value in (("states", n_states), ("shots", shots)):
         if value < 1:
             raise ConfigError(name, "must be at least 1")
-    # CountsTable holds counts as float64, exact only below 2**53: the ceiling
+    # Count tables are checked as float64 stacks, exact only below 2**53: the ceiling
     # RunConfig already puts on trials and mc_replicas.
     if shots >= 2**53:
         raise ConfigError("shots", "must be below 2**53")

@@ -61,11 +61,13 @@ class PureState:
 
 
 def _checked(m: np.ndarray) -> np.ndarray:
-    """The stack ``m`` (B x d x d), each matrix checked Hermitian, unit-trace and PSD,
-    symmetrized and divided by its trace; row-wise, so independent of the stack."""
+    """The stack ``m`` (B x d x d), each matrix checked finite, Hermitian, unit-trace
+    and PSD, symmetrized and divided by its trace; row-wise, so independent of the stack."""
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("density matrix must be square")
     _num_qubits(m.shape[1])
+    if not np.isfinite(m).all():     # NaN passes every comparison below
+        raise ValueError("matrix has a non-finite entry")
     h = m.conj().swapaxes(1, 2)
     if (np.abs(m - h).max(axis=(1, 2)) > HERMITICITY_TOL).any():
         raise ValueError("matrix is not Hermitian within tolerance")

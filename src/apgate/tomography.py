@@ -2,11 +2,13 @@
 
 Each qubit is read out in one of the three Pauli bases; a complete run covers
 all 3^n basis combinations, whose Born map is built once per process and tuple
-of setting names.  Counts feed linear inversion, one product with the map's
-least-squares inverse.  ``mle_batch``, the batched maximum-likelihood core,
-starts all its fits there in one stacked product and checks them as one
-stack; they are physical and certified within MLE_TOL nats of the maximum.
-Monte-Carlo tables and their bootstrap replicas share one batch (``fit_with_errors``).
+of setting names.  Count tables travel as one float stack (B x settings x 2^n)
+checked by ``_counts`` alone (a ``CountsTable`` is a stack of one) and feed
+linear inversion, one stacked product with the map's least-squares inverse.
+``mle_batch``, the batched maximum-likelihood core, starts all its fits there
+and checks them as one stack; they are physical and certified within MLE_TOL
+nats of the maximum.  Monte-Carlo tables and their bootstrap replicas share
+one batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -90,28 +92,31 @@ class CountsTable:
 
     def __post_init__(self):
         settings = tuple(self.settings)
-        c = np.array(self.counts, dtype=float)
-        if not settings or c.ndim != 2 or c.shape[0] != len(settings):
-            raise ValueError("counts need one row per setting")
-        if {2 ** s.n_qubits for s in settings} != {c.shape[1]}:
-            raise ValueError("row width does not match the settings")
-        if not np.all(np.isfinite(c)) or np.any(c < 0):
-            raise ValueError("counts must be finite and nonnegative")
-        c.setflags(write=False)
         object.__setattr__(self, "settings", settings)
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", _frozen(_counts(settings, [self.counts])[0]))
 
     @property
     def frequencies(self) -> np.ndarray:
         return _frequencies(self.counts)
 
 
+def _counts(settings: Sequence[MeasurementSetting], counts) -> np.ndarray:
+    """``counts`` (B x settings x 2^n) as a float stack, after every counts check."""
+    c = np.array(counts, dtype=float)
+    if not settings or c.ndim != 3 or c.shape[1] != len(settings):
+        raise ValueError("counts need one row per setting")
+    if {2 ** s.n_qubits for s in settings} != {c.shape[2]}:
+        raise ValueError("row width does not match the settings")
+    if not np.all(np.isfinite(c)) or np.any(c < 0):
+        raise ValueError("counts must be finite and nonnegative")
+    if np.any(c.sum(axis=2) <= 0):
+        raise ValueError("a setting has no counts")
+    return c
+
+
 def _frequencies(counts: np.ndarray) -> np.ndarray:
     """Each setting's counts (the last axis) over their total."""
-    totals = counts.sum(axis=-1, keepdims=True)
-    if np.any(totals <= 0):
-        raise ValueError("a setting has no counts")
-    return counts / totals
+    return counts / counts.sum(axis=-1, keepdims=True)
 
 
 def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
@@ -153,15 +158,15 @@ def linear_inversion(table: CountsTable) -> np.ndarray:
     included.  Exact on exact probabilities; finite counts can give small
     negative eigenvalues, left unclamped for diagnostic use.
     """
-    return _linear_inversions(table.settings, table.counts[None])[0]
+    return linear_inversions(table.settings, table.counts[None])[0]
 
 
-def _linear_inversions(settings: Sequence[MeasurementSetting], counts: np.ndarray) -> np.ndarray:
+def linear_inversions(settings: Sequence[MeasurementSetting], counts) -> np.ndarray:
     """``linear_inversion`` of B count tables (B x settings x 2^n) at once: one
     stacked (1, k) @ (k, m) product, so each is its own table's bit for bit."""
-    freq = _frequencies(counts.reshape(len(counts), len(settings), -1))
-    rho = freq.reshape(len(counts), 1, -1) @ _inversion_map(tuple(s.name for s in settings))
-    rho = rho.view(complex).reshape(len(counts), freq.shape[2], -1)
+    c = _counts(settings, counts)
+    rho = _frequencies(c).reshape(len(c), 1, -1) @ _inversion_map(tuple(s.name for s in settings))
+    rho = rho.view(complex).reshape(len(c), c.shape[2], -1)
     return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
 
@@ -209,7 +214,7 @@ def _project(x: np.ndarray, dim: int) -> np.ndarray:
 def mle_batch(settings: Sequence[MeasurementSetting], counts,
               max_iter: int = 5000) -> List[ReconstructionReport]:
     """Maximum-likelihood states of B count tables (B x settings x 2^n) that
-    ``linear_inversion`` accepts (complete, with counts in every setting).
+    ``linear_inversions`` accepts (complete, with counts in every setting).
 
     Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017))
     on f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i w_i Pi_i
@@ -232,13 +237,9 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     included, so a fit's result does not depend, bit for bit, on its batch.
     """
     # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = w @ to_op.
-    to_op, dim = _born_map(tuple(s.name for s in settings)), 2 ** settings[0].n_qubits
-    n = np.array(counts, dtype=float).reshape(-1, len(to_op))
+    c = _counts(settings, counts)
+    to_op, dim, n = _born_map(tuple(s.name for s in settings)), c.shape[2], c.reshape(len(c), -1)
     total = n.sum(axis=1)
-    if np.any(total <= 0):
-        raise ValueError("table contains no counts")
-    if not np.all(np.isfinite(n)) or np.any(n < 0):
-        raise ValueError("counts must be finite and nonnegative")
     freq, fits = n / total[:, None], np.arange(len(n))
 
     def probs(x):
@@ -255,7 +256,7 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         p = np.maximum(p, PROB_FLOOR)
         return _dot(n[idx], np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
-    x = _project(_linear_inversions(settings, n).reshape(len(n), -1).view(float), dim)
+    x = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
     px = probs(x)                                 # p(x), refreshed where x moves
     ll = _dot(n, np.log(np.maximum(px, PROB_FLOOR)))
     gaps, sigma, theta, step = gap(px, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
@@ -298,13 +299,13 @@ def mle_reconstruct(table: CountsTable, max_iter: int = 5000) -> ReconstructionR
     return mle_batch(table.settings, table.counts[None], max_iter)[0]
 
 
-def _replicas(table: CountsTable, resamples: int, rng: np.random.Generator) -> np.ndarray:
-    """Bootstrap replicas of ``table``: every setting's counts redrawn
-    multinomially from the observed frequencies, all in one draw."""
+def _replicas(counts: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """Bootstrap replicas of one checked table ``counts``: every setting's counts
+    redrawn multinomially from the observed frequencies, all in one draw."""
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    totals = np.round(table.counts.sum(axis=1)).astype(np.int64)
-    return rng.multinomial(totals, table.frequencies, size=(resamples, len(table.settings)))
+    totals = np.round(counts.sum(axis=1)).astype(np.int64)
+    return rng.multinomial(totals, _frequencies(counts), size=(resamples, len(counts)))
 
 
 def _replica_std(reports: List[ReconstructionReport], metric: Callable) -> float:
@@ -321,7 +322,7 @@ def monte_carlo_errors(table: CountsTable,
     """Parametric-bootstrap standard error of a reconstruction metric, under
     ``"metric"``, from the replicas alone (``fit_with_errors`` fits the
     observed table in the same batch as its replicas)."""
-    replicas = _replicas(table, resamples, rng)
+    replicas = _replicas(table.counts, resamples, rng)
     return {"metric": _replica_std(mle_batch(table.settings, replicas), metric)}
 
 
@@ -333,9 +334,9 @@ def fit_with_errors(settings: Sequence[MeasurementSetting], counts: Sequence,
     ``mle_batch`` call, and table j's fit is certified before its replicas.
     By batch invariance each pair equals, bit for bit, ``mle_reconstruct``
     followed by ``monte_carlo_errors`` on the same generator."""
-    tables = [CountsTable(settings, c) for c in counts]
-    k, replicas = len(tables), [_replicas(t, resamples, rng) for t in tables]
-    reports = mle_batch(settings, np.concatenate([[t.counts for t in tables]] + replicas))
+    observed = _counts(settings, counts)
+    k, replicas = len(observed), [_replicas(c, resamples, rng) for c in observed]
+    reports = mle_batch(settings, np.concatenate([observed] + replicas))
     return [(reports[j].certified("top-level fit").rho,
              _replica_std(reports[k + j * resamples:k + (j + 1) * resamples], metric))
             for j, metric in enumerate(metrics)]

@@ -517,6 +517,25 @@ def test_one_batch_matches_separate_fits(runner, monkeypatch):
         assert std == monte_carlo_errors(table, metric, resamples, rng)["metric"]
 
 
+@pytest.mark.parametrize("profile", [paper_profile, ideal_profile])
+def test_stacked_analytic_inversion_matches_each_table(profile, monkeypatch):
+    # Bit for bit: a run's exact tables are inverted in one stacked call, and
+    # each state equals its own table's single inversion.
+    stacked, calls = protocols._reconstruct, []
+    def spy(settings, tables):
+        calls.append((settings, tables, stacked(settings, tables)))
+        return calls[-1][2]
+    monkeypatch.setattr(protocols, "_reconstruct", spy)
+    for runner in (run_bell, run_ghz, run_eraser):
+        runner(profile())
+    assert [len(tables) for _, tables, _ in calls] == [1, 1, 2]
+    for settings, tables, (rhos, method) in calls:
+        assert method == "linear-inversion" and len(rhos) == len(tables)
+        for t, rho in zip(tables, rhos):
+            single = DensityMatrix(linear_inversion(CountsTable(settings, t)))
+            assert np.array_equal(rho.entries, single.entries)
+
+
 def test_monte_carlo_truth_table_and_ramsey():
     cfg = dataclasses.replace(paper_profile(seed=13), mode="monte-carlo",
                               trials=50_000)

@@ -264,7 +264,8 @@ def test_density_stack_matches_single_constructor(dim, count):
 
 @pytest.mark.parametrize("bad", [
     np.array([[1.0, 0.5], [0.0, 0.0]]), np.eye(2) / 2 * (1 + 3e-10), np.diag([1.5, -0.5]),
-], ids=["not-hermitian", "off-trace", "negative-eigenvalue"])
+    np.full((2, 2), np.nan),
+], ids=["not-hermitian", "off-trace", "negative-eigenvalue", "nan"])
 def test_density_stack_keeps_every_message(bad):
     with pytest.raises(ValueError) as single:
         DensityMatrix(bad)
@@ -310,10 +311,13 @@ def test_density_json_validates_on_load():
     (lambda: DensityMatrix.from_json_dict({"dim": 4, "re": [[1.0, 0.0], [0.0, 0.0]],
                                            "im": [[0.0, 0.0], [0.0, 0.0]]}),
      "payload does not match declared dimension"),
+    (lambda: DensityMatrix.from_json_dict(json.loads(
+        '{"dim": 2, "re": [[0.5, NaN], [NaN, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}')),
+     "matrix has a non-finite entry"),
     (lambda: optimal_phase_fidelity(DensityMatrix(np.eye(2) / 2), U2, V2),
      "dimension mismatch"),
 ], ids=["not-power-of-two", "four-qubits", "zero-vector", "not-square", "payload-shape",
-        "phase-dimension"])
+        "payload-nan", "phase-dimension"])
 def test_qlin_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -408,7 +408,12 @@ def test_counts_table_rejects_non_finite_counts(bad):
      "state and setting dimensions differ"),
     (lambda: CountsTable(all_settings(1), [[0, 0], [1, 1], [1, 1]]).frequencies,
      "a setting has no counts"),
-    (lambda: mle_batch(all_settings(1), np.zeros((1, 3, 2))), "table contains no counts"),
+    (lambda: mle_batch(all_settings(1), np.zeros((1, 3, 2))), "a setting has no counts"),
+    (lambda: mle_batch(all_settings(2), np.ones((3, 6, 4))), "counts need one row per setting"),
+    (lambda: mle_batch(all_settings(2), np.ones((2, 9, 2))),
+     "row width does not match the settings"),
+    (lambda: tomography.linear_inversions(all_settings(2), np.ones((3, 6, 4))),
+     "counts need one row per setting"),
     (lambda: mle_batch(all_settings(1)[:2], np.ones((1, 2, 2))),
      "settings do not form a tomographically complete set"),
     (lambda: mle_batch(all_settings(1), [[[0, 0], [1, 1], [1, 1]]]), "a setting has no counts"),
@@ -416,8 +421,9 @@ def test_counts_table_rejects_non_finite_counts(bad):
      "counts must be finite and nonnegative"),
     (lambda: mle_batch(all_settings(1), [[[math.nan, 1], [1, 1], [1, 1]]]),
      "counts must be finite and nonnegative"),
-], ids=["bad-label", "born-dimension", "empty-setting", "empty-table", "mle-incomplete",
-        "mle-empty-setting", "mle-negative-count", "mle-nan-count"])
+], ids=["bad-label", "born-dimension", "empty-setting", "empty-table", "mle-misshaped-rows",
+        "mle-wrong-width", "linv-misshaped-rows", "mle-incomplete", "mle-empty-setting",
+        "mle-negative-count", "mle-nan-count"])
 def test_tomography_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()
