@@ -500,6 +500,8 @@ def test_perfbench_patch_points_resolve(monkeypatch):
     spec.loader.exec_module(tracing)
     for module, attr, _ in tracing.PATCH_POINTS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    # perfbench/run.py's setup timing calls the package-level load_config.
+    assert importlib.import_module("apgate").load_config is load_config
     for module in ("apgate.protocols", "apgate.tomography"):
         fit = importlib.import_module(module).mle_reconstruct
         default = inspect.signature(fit).parameters["max_iter"].default
