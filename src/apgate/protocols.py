@@ -554,7 +554,9 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
         tables.append(simulate_counts(states[-1].density(), settings, shots, rng).counts)
     reports = [r.certified(f"round-trip state {i} of {n_states}")
                for i, r in enumerate(mle_batch(settings, tables))]
-    monotone = all(np.diff(r.ll_history).min(initial=0.0) >= 0.0 for r in reports)
+    # Histories hold each accepted step's signed change; a drop within 1e-12 |l| is rounding.
+    monotone = all(np.diff(r.ll_history).min(initial=0.0) >= -1e-12 * abs(r.log_likelihood)
+                   for r in reports)
     fidelities = np.array([fidelity_pure(r.rho, s) for r, s in zip(reports, states)])
     derived = {
         "median_fidelity": float(np.median(fidelities)),

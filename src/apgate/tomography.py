@@ -7,8 +7,9 @@ checked by ``_counts`` alone (a ``CountsTable`` is a stack of one) and feed
 linear inversion, one stacked product with the map's least-squares inverse.
 ``mle_batch``, the batched maximum-likelihood core, starts all its fits there
 and checks them as one stack; they are physical and certified within MLE_TOL
-nats of the maximum.  Monte-Carlo tables and their bootstrap replicas share
-one batch (``fit_with_errors``).
+nats of the maximum by a Lagrange-dual bound, second order near the optimum.
+Monte-Carlo tables and their bootstrap replicas share one batch
+(``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -217,40 +218,66 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     ``linear_inversions`` accepts (complete, with counts in every setting).
 
     Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017))
-    on f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i w_i Pi_i
-    with w_i = (n_i/N)/p_i.  From its table's projected linear inversion
+    on f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i y_i Pi_i
+    with y_i = (n_i/N)/p_i.  From its table's projected linear inversion
     (Smolin, Gambetta, Smith, PRL 108, 070502 (2012)), each fit steps from the
     momentum point sigma to P(sigma + t R(sigma)), P the projection onto
     density matrices; t halves until f obeys its quadratic upper bound
     around sigma, then grows by 1.1.  Likelihood changes are summed from the
-    step's own probabilities, so gains below the rounding of l still count.
-    Momentum restarts (sigma <- rho, theta <- 1) when a step would lower the
+    step's own probabilities, so gains below the rounding of l still count;
+    the history records each accepted step's signed change.  Momentum
+    restarts (sigma <- rho, theta <- 1) when a step would lower the
     likelihood (rho and its history stay).  A plain step (sigma = rho) that
     passed the bound cannot lower l, so a measured drop is rounding: the
-    step is kept, the history repeats.
-    Concavity bounds the gap l_max - l(rho) by N (lambda_max(R(rho)) - 1)
-    (Glancy, Knill, Girard, NJP 14, 095017 (2012)); a fit leaves the batch
-    certified at MLE_TOL = 0.1 nats, well below the 0.5-nat one-sigma
-    likelihood scale (0.01 tripled the slowest near-pure fits' iterations).
+    step is kept, and so is its drop in the history.
+    Certificate: as log x <= x - 1, every state's l is at most
+    sum_{n_i>0} n_i log(n_i / (N y'_i)) + N log s for any y' >= 0, positive
+    where n_i > 0, with lambda_max(sum_i y'_i Pi_i) <= s (Lagrange duality;
+    Boyd and Vandenberghe, Convex Optimization (2004), ch. 5); at y' = y,
+    s = 1 the sum is l(rho).  The dual point: with R = V diag(w) V^H and
+    M = V diag(m) V^H, m_k = w_k - 1 where <v_k|rho|v_k> > 1e-3, else
+    max(w_k - 1, 0), R - M has no eigenvalue above 1; y' = y - delta with
+    delta_i = tr(D_i M) (D_i the ``_inversion_map`` duals, so sum_i delta_i
+    Pi_i = M), zero-count entries clipped at 0, and the rounding guard
+    s = max(1, lambda_max(sum_i y'_i Pi_i)) absorbs clipping and rounding.
+    So l_max - l(rho) <= -sum_{n_i>0} n_i log1p(-delta_i/y_i) + N log s, whose
+    first-order term N tr(rho M) vanishes on rho's support.  The certificate
+    is the smaller of this and the Frank-Wolfe gap N (lambda_max(R) - 1)
+    (Glancy, Knill, Girard, NJP 14, 095017 (2012)), used alone where some
+    y'_i <= 0 with n_i > 0, an observed p_i sits at PROB_FLOOR or the dual
+    value is not finite.  A fit leaves the batch certified at MLE_TOL = 0.1
+    nats, well below the 0.5-nat one-sigma likelihood scale.
     All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products, the
     starts (one stacked product) and the fitted states' checks (one stack)
     included, so a fit's result does not depend, bit for bit, on its batch.
     """
-    # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = w @ to_op.
-    c = _counts(settings, counts)
-    to_op, dim, n = _born_map(tuple(s.name for s in settings)), c.shape[2], c.reshape(len(c), -1)
-    total = n.sum(axis=1)
+    # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = y @ to_op.
+    c, names = _counts(settings, counts), tuple(s.name for s in settings)
+    to_op, dim, n = _born_map(names), c.shape[2], c.reshape(len(c), -1)
+    total, duals = n.sum(axis=1), _inversion_map(names)    # sum_i tr(D_i M) Pi_i = M
     freq, fits = n / total[:, None], np.arange(len(n))
 
     def probs(x):
         return (x[:, None, :] @ to_op.T)[:, 0, :]
 
-    def gradient(p, idx):
-        return ((freq[idx] / np.maximum(p, PROB_FLOOR))[:, None, :] @ to_op)[:, 0, :]
+    def adjoint(y):                           # sum_i y_i Pi_i
+        return (y[:, None, :] @ to_op)[:, 0, :]
 
-    def gap(p, idx):
-        r_op = gradient(p, idx).view(complex).reshape(-1, dim, dim)
-        return total[idx] * (np.linalg.eigvalsh(r_op)[:, -1] - 1.0)
+    def gap(p, x, idx):                       # p = p(x) for the states x of fits idx
+        b, obs, y = len(idx), n[idx] > 0, freq[idx] / np.maximum(p, PROB_FLOOR)
+        w, v = np.linalg.eigh(adjoint(y).view(complex).reshape(b, dim, dim))
+        occ = (v.conj() * (x.view(complex).reshape(b, dim, dim) @ v)).sum(axis=1).real
+        m = np.where(occ > 1e-3, w - 1.0, np.maximum(w - 1.0, 0.0))
+        m_op = ((v * m[:, None, :]) @ v.conj().swapaxes(1, 2)).reshape(b, dim * dim)
+        delta = (m_op.view(float)[:, None, :] @ duals.T)[:, 0, :]
+        ratio = np.where(obs, delta / np.where(obs, y, 1.0), 0.0)     # < 1 means y' > 0
+        y_dual = adjoint(np.where(obs, y - delta, np.maximum(-delta, 0.0)))
+        s = np.linalg.eigvalsh(y_dual.view(complex).reshape(b, dim, dim))[:, -1]
+        ok = np.all(~obs | ((ratio < 1.0) & (p > PROB_FLOOR)), axis=1)
+        dual = total[idx] * np.log(np.maximum(s, 1.0)) - _dot(
+            n[idx], np.log1p(-np.where(ok[:, None], ratio, 0.0)))
+        frank_wolfe = total[idx] * (w[:, -1] - 1.0)
+        return np.where(ok & np.isfinite(dual), np.minimum(frank_wolfe, dual), frank_wolfe)
 
     def gain(d, p, idx):                      # l(rho + d) - l(rho), p = p(rho)
         p = np.maximum(p, PROB_FLOOR)
@@ -259,14 +286,14 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     x = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
     px = probs(x)                                 # p(x), refreshed where x moves
     ll = _dot(n, np.log(np.maximum(px, PROB_FLOOR)))
-    gaps, sigma, theta, step = gap(px, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
+    gaps, sigma, theta, step = gap(px, x, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
     history = [[v] for v in ll.tolist()]
     for _ in range(max_iter):
         active = fits[gaps > MLE_TOL]
         if not active.size:
             break
         xs, ps = sigma[active], probs(sigma[active])
-        grad, cand = gradient(ps, active), np.empty_like(xs)
+        grad, cand = adjoint(freq[active] / np.maximum(ps, PROB_FLOOR)), np.empty_like(xs)
         todo = np.arange(len(active))
         for _ in range(64):                       # backtracking
             idx, t = active[todo], step[active[todo]]
@@ -281,12 +308,12 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         rise = gain(cand - x[active], px[active], active)
         moved = (rise >= 0.0) | (theta[active] == 1.0)
         up, stay = active[moved], active[~moved]
-        prev, x[up], ll[up] = x[up], cand[moved], ll[up] + np.maximum(rise[moved], 0.0)
+        prev, x[up], ll[up] = x[up], cand[moved], ll[up] + rise[moved]
         th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[up] ** 2))
         sigma[up] = x[up] + ((theta[up] - 1.0) / th)[:, None] * (x[up] - prev)
         theta[up], sigma[stay], theta[stay] = th, x[stay], 1.0
         px[up] = probs(x[up])
-        gaps[up] = gap(px[up], up)
+        gaps[up] = gap(px[up], x[up], up)
         for i, v in zip(active.tolist(), ll[active].tolist()):
             history[i].append(v)
     return [ReconstructionReport(rho, float(ll[b]), len(history[b]) - 1,

@@ -9,6 +9,9 @@ least-squares inverse of the cached Born map replaced; that product sums in
 another order, so it is reproduced to rounding (1e-14).
 ``reference_poisson_cdf`` is the full k-term Poisson sum that the
 early-stopping one replaced, and must be reproduced bit for bit.
+``reference_mle`` maximizes a table's likelihood by another algorithm than
+``tomography.mle_batch``, from another start, with its own certificate, so
+that the fit's certified gap can be checked against it.
 """
 from __future__ import annotations
 
@@ -248,3 +251,66 @@ def reference_poisson_cdf(k: int, lam: float) -> float:
         term *= lam / i
         total += term
     return min(1.0, total)
+
+
+def log_likelihood(settings, counts, rho: np.ndarray) -> float:
+    """sum_i n_i log tr(Pi_i rho) over the observed outcomes of one table."""
+    flat = np.concatenate([s.projectors() for s in settings]).reshape(-1, rho.size)
+    n = np.asarray(counts, dtype=float).reshape(-1)
+    p = (flat @ rho.reshape(-1).conj()).real        # tr(Pi rho) for Hermitian rho
+    return float(n[n > 0] @ np.log(p[n > 0]))
+
+
+def reference_mle(settings, counts, tol: float = 0.01):
+    """``(rho, l)``: one table's likelihood maximized by diluted R-rho-R
+    (Rehacek, Hradil, Knill, Lvovsky, PRA 75, 042108 (2007)) from I/d, until
+    its own bound on l_max - l is at most ``tol`` nats.
+
+    A step rho <- A rho A / tr, A = I + eps R, is kept when l rises; eps then
+    doubles, else halves, and is capped at 1e4 (larger steps overflow).  The
+    bound is the smaller of the Frank-Wolfe gap N (lambda_max(R) - 1) and a
+    Lagrange-dual value: with y = n / (N p) and R = V diag(w) V^H, the dual
+    point y - delta, where sum_i delta_i Pi_i = V diag(m) V^H is solved by a
+    pseudo-inverse of the projectors and m is w - 1 on rho's support (weight
+    above 1e-3), max(w - 1, 0) off it; zero-count entries are clipped at 0,
+    and the operator's largest eigenvalue s rescales it.  By log x <= x - 1,
+    l_max <= sum_{n_i > 0} n_i log(n_i / (N y'_i)) + N log max(s, 1).
+    """
+    projs = np.concatenate([s.projectors() for s in settings])
+    dim = projs.shape[1]
+    flat = projs.reshape(len(projs), -1)
+    solve = np.linalg.pinv(np.concatenate([flat.real, flat.imag], axis=1).T)
+    n = np.asarray(counts, dtype=float).reshape(-1)
+    obs, total = n > 0, n.sum()
+
+    def born(rho):
+        p = (flat @ rho.reshape(-1).conj()).real
+        return p, float(n[obs] @ np.log(p[obs]))
+
+    def bound(rho, y, w, v):
+        weight = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
+        m_op = (v * np.where(weight > 1e-3, w - 1.0, np.maximum(w - 1.0, 0.0))) @ v.conj().T
+        dual = y - solve @ np.concatenate([m_op.real.reshape(-1), m_op.imag.reshape(-1)])
+        dual[~obs] = np.maximum(dual[~obs], 0.0)
+        frank_wolfe = total * (w[-1] - 1.0)
+        if np.any(dual[obs] <= 0.0):
+            return frank_wolfe
+        s = max(1.0, np.linalg.eigvalsh((dual @ flat).reshape(dim, dim))[-1])
+        return min(frank_wolfe, n[obs] @ np.log(y[obs] / dual[obs]) + total * math.log(s))
+
+    rho = np.eye(dim, dtype=complex) / dim
+    (p, l), eps = born(rho), 1.0
+    for _ in range(100_000):
+        y = n / (total * p)                 # every iterate has full rank, so p > 0
+        r = (y @ flat).reshape(dim, dim)
+        if bound(rho, y, *np.linalg.eigh(r)) <= tol:
+            return rho, l
+        a = np.eye(dim) + eps * r
+        step = a @ rho @ a.conj().T
+        step /= np.trace(step).real
+        p_step, l_step = born(step)
+        if l_step > l:
+            rho, p, l, eps = step, p_step, l_step, min(2.0 * eps, 1e4)
+        else:
+            eps /= 2.0
+    raise RuntimeError("reference maximizer did not reach its bound")

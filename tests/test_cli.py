@@ -451,9 +451,10 @@ def test_cli_uncertified_fit_exit_code(argv, fit, tmp_path, capsys, monkeypatch)
 
 
 def test_cli_eraser_uncertified_fit_exit_code(tmp_path, capsys, monkeypatch):
-    # The Phi+ herald's observed fit is certified first.
+    # The Phi+ herald's observed fit is certified first.  It certifies after
+    # one iteration, so only a cap of 0 leaves it uncertified.
     core = tomography.mle_batch
-    capped = lambda settings, counts, max_iter=5000: core(settings, counts, 2)
+    capped = lambda settings, counts, max_iter=5000: core(settings, counts, 0)
     monkeypatch.setattr(tomography, "mle_batch", capped)
     monkeypatch.setattr("apgate.protocols.mle_batch", capped)
     argv = ["eraser", "--mode", "monte-carlo", "--out", str(tmp_path)]
@@ -463,6 +464,7 @@ def test_cli_eraser_uncertified_fit_exit_code(tmp_path, capsys, monkeypatch):
     error = json.loads(out.err)
     assert error["error"] == "fit"
     assert error["message"].startswith("top-level fit: gap ")
+    assert error["message"].endswith("after 0 iterations")
     assert list(tmp_path.iterdir()) == []
 
 
