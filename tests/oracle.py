@@ -267,7 +267,7 @@ def reference_mle(settings, counts, tol: float = 0.01):
     its own bound on l_max - l is at most ``tol`` nats.
 
     A step rho <- A rho A / tr, A = I + eps R, is kept when l rises; eps then
-    doubles, else halves, and is capped at 1e4 (larger steps overflow).  The
+    doubles, else halves, and is capped at 1e4 (an uncapped step overflowed).  The
     bound is the smaller of the Frank-Wolfe gap N (lambda_max(R) - 1) and a
     Lagrange-dual value: with y = n / (N p) and R = V diag(w) V^H, the dual
     point y - delta, where sum_i delta_i Pi_i = V diag(m) V^H is solved by a
