@@ -37,13 +37,13 @@ from .config import ConfigError, RunConfig
 from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
                     detection_confusion, hyperfine_fidelity, jitter_nodes,
                     multiphoton_fraction, spectral_sigma_khz)
-from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS,
+from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS, _checked,
                    fidelity_pure, optimal_phase_fidelity, rotation)
-# linear_inversion, mle_reconstruct and monte_carlo_errors are unused here but
-# stay importable: perfbench's tracer patches them at this module.
+# linear_inversion, mle_reconstruct, monte_carlo_errors and simulate_counts are
+# unused here but stay importable: perfbench's tracer patches them at this module.
 from .tomography import (MeasurementSetting, all_settings, fit_with_errors,
-                         linear_inversion, linear_inversions, mle_batch,
-                         mle_reconstruct, monte_carlo_errors, simulate_counts)
+                         linear_inversion, linear_inversions, mle_batch, mle_reconstruct,
+                         monte_carlo_errors, simulate_batch, simulate_counts)
 
 RAMSEY_PULSE_SEPARATION_US = 7.5
 
@@ -533,25 +533,22 @@ def tomo_roundtrip(cfg: RunConfig, n_states: int = 50,
                    shots: int = 10_000) -> ProtocolResult:
     """Reconstruction round-trip over random two-qubit pure states.
 
-    Draws every state and its counts for all nine settings (one generator
-    stream per state), fits all tables in one certified maximum-likelihood
-    batch (an uncertified fit raises ``FitError``) and summarizes the
-    fidelity distribution and the monotonicity of every likelihood trace.
+    Draws every state, then its counts for all nine settings, from its own
+    generator stream (one stacked check and draw), fits all tables in one
+    certified maximum-likelihood batch (an uncertified fit raises ``FitError``)
+    and summarizes the fidelities and the monotonicity of every likelihood trace.
     """
     for name, value in (("states", n_states), ("shots", shots)):
         if value < 1:
             raise ConfigError(name, "must be at least 1")
-    # Count tables are checked as float64 stacks, exact only below 2**53: the ceiling
-    # RunConfig already puts on trials and mc_replicas.
-    if shots >= 2**53:
+    if shots >= 2**53:     # float64 count stacks are exact below it, as for RunConfig's trials
         raise ConfigError("shots", "must be below 2**53")
     if n_states > 10_000:     # one generator stream per state, all spawned up front
         raise ConfigError("states", "must be at most 10000")
-    settings = all_settings(2)
-    states, tables = [], []
-    for rng in _streams(cfg, n_states):
-        states.append(PureState(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        tables.append(simulate_counts(states[-1].density(), settings, shots, rng).counts)
+    settings, rngs = all_settings(2), _streams(cfg, n_states)
+    states = [PureState(rng.normal(size=4) + 1j * rng.normal(size=4)) for rng in rngs]
+    rhos = _checked(np.array([np.outer(s.amplitudes, s.amplitudes.conj()) for s in states]))
+    tables = simulate_batch(rhos, settings, shots, rngs)
     reports = [r.certified(f"round-trip state {i} of {n_states}")
                for i, r in enumerate(mle_batch(settings, tables))]
     # Histories hold each accepted step's signed change; a drop within 1e-12 |l| is rounding.

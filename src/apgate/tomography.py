@@ -1,15 +1,16 @@
 """Measurement simulation and density-matrix reconstruction.
 
 Each qubit is read out in one of the three Pauli bases; a complete run covers
-all 3^n basis combinations, whose Born map is built once per process and tuple
-of setting names.  Count tables travel as one float stack (B x settings x 2^n)
-checked by ``_counts`` alone (a ``CountsTable`` is a stack of one) and feed
-linear inversion, one stacked product with the map's least-squares inverse.
-``mle_batch``, the batched maximum-likelihood core, starts all its fits there
-and checks them as one stack; they are physical and certified within MLE_TOL
-nats of the maximum by a Lagrange-dual bound, second order near the optimum.
-Monte-Carlo tables and their bootstrap replicas share one batch
-(``fit_with_errors``).
+all 3^n basis combinations, whose Born map, built once per process and tuple of
+setting names, is the one route from density matrices to Born weights: a stack
+of states is sampled with one product (``simulate_batch``).  Count tables travel
+as one float stack (B x settings x 2^n) checked by ``_counts`` alone (a
+``CountsTable`` is a stack of one) and feed linear inversion, one stacked
+product with the map's least-squares inverse.  ``mle_batch``, the batched
+maximum-likelihood core, starts all its fits there and checks them as one
+stack; they are physical and certified within MLE_TOL nats of the maximum by a
+Lagrange-dual bound, second order near the optimum.  Monte-Carlo tables and
+their bootstrap replicas share one batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -75,15 +76,6 @@ def all_settings(n_qubits: int) -> List[MeasurementSetting]:
             for labels in itertools.product("XYZ", repeat=n_qubits)]
 
 
-def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
-    """Born weights tr(Pi_o rho) per outcome, clamped at zero."""
-    if rho.dim != 2 ** setting.n_qubits:
-        raise ValueError("state and setting dimensions differ")
-    bras = setting.basis_matrix()
-    p = np.einsum("oi,ij,oj->o", bras, rho.entries, bras.conj()).real
-    return np.clip(p, 0.0, None)
-
-
 @dataclass(frozen=True)
 class CountsTable:
     """Observed outcome counts, one row of 2^n outcomes per measurement setting."""
@@ -122,12 +114,23 @@ def _frequencies(counts: np.ndarray) -> np.ndarray:
 
 def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
                     shots_per_setting: int, rng: np.random.Generator) -> CountsTable:
-    """Multinomial sampling of the Born probabilities, all settings in one draw."""
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be at least 1")
-    p = np.array([born_probabilities(rho, s) for s in settings])
-    return CountsTable(settings, rng.multinomial(shots_per_setting,
-                                                 p / p.sum(axis=1, keepdims=True)))
+    """Counts of ``rho`` in every setting, in one multinomial draw: a stack of one."""
+    return CountsTable(settings, simulate_batch(rho.entries[None], settings,
+                                                shots_per_setting, [rng])[0])
+
+
+def simulate_batch(rhos: np.ndarray, settings: Sequence[MeasurementSetting], shots: int,
+                   rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Counts (B x settings x 2^n) of the checked matrices ``rhos`` (B x d x d), b's in one
+    draw from ``rngs[b]``; one stacked (1, d^2) @ map product gives b its own Born weights."""
+    if not settings or {2 ** s.n_qubits for s in settings} != {rhos.shape[-1]}:
+        raise ValueError("need settings of the states' dimension")
+    if not (1 <= shots < 2**53 and shots == int(shots)):     # float64 stacks are exact below
+        raise ValueError("shots must be a whole number from 1 to below 2**53")
+    to_op = _born_map(tuple(s.name for s in settings))
+    p = np.maximum(rhos.reshape(len(rhos), 1, -1).view(float) @ to_op.T, 0.0)
+    return np.array([rng.multinomial(shots, q / q.sum(axis=1, keepdims=True))
+                     for q, rng in zip(p.reshape(len(p), len(settings), -1), rngs, strict=True)])
 
 
 @functools.lru_cache(maxsize=None)

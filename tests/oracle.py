@@ -4,6 +4,9 @@ The protocol engine works on branch amplitudes and Born vectors; these
 helpers build the same physics as Kraus channels on density matrices, so the
 engine cross-check tests can compare the two.  ``oracle_tables`` rebuilds a
 whole analytic run this way, one Kraus operator at a time.
+``born_probabilities`` is the per-setting einsum over the outcome bras that
+the cached Born map replaced as the sampler's weights; the map sums in another
+order, so it is reproduced to rounding (1e-15).
 ``reference_linear_inversion`` is the Pauli-string inversion loop that the
 least-squares inverse of the cached Born map replaced; that product sums in
 another order, so it is reproduced to rounding (1e-14).
@@ -217,6 +220,16 @@ def oracle_tables(cfg, protocol: str):
 
 
 _PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
+    """Born weights tr(Pi_o rho) per outcome, clamped at zero: <o| rho |o> for
+    each outcome bra of the setting."""
+    if rho.dim != 2 ** setting.n_qubits:
+        raise ValueError("state and setting dimensions differ")
+    bras = setting.basis_matrix()
+    p = np.einsum("oi,ij,oj->o", bras, rho.entries, bras.conj()).real
+    return np.clip(p, 0.0, None)
 
 
 def reference_linear_inversion(table: CountsTable) -> np.ndarray:

@@ -278,8 +278,7 @@ def test_engine_matches_kraus_channel_composition():
     from apgate.protocols import _protocol_tables
     from apgate.pulse import ImperfectionConfig
     from apgate.qlin import PureState, X_MINUS
-    from oracle import apply_channel, mode_mismatch_channel
-    from apgate.tomography import born_probabilities
+    from oracle import apply_channel, born_probabilities, mode_mismatch_channel
     import numpy as _np
 
     overlap, losses = 0.92, (0.34, 0.30)
@@ -303,8 +302,7 @@ def test_engine_matches_dephased_channel_composition():
     from apgate.protocols import _protocol_tables
     from apgate.pulse import ImperfectionConfig
     from apgate.qlin import DensityMatrix, PureState, X_MINUS
-    from oracle import apply_channel, mode_mismatch_channel
-    from apgate.tomography import born_probabilities
+    from oracle import apply_channel, born_probabilities, mode_mismatch_channel
     import numpy as _np
 
     imp = dataclasses.replace(ImperfectionConfig.ideal(), mode_overlap=0.92,

@@ -11,16 +11,23 @@ from apgate.protocols import run_bell, run_eraser, run_ghz, tomo_roundtrip
 from apgate.qlin import DensityMatrix, PureState, UP, fidelity_pure
 from apgate.tomography import (MLE_TOL, CountsTable, FitError,
                                MeasurementSetting, all_settings,
-                               born_probabilities, linear_inversion, mle_batch,
-                               mle_reconstruct, monte_carlo_errors,
+                               linear_inversion, mle_batch, mle_reconstruct,
+                               monte_carlo_errors, simulate_batch,
                                simulate_counts)
-from oracle import log_likelihood, reference_linear_inversion, reference_mle
+from oracle import (born_probabilities, log_likelihood,
+                    reference_linear_inversion, reference_mle)
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
 
 
 def random_pure(rng, dim=4):
     return PureState(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def random_mixed(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = a @ a.conj().T
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def exact_records(rho, n, scale=1.0):
@@ -74,6 +81,20 @@ def test_born_normalized_for_random_states():
             assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_born_map_matches_einsum_oracle(n):
+    # The cached map is the only route from a density matrix to Born weights in
+    # the package; the per-setting einsum sums in another order.
+    rng = np.random.default_rng(40 + n)
+    settings = all_settings(n)
+    to_op = tomography._born_map(tuple(s.name for s in settings))
+    for _ in range(20):
+        rho = random_mixed(rng, 2 ** n)
+        weights = rho.entries.reshape(1, -1).view(float) @ to_op.T
+        reference = np.concatenate([born_probabilities(rho, s) for s in settings])
+        assert np.abs(weights[0] - reference).max() <= 1e-15
+
+
 # --- counts --------------------------------------------------------------------
 
 def test_simulate_counts_rejects_zero_shots():
@@ -89,6 +110,42 @@ def test_simulate_counts_frequencies():
     assert table.counts.shape == (1, 2) and table.counts.sum() == 100_000
     se = math.sqrt(0.25 / 100_000)
     assert abs(table.frequencies[0, 0] - 0.5) < 5 * se
+
+
+class _WeightRecorder:
+    """Stands in for a generator: keeps the weights it is asked to draw from."""
+
+    def multinomial(self, n, pvals):
+        self.pvals = pvals
+        return np.zeros(pvals.shape, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_simulate_batch_rows_match_single_draws(n):
+    # Row b of a stacked draw is simulate_counts of matrix b on an identically
+    # seeded generator, and its weights are those of a stack of one, bit for bit.
+    rng = np.random.default_rng(60 + n)
+    rhos = [random_mixed(rng, 2 ** n) for _ in range(7)]
+    stack, settings = np.array([r.entries for r in rhos]), all_settings(n)
+    counts = simulate_batch(stack, settings, 2000, [np.random.default_rng(b) for b in range(7)])
+    recorders = [_WeightRecorder() for _ in rhos]
+    simulate_batch(stack, settings, 2000, recorders)
+    for b, rho in enumerate(rhos):
+        table = simulate_counts(rho, settings, 2000, np.random.default_rng(b))
+        assert np.array_equal(counts[b], table.counts)
+        alone = _WeightRecorder()
+        simulate_batch(stack[b:b + 1], settings, 2000, [alone])
+        assert np.array_equal(recorders[b].pvals, alone.pvals)
+
+
+@pytest.mark.parametrize("shots", [1000, 100_000])
+def test_roundtrip_draws_state_i_from_child_i(shots):
+    # State i and its counts come from child i of the seed sequence alone, so a
+    # longer run starts with the shorter run's fidelities, bit for bit.
+    for seed in (1, 2, 3, 4):
+        short = tomo_roundtrip(paper_profile(seed=seed), n_states=2, shots=shots)
+        long = tomo_roundtrip(paper_profile(seed=seed), n_states=5, shots=shots)
+        assert np.array_equal(long.raw_counts["fidelities"][:2], short.raw_counts["fidelities"])
 
 
 def test_round_trip_linear_inversion_from_counts():
@@ -465,8 +522,16 @@ def test_counts_table_rejects_non_finite_counts(bad):
 
 @pytest.mark.parametrize("build,message", [
     (lambda: MeasurementSetting(("Q",)), "labels must each be one of X, Y, Z"),
-    (lambda: born_probabilities(BELL.density(), MeasurementSetting(("Z",))),
-     "state and setting dimensions differ"),
+    (lambda: simulate_counts(BELL.density(), [MeasurementSetting(("Z",))], 10,
+                             np.random.default_rng(0)), "need settings of the states' dimension"),
+    (lambda: simulate_counts(BELL.density(), [], 10, np.random.default_rng(0)),
+     "need settings of the states' dimension"),
+    (lambda: simulate_counts(BELL.density(), all_settings(2), 1.5, np.random.default_rng(0)),
+     "shots must be a whole number"),
+    (lambda: simulate_counts(BELL.density(), all_settings(2), 2 ** 53, np.random.default_rng(0)),
+     "shots must be a whole number"),
+    (lambda: simulate_counts(BELL.density(), all_settings(2), 2 ** 60, np.random.default_rng(0)),
+     "shots must be a whole number"),
     (lambda: CountsTable(all_settings(1), [[0, 0], [1, 1], [1, 1]]).frequencies,
      "a setting has no counts"),
     (lambda: mle_batch(all_settings(1), np.zeros((1, 3, 2))), "a setting has no counts"),
@@ -482,7 +547,8 @@ def test_counts_table_rejects_non_finite_counts(bad):
      "counts must be finite and nonnegative"),
     (lambda: mle_batch(all_settings(1), [[[math.nan, 1], [1, 1], [1, 1]]]),
      "counts must be finite and nonnegative"),
-], ids=["bad-label", "born-dimension", "empty-setting", "empty-table", "mle-misshaped-rows",
+], ids=["bad-label", "born-dimension", "no-settings", "fractional-shots", "shots-at-2**53",
+        "shots-2**60", "empty-setting", "empty-table", "mle-misshaped-rows",
         "mle-wrong-width", "linv-misshaped-rows", "mle-incomplete", "mle-empty-setting",
         "mle-negative-count", "mle-nan-count"])
 def test_tomography_guards(build, message):
