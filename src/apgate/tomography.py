@@ -125,7 +125,7 @@ def simulate_batch(rhos: np.ndarray, settings: Sequence[MeasurementSetting], sho
     draw from ``rngs[b]``; one stacked (1, d^2) @ map product gives b its own Born weights."""
     if not settings or {2 ** s.n_qubits for s in settings} != {rhos.shape[-1]}:
         raise ValueError("need settings of the states' dimension")
-    if not (1 <= shots < 2**53 and shots == int(shots)):     # float64 stacks are exact below
+    if not (1 <= shots < 2**53 and shots == int(shots)):     # so float64 counts stay exact
         raise ValueError("shots must be a whole number from 1 to below 2**53")
     to_op = _born_map(tuple(s.name for s in settings))
     p = np.maximum(rhos.reshape(len(rhos), 1, -1).view(float) @ to_op.T, 0.0)
