@@ -38,18 +38,19 @@ class MirrorBudget:
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Atom-cavity rates and probe detunings (angular MHz, omega = 2*pi*f), and
-    the mirror budget; the input coupling kappa_in is derived from it.
+    """Atom-cavity rates and probe detunings in plain MHz, the config's
+    ``cavity`` keys, and the mirror budget; the physics reads the angular
+    rates (omega = 2*pi*f) and the input coupling kappa_in derived from them.
 
     Defaults are the operating point of the simulated setup: g = 2pi*6.7 MHz,
     kappa = 2pi*2.5 MHz, gamma = 2pi*3 MHz and kappa_in/kappa = 95/103.
     """
 
-    g: float = TWO_PI * 6.7
-    kappa: float = TWO_PI * 2.5
-    gamma: float = TWO_PI * 3.0
-    delta_c: float = 0.0
-    delta_a: float = 0.0
+    g_mhz: float = 6.7
+    kappa_mhz: float = 2.5
+    gamma_mhz: float = 3.0
+    delta_c_mhz: float = 0.0
+    delta_a_mhz: float = 0.0
     mirrors: MirrorBudget = MirrorBudget()
 
     def __post_init__(self):
@@ -57,23 +58,15 @@ class CavityParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
+    g = property(lambda self: TWO_PI * self.g_mhz)
+    kappa = property(lambda self: TWO_PI * self.kappa_mhz)
+    gamma = property(lambda self: TWO_PI * self.gamma_mhz)
+    delta_c = property(lambda self: TWO_PI * self.delta_c_mhz)
+    delta_a = property(lambda self: TWO_PI * self.delta_a_mhz)
+
     @property
     def kappa_in(self) -> float:
         return self.kappa * self.mirrors.kappa_in_fraction
-
-    @classmethod
-    def from_mhz(cls, g_mhz: float = 6.7, kappa_mhz: float = 2.5,
-                 gamma_mhz: float = 3.0, mirrors: MirrorBudget = MirrorBudget(),
-                 delta_c_mhz: float = 0.0, delta_a_mhz: float = 0.0) -> "CavityParams":
-        """Build from plain frequencies in MHz; stores angular rates."""
-        return cls(
-            g=TWO_PI * g_mhz,
-            kappa=TWO_PI * kappa_mhz,
-            gamma=TWO_PI * gamma_mhz,
-            delta_c=TWO_PI * delta_c_mhz,
-            delta_a=TWO_PI * delta_a_mhz,
-            mirrors=mirrors,
-        )
 
 
 def reflection_coefficient(params: CavityParams, coupled: bool, delta=0.0) -> complex:
@@ -134,7 +127,7 @@ def loss_from_first_principles(params: CavityParams):
     steady-state model is kept as a cross-check only and the measured numbers
     remain the calibration inputs for the gate channel.
     """
-    p = dataclasses.replace(params, delta_c=0.0, delta_a=0.0)
+    p = dataclasses.replace(params, delta_c_mhz=0.0, delta_a_mhz=0.0)
     loss_coupled = 1.0 - abs(reflection_coefficient(p, True)) ** 2
     loss_uncoupled = 1.0 - abs(reflection_coefficient(p, False)) ** 2
     return loss_coupled, loss_uncoupled

@@ -1,9 +1,9 @@
 """Run configuration: schema, validation and bundled parameter profiles.
 
 Config files are JSON with unit-suffixed keys (plain MHz/kHz/GHz, ppm); the
-conversion to angular frequencies happens in one place here.  Unknown keys
-are rejected with their dotted path, and the seed is mandatory so every run
-is reproducible.
+values keep the document's units and are converted where the physics reads
+them.  Unknown keys are rejected with their dotted path, and the seed is
+mandatory so every run is reproducible.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .cavity import TWO_PI, CavityParams, MirrorBudget
+from .cavity import CavityParams, MirrorBudget
 from .pulse import CoherentPulse, DetectionModel, ImperfectionConfig
 
 MODES = ("analytic", "monte-carlo")
@@ -75,20 +75,15 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The config document of this run: plain units, every key present."""
-        c = self.cavity
+        cavity = asdict(self.cavity)
+        mirrors = cavity.pop("mirrors")
         return {
             "seed": int(self.seed),
             "trials": int(self.trials),
             "mode": self.mode,
             "output_dir": self.output_dir,
-            "cavity": {
-                "g_mhz": c.g / TWO_PI,
-                "kappa_mhz": c.kappa / TWO_PI,
-                "gamma_mhz": c.gamma / TWO_PI,
-                "delta_c_mhz": c.delta_c / TWO_PI,
-                "delta_a_mhz": c.delta_a / TWO_PI,
-            },
-            "mirrors": asdict(c.mirrors),
+            "cavity": cavity,
+            "mirrors": mirrors,
             "imperfections": asdict(self.imperfections),
             "detection": asdict(self.detection),
             "pulses": {
@@ -130,8 +125,9 @@ def _cast(key: str, value, default):
     """``value`` as the type of ``default``; no bool converts to or from
     another type, a number key takes only a number and an integer key only
     an integral one, a string key takes only a string, no number may be NaN
-    or infinite (``json`` reads ``NaN`` and ``Infinity``) and a key in
-    ``_RANGES`` must lie in its range."""
+    or infinite (``json`` reads ``NaN`` and ``Infinity``) nor, for a float
+    key, an integer beyond the float range, and a key in ``_RANGES`` must lie
+    in its range."""
     kind = type(default)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
@@ -143,7 +139,10 @@ def _cast(key: str, value, default):
         low, high = _RANGES[key]
         if not low <= value <= high:
             raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be finite, got {value!r}") from None
 
 
 def _build(path: str, make, section: dict, defaults: dict):
@@ -178,7 +177,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 for name, defaults in schema.items() if isinstance(defaults, dict)}
 
     mirrors = _build("mirrors", MirrorBudget, sections["mirrors"], schema["mirrors"])
-    cavity = _build("cavity", partial(CavityParams.from_mhz, mirrors=mirrors),
+    cavity = _build("cavity", partial(CavityParams, mirrors=mirrors),
                     sections["cavity"], schema["cavity"])
     imperfections = _build("imperfections", ImperfectionConfig,
                            sections["imperfections"], schema["imperfections"])
@@ -199,7 +198,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top-level config must be an object")

@@ -113,10 +113,11 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        dim = int(data["dim"])
+        dim = data["dim"]
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
+        # Only an int declares a dimension: no bool, float or string.
+        if type(dim) is not int or re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValueError("matrix payload does not match declared dimension")
         return cls(re + 1j * im)
 

@@ -14,13 +14,13 @@ KAPPA_IN_FRACTION = 95.0 / 103.0
 
 
 def test_lossless_overcoupled_mirror():
-    p = CavityParams.from_mhz(mirrors=MirrorBudget(95.0, 0.0))
+    p = CavityParams(mirrors=MirrorBudget(95.0, 0.0))
     r = reflection_coefficient(p, coupled=False)
     assert r == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_far_detuned_mirror_like():
-    p = CavityParams.from_mhz(delta_c_mhz=1e6)
+    p = CavityParams(delta_c_mhz=1e6)
     assert abs(reflection_coefficient(p, coupled=False) - 1.0) < 1e-3
 
 
@@ -197,7 +197,7 @@ def test_gate_branch_validation():
         amps = gate_branch_amplitudes(CavityParams(), (0.0, 0.0), delta)
         assert np.all(np.abs(amps) <= 1.0 + 1e-12)
     # One call over an array of offsets equals the per-offset calls.
-    params, losses = CavityParams.from_mhz(delta_c_mhz=0.05, delta_a_mhz=-0.03), (0.34, 0.30)
+    params, losses = CavityParams(delta_c_mhz=0.05, delta_a_mhz=-0.03), (0.34, 0.30)
     grid = gate_branch_amplitudes(params, losses, deltas.reshape(1, -1))
     assert grid.shape == (1, 41, 4)
     assert np.array_equal(grid[0], [gate_branch_amplitudes(params, losses, d)
@@ -230,5 +230,5 @@ def test_loss_from_first_principles():
 
 
 def test_cavity_params_validation():
-    with pytest.raises(ValueError):
-        CavityParams(g=-1.0)
+    with pytest.raises(ValueError, match="g must be positive"):
+        CavityParams(g_mhz=-1.0)

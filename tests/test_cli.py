@@ -74,6 +74,11 @@ def test_config_round_trip_equality():
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
     assert again.to_dict() == cfg.to_dict()
+    # The snapshot records the document's MHz, not a value taken to angular
+    # rates and back (5.5 came back as 5.499999999999999).
+    cavity = {"g_mhz": 5.5, "kappa_mhz": 11.0, "gamma_mhz": 0.17, "delta_c_mhz": 6.5,
+              "delta_a_mhz": 0.0}
+    assert config_from_dict({"seed": 9, "cavity": cavity}).to_dict()["cavity"] == cavity
 
 
 @pytest.mark.parametrize("change,message", [
@@ -334,6 +339,13 @@ def test_cli_non_object_section_exit_code(section, value, tmp_path, capsys):
     (None, "trials", "2000", "an integer"),
     ("cavity", "g_mhz", "6.7", "a number"),
     ("imperfections", "drift_phase_per_reflection", "nan", "a number"),
+    # Integers that JSON holds but a float cannot: keys with no finite ceiling.
+    *(pytest.param(section, key, value, "finite", id=f"{section}-{key}-past-float-range")
+      for section, key, value in ((None, "preselection_pass", 10**400),
+                                  ("imperfections", "mode_overlap", 10**400),
+                                  ("mirrors", "t_coupling_ppm", 10**400),
+                                  ("pulses", "fwhm_us", 10**400),
+                                  ("detection", "mean_signal_photons", -10**400))),
 ])
 def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, capsys):
     data = {"seed": 1, **({section: {key: value}} if section else {key: value})}
@@ -355,11 +367,17 @@ def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, caps
     # Counts this large could fail inside numpy, an internal exit.
     ({"seed": 1, "trials": 1e300}, "run: trials must be below 2**53"),
     ({"seed": 1, "mc_replicas": 2 ** 53}, "run: mc_replicas must be below 2**53"),
+    # An integer past Python's 4300-digit limit, written as text: json.dumps
+    # hits the same limit.
+    pytest.param('{"seed": 1, "trials": 1' + "0" * 4400 + "}", "{path}: invalid JSON: ",
+                 id="integer-past-digit-limit"),
 ])
 def test_cli_rejected_config_document_exit_code(document, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
     if document is None:
-        path = tmp_path / "cfg.json"
         path.mkdir()
+    elif isinstance(document, str):
+        path.write_text(document)
     else:
         path = write_config(tmp_path, document)
     out = tmp_path / "out"

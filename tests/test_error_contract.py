@@ -13,9 +13,9 @@ only other warning a run may raise is the documented faint-pulse
 ``UserWarning``; the test records warnings itself, so any new one fails it.
 
 Counts are drawn small, at 1e12, which numpy refuses to allocate at once (a
-``memory`` error), or at 1e300, past the 2**53 ceiling (a config error), and
-never in between: values in between are legal and can allocate gigabytes and
-run for minutes.  Round-trip shots past that ceiling (2**63, 1e19) are
+``memory`` error), or at 1e300 or 10**400, past the 2**53 ceiling (a config
+error), and never in between: values in between are legal and can allocate
+gigabytes and run for minutes.  Round-trip shots past that ceiling (2**63, 1e19) are
 rejected before any draw, and round-trip states above 10,000 (10,001 and
 2**63) before any stream is spawned; no larger legal state count is drawn.
 """
@@ -41,7 +41,7 @@ KEYS = sorted([(None, key) for key, d in SCHEMA.items() if not isinstance(d, dic
               + [(s, key) for s, d in SCHEMA.items() if isinstance(d, dict) for key in d],
               key=str)
 COUNTS = {"trials", "mc_replicas"}
-EXTREMES = [0, 1, -1, 5e-324, 1e-310, 1e9, -1e9, 1e12, -1e12, 1e300,
+EXTREMES = [0, 1, -1, 5e-324, 1e-310, 1e9, -1e9, 1e12, -1e12, 1e300, 10**400,
             math.nan, math.inf, -math.inf, "1", "6.7", True, None, [], {}]
 # Argv numbers, negatives in plain and exponent form included: the parser reads
 # both as numbers, not flags.

@@ -314,10 +314,17 @@ def test_density_json_validates_on_load():
     (lambda: DensityMatrix.from_json_dict(json.loads(
         '{"dim": 2, "re": [[0.5, NaN], [NaN, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}')),
      "matrix has a non-finite entry"),
+    # A non-integral or string dimension is not truncated or parsed to fit.
+    (lambda: DensityMatrix.from_json_dict({"dim": 2.7, "re": [[1, 0], [0, 0]],
+                                           "im": [[0, 0], [0, 0]]}),
+     "payload does not match declared dimension"),
+    (lambda: DensityMatrix.from_json_dict({"dim": "2", "re": [[1, 0], [0, 0]],
+                                           "im": [[0, 0], [0, 0]]}),
+     "payload does not match declared dimension"),
     (lambda: optimal_phase_fidelity(DensityMatrix(np.eye(2) / 2), U2, V2),
      "dimension mismatch"),
 ], ids=["not-power-of-two", "four-qubits", "zero-vector", "not-square", "payload-shape",
-        "payload-nan", "phase-dimension"])
+        "payload-nan", "payload-dim-float", "payload-dim-string", "phase-dimension"])
 def test_qlin_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()
