@@ -2,8 +2,9 @@
 
 Config files are JSON with unit-suffixed keys (plain MHz/kHz/GHz, ppm); the
 values keep the document's units and are converted where the physics reads
-them.  Unknown keys are rejected with their dotted path, and the seed is
-mandatory so every run is reproducible.
+them.  Each section is held as written, one dataclass field per key, so the
+document is the config's ``asdict``.  Unknown keys are rejected with their
+dotted path, and the seed is mandatory so every run is reproducible.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from functools import partial
 from pathlib import Path
 
 from .cavity import CavityParams, MirrorBudget
-from .pulse import CoherentPulse, DetectionModel, ImperfectionConfig
+from .pulse import DetectionModel, ImperfectionConfig, PulseConfig
 
 MODES = ("analytic", "monte-carlo")
 
@@ -34,29 +35,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated aggregate of every knob a protocol run needs."""
+    """Validated aggregate of every knob a protocol run needs, in the
+    document's order: ``config_from_dict`` checks the keys in this order."""
 
     seed: int
-    cavity: CavityParams = field(default_factory=CavityParams)
-    imperfections: ImperfectionConfig = field(default_factory=ImperfectionConfig)
-    detection: DetectionModel = field(default_factory=DetectionModel)
-    bell_pulse: CoherentPulse = CoherentPulse(0.07, 0.7)
-    truth_table_pulse: CoherentPulse = CoherentPulse(0.3, 0.7)
-    assume_single_photon: bool = False
-    spectral_correction: bool = False
-    preselection_pass: float = 0.5
     trials: int = 100_000
     mode: str = "analytic"
     output_dir: str = "runs"
+    cavity: CavityParams = field(default_factory=CavityParams)
+    imperfections: ImperfectionConfig = field(default_factory=ImperfectionConfig)
+    detection: DetectionModel = field(default_factory=DetectionModel)
+    pulses: PulseConfig = field(default_factory=PulseConfig)
+    preselection_pass: float = 0.5
     shots_per_setting: int = 5000    # calibrated error scale (acceptance criterion 11)
     mc_replicas: int = 100
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # to_dict() records one FWHM.
-        if self.truth_table_pulse.fwhm_us != self.bell_pulse.fwhm_us:
-            raise ValueError("both pulses must share one fwhm_us")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.mode not in MODES:
@@ -75,28 +71,11 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The config document of this run: plain units, every key present."""
-        cavity = asdict(self.cavity)
-        mirrors = cavity.pop("mirrors")
-        return {
-            "seed": int(self.seed),
-            "trials": int(self.trials),
-            "mode": self.mode,
-            "output_dir": self.output_dir,
-            "cavity": cavity,
-            "mirrors": mirrors,
-            "imperfections": asdict(self.imperfections),
-            "detection": asdict(self.detection),
-            "pulses": {
-                "bell_mean_photons": self.bell_pulse.mean_photons,
-                "truth_table_mean_photons": self.truth_table_pulse.mean_photons,
-                "fwhm_us": self.bell_pulse.fwhm_us,
-                "assume_single_photon": bool(self.assume_single_photon),
-                "spectral_correction": bool(self.spectral_correction),
-            },
-            "preselection_pass": self.preselection_pass,
-            "shots_per_setting": int(self.shots_per_setting),
-            "mc_replicas": int(self.mc_replicas),
-        }
+        data = asdict(self)
+        keys = list(data)
+        keys.insert(keys.index("cavity") + 1, "mirrors")
+        data["mirrors"] = data["cavity"].pop("mirrors")
+        return {key: data[key] for key in keys}
 
 
 def _keys_checked(section, defaults: dict, path: str) -> dict:
@@ -121,6 +100,14 @@ _RANGES = {**dict.fromkeys(("g_mhz", "kappa_mhz", "gamma_mhz"), (1e-9, 1e9)),
            "fwhm_us": (1e-9, math.inf)}
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an integer past Python's 4300-digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _cast(key: str, value, default):
     """``value`` as the type of ``default``; no bool converts to or from
     another type, a number key takes only a number and an integer key only
@@ -130,19 +117,19 @@ def _cast(key: str, value, default):
     in its range."""
     kind = type(default)
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
+        raise ValueError(f"{key} must be finite, got {_shown(value)}")
     if isinstance(value, bool) != (kind is bool) or not isinstance(
             value, (int, float) if kind in (int, float) else kind) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+        raise ValueError(f"{key} must be {_KINDS[kind]}, got {_shown(value)}")
     if key in _RANGES:
         low, high = _RANGES[key]
         if not low <= value <= high:
-            raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {value!r}")
+            raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {_shown(value)}")
     try:
         return kind(value)
     except OverflowError:
-        raise ValueError(f"{key} must be finite, got {value!r}") from None
+        raise ValueError(f"{key} must be finite, got {_shown(value)}") from None
 
 
 def _build(path: str, make, section: dict, defaults: dict):
@@ -152,15 +139,6 @@ def _build(path: str, make, section: dict, defaults: dict):
         return make(**{k: _cast(k, section.get(k, d), d) for k, d in defaults.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
-
-
-def _pulse_fields(bell_mean_photons, truth_table_mean_photons, fwhm_us,
-                  assume_single_photon, spectral_correction) -> dict:
-    """RunConfig fields set by the ``pulses`` section."""
-    return {"bell_pulse": CoherentPulse(bell_mean_photons, fwhm_us),
-            "truth_table_pulse": CoherentPulse(truth_table_mean_photons, fwhm_us),
-            "assume_single_photon": assume_single_photon,
-            "spectral_correction": spectral_correction}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -175,19 +153,14 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("seed", "missing required field")
     sections = {name: _keys_checked(data.get(name, {}), defaults, name)
                 for name, defaults in schema.items() if isinstance(defaults, dict)}
-
     mirrors = _build("mirrors", MirrorBudget, sections["mirrors"], schema["mirrors"])
-    cavity = _build("cavity", partial(CavityParams, mirrors=mirrors),
-                    sections["cavity"], schema["cavity"])
-    imperfections = _build("imperfections", ImperfectionConfig,
-                           sections["imperfections"], schema["imperfections"])
-    detection = _build("detection", DetectionModel, sections["detection"],
-                       schema["detection"])
-    pulses = _build("pulses", _pulse_fields, sections["pulses"], schema["pulses"])
+    makers = {"cavity": partial(CavityParams, mirrors=mirrors),
+              "imperfections": ImperfectionConfig, "detection": DetectionModel,
+              "pulses": PulseConfig}
+    parts = {name: _build(name, make, sections[name], schema[name])
+             for name, make in makers.items()}
     run = {k: d for k, d in schema.items() if not isinstance(d, dict)}
-    return _build("run", partial(
-        RunConfig, cavity=cavity, imperfections=imperfections,
-        detection=detection, **pulses), data, run)
+    return _build("run", partial(RunConfig, **parts), data, run)
 
 
 def load_config(path) -> RunConfig:
@@ -207,21 +180,15 @@ def load_config(path) -> RunConfig:
 
 def paper_profile(seed: int = 20140401) -> RunConfig:
     """Calibrated operating point of the simulated setup."""
-    return RunConfig(
-        seed=seed,
-        imperfections=ImperfectionConfig(
-            drift_phase_per_reflection=DRIFT_PHASE_PER_REFLECTION),
-    )
+    return RunConfig(seed=seed, imperfections=ImperfectionConfig(
+        drift_phase_per_reflection=DRIFT_PHASE_PER_REFLECTION))
 
 
 def ideal_profile(seed: int = 20140401) -> RunConfig:
     """Every imperfection switched off; protocols then reach their targets exactly."""
-    return RunConfig(
-        seed=seed,
-        imperfections=ImperfectionConfig.ideal(),
-        detection=DetectionModel(mean_signal_photons=50.0, dark_prob=0.0),
-        assume_single_photon=True,
-    )
+    return RunConfig(seed=seed, imperfections=ImperfectionConfig.ideal(),
+                     detection=DetectionModel(mean_signal_photons=50.0, dark_prob=0.0),
+                     pulses=PulseConfig(assume_single_photon=True))
 
 
 PROFILES = {"paper": paper_profile, "ideal": ideal_profile}

@@ -34,9 +34,9 @@ import numpy as np
 
 from .cavity import CavityParams, gate_branch_amplitudes, loss_from_first_principles
 from .config import ConfigError, RunConfig
-from .pulse import (CoherentPulse, ImperfectionConfig, confusion_matrix,
-                    detection_confusion, hyperfine_fidelity, jitter_nodes,
-                    multiphoton_fraction, spectral_sigma_khz)
+from .pulse import (ImperfectionConfig, confusion_matrix, detection_confusion,
+                    hyperfine_fidelity, jitter_nodes, multiphoton_fraction,
+                    spectral_sigma_khz)
 from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS, _checked,
                    fidelity_pure, optimal_phase_fidelity, rotation)
 # linear_inversion, mle_reconstruct, monte_carlo_errors and simulate_counts are
@@ -101,14 +101,14 @@ class ProtocolResult:
 # ---------------------------------------------------------------------------
 # Outcome-probability engine
 
-def _model_for(cfg: RunConfig, pulse: CoherentPulse) -> tuple[ImperfectionConfig, float]:
-    """Imperfections and extra-photon contamination q2 of a run with ``pulse``."""
-    q2 = 0.0 if cfg.assume_single_photon else multiphoton_fraction(pulse)
+def _model_for(cfg: RunConfig, nbar: float) -> tuple[ImperfectionConfig, float]:
+    """Imperfections and extra-photon contamination q2 of pulses of mean ``nbar``."""
+    q2 = 0.0 if cfg.pulses.assume_single_photon else multiphoton_fraction(nbar)
     imp = cfg.imperfections
-    if cfg.spectral_correction:
+    if cfg.pulses.spectral_correction:
         # Optional correction: fold the pulse's spectral spread into the
         # detuning average instead of treating the carrier as monochromatic.
-        widened = math.hypot(imp.freq_jitter_khz, spectral_sigma_khz(pulse))
+        widened = math.hypot(imp.freq_jitter_khz, spectral_sigma_khz(cfg.pulses.fwhm_us))
         imp = dataclasses.replace(imp, freq_jitter_khz=widened)
     return imp, q2
 
@@ -291,7 +291,7 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     laser-cavity offset, so the slow drift bias configured for the
     entanglement protocols is not applied here.
     """
-    imp, q2 = _model_for(cfg, cfg.truth_table_pulse)
+    imp, q2 = _model_for(cfg, cfg.pulses.truth_table_mean_photons)
     imp = dataclasses.replace(imp, freq_bias_khz=0.0)
     setting = MeasurementSetting(("Z", "X"))
     # Atom-down inputs carry no preparation error.
@@ -339,7 +339,7 @@ def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSett
     n_photons = settings[0].n_qubits - 1
     drift = cfg.imperfections.drift_phase_per_reflection * n_photons
     tables, survival = _protocol_tables(
-        cfg.cavity, *_model_for(cfg, cfg.bell_pulse), X_MINUS, [X_MINUS] * n_photons,
+        cfg.cavity, *_model_for(cfg, cfg.pulses.bell_mean_photons), X_MINUS, [X_MINUS] * n_photons,
         settings, atom_phase=drift, atom_pre_measure=atom_pre_measure)
     keep_prob = survival * cfg.preselection_pass
     rows, rng = _observe(cfg, settings, tables, keep_prob)

@@ -1,4 +1,6 @@
-"""Faint-pulse photon statistics, the imperfection budget and detection models."""
+"""Faint-pulse photon statistics, the imperfection budget and detection models;
+each of the config's ``pulses``, ``imperfections`` and ``detection`` sections
+is held as written, one field per key."""
 from __future__ import annotations
 
 import functools
@@ -15,25 +17,29 @@ N_JITTER_NODES = 21
 
 
 @dataclass(frozen=True)
-class CoherentPulse:
-    """Faint Gaussian laser pulse: mean photon number and temporal FWHM."""
+class PulseConfig:
+    """The config's ``pulses`` section as written: faint Gaussian laser pulses."""
 
-    mean_photons: float = 0.07
+    bell_mean_photons: float = 0.07
+    truth_table_mean_photons: float = 0.3
     fwhm_us: float = 0.7
+    assume_single_photon: bool = False
+    spectral_correction: bool = False
 
     def __post_init__(self):
-        if self.mean_photons < 0:
+        nbars = (self.bell_mean_photons, self.truth_table_mean_photons)
+        if any(nbar < 0 for nbar in nbars):
             raise ValueError("mean photon number must be nonnegative")
         if self.fwhm_us <= 0:
             raise ValueError("pulse FWHM must be positive")
-        if self.mean_photons > 1:   # stacklevel 3: past the generated __init__
-            warnings.warn(f"mean photon number {self.mean_photons} above 1; "
-                          "protocols assume faint pulses", stacklevel=3)
+        for nbar in nbars:
+            if nbar > 1:    # stacklevel 3: past the generated __init__
+                warnings.warn(f"mean photon number {nbar} above 1; "
+                              "protocols assume faint pulses", stacklevel=3)
 
 
-def multiphoton_fraction(pulse: CoherentPulse) -> float:
+def multiphoton_fraction(nbar: float) -> float:
     """P(n >= 2 | n >= 1): odds that a detected pulse carried an extra photon."""
-    nbar = pulse.mean_photons
     p0 = math.exp(-nbar)
     at_least_one = 1.0 - p0
     if at_least_one <= 0.0:     # also a mean below rounding, where exp(-nbar) == 1
@@ -41,15 +47,15 @@ def multiphoton_fraction(pulse: CoherentPulse) -> float:
     return max(0.0, (at_least_one - nbar * p0) / at_least_one)
 
 
-def spectral_sigma_khz(pulse: CoherentPulse) -> float:
-    """Rms spectral width of the transform-limited Gaussian pulse, in kHz.
+def spectral_sigma_khz(fwhm_us: float) -> float:
+    """Rms spectral width of a transform-limited Gaussian pulse, in kHz.
 
     Gaussian time-bandwidth product: intensity FWHM_t * FWHM_f = 2 ln2 / pi.
     The 0.7 us default pulse spans about 0.63 MHz FWHM, i.e. a 270 kHz rms
     spread comparable to the cavity linewidth; the reflection model treats
     the pulse as monochromatic unless the spectral correction is enabled.
     """
-    fwhm_f_mhz = (2.0 * math.log(2.0) / math.pi) / pulse.fwhm_us
+    fwhm_f_mhz = (2.0 * math.log(2.0) / math.pi) / fwhm_us
     return 1e3 * fwhm_f_mhz / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 

@@ -119,6 +119,10 @@ class DensityMatrix:
         # Only an int declares a dimension: no bool, float or string.
         if type(dim) is not int or re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValueError("matrix payload does not match declared dimension")
+        # np.asarray parses "1" and reads False as 0: only numbers are entries.
+        if any(isinstance(x, bool) or not isinstance(x, (int, float))
+               for part in (data["re"], data["im"]) for row in part for x in row):
+            raise ValueError("matrix entries must be numbers")
         return cls(re + 1j * im)
 
 

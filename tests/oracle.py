@@ -191,12 +191,13 @@ def oracle_tables(cfg, protocol: str):
     re-centered).
     """
     truth_table = protocol == "truth-table"
-    pulse = cfg.truth_table_pulse if truth_table else cfg.bell_pulse
-    q2 = 0.0 if cfg.assume_single_photon else multiphoton_fraction(pulse)
+    pulses = cfg.pulses
+    nbar = pulses.truth_table_mean_photons if truth_table else pulses.bell_mean_photons
+    q2 = 0.0 if pulses.assume_single_photon else multiphoton_fraction(nbar)
     imp = cfg.imperfections
-    if cfg.spectral_correction:
+    if pulses.spectral_correction:
         imp = dataclasses.replace(imp, freq_jitter_khz=math.hypot(
-            imp.freq_jitter_khz, spectral_sigma_khz(pulse)))
+            imp.freq_jitter_khz, spectral_sigma_khz(pulses.fwhm_us)))
     if truth_table:
         imp = dataclasses.replace(imp, freq_bias_khz=0.0)
         setting = [MeasurementSetting(("Z", "X"))]

@@ -1,12 +1,10 @@
 import csv
-import dataclasses
 import importlib
 import inspect
 import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +17,6 @@ from apgate.cli import main
 from apgate.config import (ConfigError, config_from_dict, load_config,
                            paper_profile)
 from apgate.protocols import ProtocolResult
-from apgate.pulse import CoherentPulse
 from apgate.qlin import DensityMatrix
 
 MIN_CONFIG = {"seed": 42}
@@ -42,8 +39,8 @@ def test_paper_profile_encodes_rates():
     assert cfg.imperfections.mode_overlap == 0.92
     assert cfg.imperfections.drift_phase_per_reflection == pytest.approx(
         0.11 * math.pi, abs=1e-12)
-    assert cfg.bell_pulse.mean_photons == 0.07
-    assert cfg.truth_table_pulse.mean_photons == 0.3
+    assert cfg.pulses.bell_mean_photons == 0.07
+    assert cfg.pulses.truth_table_mean_photons == 0.3
 
 
 def test_missing_seed_names_field(tmp_path):
@@ -81,14 +78,26 @@ def test_config_round_trip_equality():
     assert config_from_dict({"seed": 9, "cavity": cavity}).to_dict()["cavity"] == cavity
 
 
-@pytest.mark.parametrize("change,message", [
-    ({"truth_table_pulse": CoherentPulse(0.3, 1.5)}, "both pulses must share one fwhm_us"),
-])
-def test_config_rejects_what_its_snapshot_cannot_record(change, message):
-    # metadata.config is to_dict(), which holds one FWHM: a config that
-    # disagreed with it would run one model and record another.
-    with pytest.raises(ValueError, match=re.escape(message)):
-        dataclasses.replace(paper_profile(), **change)
+@pytest.mark.parametrize("document,message", [
+    # Python holds integers that no JSON file can (past the 4300-digit limit).
+    ({"seed": 1, "pulses": {"fwhm_us": 10**5000}},
+     "pulses: fwhm_us must be finite, got an integer of 16610 bits"),
+    ({"seed": 1, "imperfections": {"mode_overlap": 10**5000}},
+     "imperfections: mode_overlap must be finite, got an integer of 16610 bits"),
+], ids=["pulses-fwhm_us", "imperfections-mode_overlap"])
+def test_config_from_dict_names_the_faulty_key(document, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(document)
+    assert str(err.value) == message
+
+
+def test_readme_config_examples_load():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    blocks = section.split("```json\n")[1:]
+    assert blocks
+    for block in blocks:
+        config_from_dict(json.loads(block.split("```")[0]))
 
 
 def test_config_from_minimal_dict():
@@ -371,6 +380,11 @@ def test_cli_ill_typed_value_exit_code(section, key, value, kind, tmp_path, caps
     # hits the same limit.
     pytest.param('{"seed": 1, "trials": 1' + "0" * 4400 + "}", "{path}: invalid JSON: ",
                  id="integer-past-digit-limit"),
+    # Of two faults, the one earlier in the document's order is reported.
+    pytest.param({"seed": 1, "mirrors": 5, "imperfections": {"bogus": 1}},
+                 "mirrors: expected an object", id="two-faults-sections"),
+    pytest.param({"seed": 1, "preselection_pass": "x", "mode": 3},
+                 "run: mode must be a string, got 3", id="two-faults-run-keys"),
 ])
 def test_cli_rejected_config_document_exit_code(document, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -15,7 +15,7 @@ from apgate.protocols import (StarvationError, bell_target, ghz_target,
                               run_bell, run_eraser, run_ghz, run_ramsey,
                               run_state_detection, run_truth_table,
                               tomo_roundtrip)
-from apgate.pulse import CoherentPulse, DetectionModel, ImperfectionConfig
+from apgate.pulse import DetectionModel, ImperfectionConfig, PulseConfig
 from apgate.qlin import UP, DensityMatrix, rotation
 from apgate.tomography import (CountsTable, MeasurementSetting, all_settings,
                                linear_inversion, mle_reconstruct,
@@ -102,7 +102,7 @@ def test_bell_fidelity_monotone_in_each_imperfection():
     # multi-photon weight grows with the pulse strength
     fids = []
     for nbar in (0.01, 0.07, 0.30):
-        cfg = dataclasses.replace(base, bell_pulse=CoherentPulse(nbar, 0.7))
+        cfg = dataclasses.replace(base, pulses=PulseConfig(bell_mean_photons=nbar))
         fids.append(run_bell(cfg).derived["fidelity"])
     assert fids[0] >= fids[1] >= fids[2]
 
@@ -138,7 +138,7 @@ def test_eraser_outcome_mixture_matches_photon_marginal():
 
 def test_spectral_correction_flag_lowers_fidelity():
     base = paper_profile()
-    widened = dataclasses.replace(base, spectral_correction=True)
+    widened = dataclasses.replace(base, pulses=PulseConfig(spectral_correction=True))
     assert (run_bell(widened).derived["fidelity"]
             < run_bell(base).derived["fidelity"])
 
@@ -356,10 +356,10 @@ def operating_points(draw):
                                threshold=draw(st.integers(1, 3)))
     return RunConfig(
         seed=1, cavity=cavity, imperfections=imperfections, detection=detection,
-        bell_pulse=CoherentPulse(draw(st.floats(0.0, 0.5)), 0.7),
-        truth_table_pulse=CoherentPulse(draw(st.floats(0.0, 0.5)), 0.7),
-        assume_single_photon=draw(st.booleans()),
-        spectral_correction=draw(st.booleans()))
+        pulses=PulseConfig(bell_mean_photons=draw(st.floats(0.0, 0.5)),
+                           truth_table_mean_photons=draw(st.floats(0.0, 0.5)),
+                           assume_single_photon=draw(st.booleans()),
+                           spectral_correction=draw(st.booleans())))
 
 
 def _max_contamination(cfg):
@@ -367,8 +367,8 @@ def _max_contamination(cfg):
     photons on, spectral correction on and a nonzero detuning bias."""
     return dataclasses.replace(
         with_imperfections(cfg, freq_bias_khz=200.0),
-        bell_pulse=CoherentPulse(0.5, 0.7), truth_table_pulse=CoherentPulse(0.5, 0.7),
-        assume_single_photon=False, spectral_correction=True)
+        pulses=PulseConfig(bell_mean_photons=0.5, truth_table_mean_photons=0.5,
+                           spectral_correction=True))
 
 
 @pytest.mark.parametrize("protocol", sorted(TABLE_RUNNERS))
@@ -425,7 +425,7 @@ def test_analyzer_error_costs_about_two_percent_on_two_photons():
 
 
 def test_multiphoton_costs_about_two_percent_on_bell():
-    cfg = dataclasses.replace(ideal_profile(), assume_single_photon=False)
+    cfg = dataclasses.replace(ideal_profile(), pulses=PulseConfig())
     reduction = 1.0 - run_bell(cfg).derived["fidelity"]
     assert 0.01 <= reduction <= 0.04
 
@@ -543,6 +543,22 @@ def test_fidelity_std_matches_fisher_information(profile, runner, seed, monkeypa
               for c, (rho, std), target in zip(counts, fits, TARGETS[runner], strict=True)]
     low = 0.72 if profile is paper_profile else 0.0
     assert all(low <= r <= 1.28 for r in ratios), ratios
+
+
+def test_fidelity_std_matches_the_spread_over_seeds():
+    # A third route to fidelity_std: over 30 seeds, the Monte-Carlo bell
+    # fidelity's offset from the analytic value, in units of its reported
+    # std, has sd and mean near 1 and 0.  Their sampling errors at 30 seeds
+    # are 1/sqrt(58) = 0.13 and 1/sqrt(30) = 0.18; the bands are 2 sigma
+    # (seeds 1-30 give sd 0.95 and mean -0.17).
+    exact = run_bell(paper_profile()).derived["fidelity"]
+    z = []
+    for seed in range(1, 31):
+        derived = run_bell(dataclasses.replace(paper_profile(seed=seed),
+                                               mode="monte-carlo")).derived
+        z.append((derived["fidelity"] - exact) / derived["fidelity_std"])
+    assert 0.74 <= np.std(z, ddof=1) <= 1.26, z
+    assert abs(np.mean(z)) <= 0.37, z
 
 
 @pytest.mark.parametrize("profile", [paper_profile, ideal_profile])

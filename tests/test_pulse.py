@@ -6,7 +6,7 @@ import pytest
 
 from apgate.config import ideal_profile
 from apgate.protocols import bell_target, run_bell, run_truth_table
-from apgate.pulse import (CoherentPulse, DetectionModel, ImperfectionConfig,
+from apgate.pulse import (DetectionModel, ImperfectionConfig, PulseConfig,
                           _poisson_cdf, confusion_matrix, detection_confusion,
                           hyperfine_fidelity, jitter_nodes,
                           multiphoton_fraction)
@@ -24,15 +24,14 @@ def test_multiphoton_fraction_matches_ratio():
     nbar = 0.07
     p0, p1 = _poisson(nbar, 0), _poisson(nbar, 1)
     expected = (1 - p0 - p1) / (1 - p0)
-    assert multiphoton_fraction(CoherentPulse(nbar)) == pytest.approx(expected,
-                                                                      abs=1e-12)
+    assert multiphoton_fraction(nbar) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.034, abs=1e-3)
-    assert multiphoton_fraction(CoherentPulse(0.0)) == 0.0
+    assert multiphoton_fraction(0.0) == 0.0
 
 
 def test_pulse_warns_above_one_photon():
     with pytest.warns(UserWarning, match=r"^mean photon number 1\.5 above 1; ") as caught:
-        CoherentPulse(1.5)
+        PulseConfig(bell_mean_photons=1.5)
     # Attributed to the caller, not to the dataclass-generated __init__.
     assert [w.filename for w in caught] == [__file__]
 
@@ -166,8 +165,8 @@ def test_imperfection_validation():
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: CoherentPulse(-0.1, 0.7), "mean photon number must be nonnegative"),
-    (lambda: CoherentPulse(0.07, 0.0), "FWHM must be positive"),
+    (lambda: PulseConfig(bell_mean_photons=-0.1), "mean photon number must be nonnegative"),
+    (lambda: PulseConfig(fwhm_us=0.0), "FWHM must be positive"),
     (lambda: confusion_matrix(1.5), r"flip probability must lie in \[0, 1\]"),
     (lambda: DetectionModel(mean_signal_photons=-1.0), "signal photon number must be nonnegative"),
     (lambda: DetectionModel(dark_prob=1.0), r"dark probability must lie in \[0, 1\)"),

@@ -321,10 +321,18 @@ def test_density_json_validates_on_load():
     (lambda: DensityMatrix.from_json_dict({"dim": "2", "re": [[1, 0], [0, 0]],
                                            "im": [[0, 0], [0, 0]]}),
      "payload does not match declared dimension"),
+    # Nor is an entry: numpy would parse "1" and read False as 0.
+    (lambda: DensityMatrix.from_json_dict({"dim": 2, "re": [["1", "0"], ["0", "0"]],
+                                           "im": [[0, 0], [0, 0]]}),
+     "matrix entries must be numbers"),
+    (lambda: DensityMatrix.from_json_dict({"dim": 2, "re": [[1, 0], [0, 0]],
+                                           "im": [[0, 0], [0, False]]}),
+     "matrix entries must be numbers"),
     (lambda: optimal_phase_fidelity(DensityMatrix(np.eye(2) / 2), U2, V2),
      "dimension mismatch"),
 ], ids=["not-power-of-two", "four-qubits", "zero-vector", "not-square", "payload-shape",
-        "payload-nan", "payload-dim-float", "payload-dim-string", "phase-dimension"])
+        "payload-nan", "payload-dim-float", "payload-dim-string", "payload-entry-string",
+        "payload-entry-bool", "phase-dimension"])
 def test_qlin_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()
