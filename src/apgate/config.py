@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -113,7 +114,8 @@ def _cast(key: str, value, default):
     another type, a number key takes only a number and an integer key only
     an integral one, a string key takes only a string, no number may be NaN
     or infinite (``json`` reads ``NaN`` and ``Infinity``) nor, for a float
-    key, an integer beyond the float range, and a key in ``_RANGES`` must lie
+    key, an integer beyond the float range, an integer key's value must
+    convert to digits (JSON writes them), and a key in ``_RANGES`` must lie
     in its range."""
     kind = type(default)
     if isinstance(value, float) and not math.isfinite(value):
@@ -127,9 +129,14 @@ def _cast(key: str, value, default):
         if not low <= value <= high:
             raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {_shown(value)}")
     try:
+        if kind is int:
+            repr(value)     # the run's JSON snapshot writes its digits
         return kind(value)
     except OverflowError:
         raise ValueError(f"{key} must be finite, got {_shown(value)}") from None
+    except ValueError:      # past Python's digit limit for integer strings
+        raise ValueError(f"{key} must have at most {sys.get_int_max_str_digits()} digits, "
+                         f"got {_shown(value)}") from None
 
 
 def _build(path: str, make, section: dict, defaults: dict):

@@ -9,8 +9,9 @@ as one float stack (B x settings x 2^n) checked by ``_counts`` alone (a
 product with the map's least-squares inverse.  ``mle_batch``, the batched
 maximum-likelihood core, starts all its fits there and checks them as one
 stack; they are physical and certified within MLE_TOL nats of the maximum by a
-Lagrange-dual bound, second order near the optimum.  Monte-Carlo tables and
-their bootstrap replicas share one batch (``fit_with_errors``).
+Lagrange-dual bound whose dual point is built on each fitted state's null
+space, so its first-order term is exactly zero.  Monte-Carlo tables and their
+bootstrap replicas share one batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -203,16 +204,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _project(x: np.ndarray, dim: int) -> np.ndarray:
+def _project(x: np.ndarray, dim: int) -> tuple:
     """Nearest density matrices (Frobenius norm) to the Hermitian rows ``x``:
-    the eigenvalues are projected onto the probability simplex."""
+    the eigenvalues are projected onto the probability simplex.  Also each
+    state's null space (B x d x d): its eigenvectors of weight exactly 0."""
     values, vectors = np.linalg.eigh(x.view(complex).reshape(-1, dim, dim))
     excess = np.cumsum(values[:, ::-1], axis=1) - 1.0
     support = np.sum(values[:, ::-1] - excess / np.arange(1, dim + 1) > 0, axis=1)
     shift = excess[np.arange(len(x)), support - 1] / support
     weights = np.maximum(values - shift[:, None], 0.0)
     rho = (vectors * weights[:, None, :]) @ vectors.conj().swapaxes(1, 2)
-    return rho.reshape(len(x), -1).view(float)
+    return rho.reshape(len(x), -1).view(float), vectors * (weights == 0.0)[:, None, :]
 
 
 def mle_batch(settings: Sequence[MeasurementSetting], counts,
@@ -237,19 +239,22 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     sum_{n_i>0} n_i log(n_i / (N y'_i)) + N log s for any y' >= 0, positive
     where n_i > 0, with lambda_max(sum_i y'_i Pi_i) <= s (Lagrange duality;
     Boyd and Vandenberghe, Convex Optimization (2004), ch. 5); at y' = y,
-    s = 1 the sum is l(rho).  The dual point: with R = V diag(w) V^H and
-    M = V diag(m) V^H, m_k = w_k - 1 where <v_k|rho|v_k> > 1e-3, else
-    max(w_k - 1, 0), R - M has no eigenvalue above 1; y' = y - delta with
-    delta_i = tr(D_i M) (D_i the ``_inversion_map`` duals, so sum_i delta_i
-    Pi_i = M), zero-count entries clipped at 0, and the rounding guard
-    s = max(1, lambda_max(sum_i y'_i Pi_i)) absorbs clipping and rounding.
+    s = 1 the sum is l(rho).  The dual point comes from rho's null space:
+    with K the projector onto the eigenvectors its projection gave weight
+    exactly 0 (``_project``, no threshold), M = (R - I) - K (R - I) K and
+    y' = y - delta with delta_i = tr(D_i M) (D_i the ``_inversion_map``
+    duals, so sum_i delta_i Pi_i = M and sum_i y'_i Pi_i = I + K (R - I) K),
+    zero-count entries clipped at 0; s = max(1, lambda_max(sum_i y'_i Pi_i))
+    absorbs that null-space block, the clipping and rounding, so the bound
+    holds for any M, and at the optimum, where R <= I, s = 1.
     So l_max - l(rho) <= -sum_{n_i>0} n_i log1p(-delta_i/y_i) + N log s, whose
-    first-order term N tr(rho M) vanishes on rho's support.  The certificate
-    is the smaller of this and the Frank-Wolfe gap N (lambda_max(R) - 1)
-    (Glancy, Knill, Girard, NJP 14, 095017 (2012)), used alone where some
-    y'_i <= 0 with n_i > 0, an observed p_i sits at PROB_FLOOR or the dual
-    value is not finite.  A fit leaves the batch certified at MLE_TOL = 0.1
-    nats, well below the 0.5-nat one-sigma likelihood scale.
+    first-order term N tr(rho M) = N (sum_i p_i y_i - 1) is exactly 0, as
+    rho K = 0.  Where some y'_i <= 0 with n_i > 0, an observed p_i sits at
+    PROB_FLOOR or the dual value is not finite, the certificate is the
+    Frank-Wolfe gap N (lambda_max(R) - 1) (Glancy, Knill, Girard, NJP 14,
+    095017 (2012)), computed for those fits only.  A fit leaves the batch
+    certified at MLE_TOL = 0.1 nats, well below the 0.5-nat one-sigma
+    likelihood scale.
     All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products, the
     starts (one stacked product) and the fitted states' checks (one stack)
     included, so a fit's result does not depend, bit for bit, on its batch.
@@ -266,30 +271,29 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     def adjoint(y):                           # sum_i y_i Pi_i
         return (y[:, None, :] @ to_op)[:, 0, :]
 
-    def gap(p, x, idx):                       # p = p(x) for the states x of fits idx
+    def gap(p, ker, idx):                     # p = p(x), ker x's null space, of fits idx
         b, obs, y = len(idx), n[idx] > 0, freq[idx] / np.maximum(p, PROB_FLOOR)
-        w, v = np.linalg.eigh(adjoint(y).view(complex).reshape(b, dim, dim))
-        occ = (v.conj() * (x.view(complex).reshape(b, dim, dim) @ v)).sum(axis=1).real
-        m = np.where(occ > 1e-3, w - 1.0, np.maximum(w - 1.0, 0.0))
-        m_op = ((v * m[:, None, :]) @ v.conj().swapaxes(1, 2)).reshape(b, dim * dim)
-        delta = (m_op.view(float)[:, None, :] @ duals.T)[:, 0, :]
+        rm = adjoint(y).view(complex).reshape(b, dim, dim) - np.eye(dim)     # R - I
+        k = ker @ ker.conj().swapaxes(1, 2)
+        delta = ((rm - k @ rm @ k).reshape(b, 1, dim * dim).view(float) @ duals.T)[:, 0, :]
         ratio = np.where(obs, delta / np.where(obs, y, 1.0), 0.0)     # < 1 means y' > 0
         y_dual = adjoint(np.where(obs, y - delta, np.maximum(-delta, 0.0)))
         s = np.linalg.eigvalsh(y_dual.view(complex).reshape(b, dim, dim))[:, -1]
         ok = np.all(~obs | ((ratio < 1.0) & (p > PROB_FLOOR)), axis=1)
         dual = total[idx] * np.log(np.maximum(s, 1.0)) - _dot(
             n[idx], np.log1p(-np.where(ok[:, None], ratio, 0.0)))
-        frank_wolfe = total[idx] * (w[:, -1] - 1.0)
-        return np.where(ok & np.isfinite(dual), np.minimum(frank_wolfe, dual), frank_wolfe)
+        fw = ~(ok & np.isfinite(dual))                # Frank-Wolfe gap where the dual fails
+        dual[fw] = total[idx][fw] * np.linalg.eigvalsh(rm[fw])[:, -1]
+        return dual
 
     def gain(d, p, idx):                      # l(rho + d) - l(rho), p = p(rho)
         p = np.maximum(p, PROB_FLOOR)
         return _dot(n[idx], np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
-    x = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
+    x, ker = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
     px = probs(x)                                 # p(x), refreshed where x moves
     ll = _dot(n, np.log(np.maximum(px, PROB_FLOOR)))
-    gaps, sigma, theta, step = gap(px, x, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
+    gaps, sigma, theta, step = gap(px, ker, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
     history = [[v] for v in ll.tolist()]
     for _ in range(max_iter):
         active = fits[gaps > MLE_TOL]
@@ -297,26 +301,26 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
             break
         xs, ps = sigma[active], probs(sigma[active])
         grad, cand = adjoint(freq[active] / np.maximum(ps, PROB_FLOOR)), np.empty_like(xs)
-        todo = np.arange(len(active))
+        todo, cker = np.arange(len(active)), ker[active]
         for _ in range(64):                       # backtracking
             idx, t = active[todo], step[active[todo]]
-            cand[todo] = _project(xs[todo] + t[:, None] * grad[todo], dim)
+            cand[todo], cker[todo] = _project(xs[todo] + t[:, None] * grad[todo], dim)
             d = cand[todo] - xs[todo]
             ok = gain(d, ps[todo], idx) / total[idx] >= _dot(grad[todo] - 0.5 * d / t[:, None], d)
             step[idx] = np.where(ok, 1.1 * t, 0.5 * t)
             todo = todo[~ok]
             if not todo.size:
                 break
-        cand[todo] = x[active[todo]]              # no step passed: stay
+        cand[todo], cker[todo] = x[active[todo]], ker[active[todo]]     # no step passed: stay
         rise = gain(cand - x[active], px[active], active)
         moved = (rise >= 0.0) | (theta[active] == 1.0)
         up, stay = active[moved], active[~moved]
-        prev, x[up], ll[up] = x[up], cand[moved], ll[up] + rise[moved]
+        prev, x[up], ker[up], ll[up] = x[up], cand[moved], cker[moved], ll[up] + rise[moved]
         th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[up] ** 2))
         sigma[up] = x[up] + ((theta[up] - 1.0) / th)[:, None] * (x[up] - prev)
         theta[up], sigma[stay], theta[stay] = th, x[stay], 1.0
         px[up] = probs(x[up])
-        gaps[up] = gap(px[up], x[up], up)
+        gaps[up] = gap(px[up], ker[up], up)
         for i, v in zip(active.tolist(), ll[active].tolist()):
             history[i].append(v)
     return [ReconstructionReport(rho, float(ll[b]), len(history[b]) - 1,

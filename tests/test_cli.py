@@ -84,7 +84,14 @@ def test_config_round_trip_equality():
      "pulses: fwhm_us must be finite, got an integer of 16610 bits"),
     ({"seed": 1, "imperfections": {"mode_overlap": 10**5000}},
      "imperfections: mode_overlap must be finite, got an integer of 16610 bits"),
-], ids=["pulses-fwhm_us", "imperfections-mode_overlap"])
+    # An integer key holds such an integer, but the run's JSON snapshot cannot.
+    ({"seed": 10**5000}, "run: seed must have at most 4300 digits, got an integer of 16610 bits"),
+    ({"seed": 1, "detection": {"threshold": 10**5000}},
+     "detection: threshold must have at most 4300 digits, got an integer of 16610 bits"),
+    ({"seed": 1, "shots_per_setting": 10**5000},
+     "run: shots_per_setting must have at most 4300 digits, got an integer of 16610 bits"),
+], ids=["pulses-fwhm_us", "imperfections-mode_overlap", "seed", "detection-threshold",
+        "shots_per_setting"])
 def test_config_from_dict_names_the_faulty_key(document, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict(document)
