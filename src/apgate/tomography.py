@@ -9,9 +9,8 @@ as one float stack (B x settings x 2^n) checked by ``_counts`` alone (a
 product with the map's least-squares inverse.  ``mle_batch``, the batched
 maximum-likelihood core, starts all its fits there and checks them as one
 stack; they are physical and certified within MLE_TOL nats of the maximum by a
-Lagrange-dual bound whose dual point is built on each fitted state's null
-space, so its first-order term is exactly zero.  Monte-Carlo tables and their
-bootstrap replicas share one batch (``fit_with_errors``).
+Lagrange-dual bound built on each fitted state's null space.  Monte-Carlo
+tables and their bootstrap replicas share one batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -239,22 +238,19 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     sum_{n_i>0} n_i log(n_i / (N y'_i)) + N log s for any y' >= 0, positive
     where n_i > 0, with lambda_max(sum_i y'_i Pi_i) <= s (Lagrange duality;
     Boyd and Vandenberghe, Convex Optimization (2004), ch. 5); at y' = y,
-    s = 1 the sum is l(rho).  The dual point comes from rho's null space:
-    with K the projector onto the eigenvectors its projection gave weight
-    exactly 0 (``_project``, no threshold), M = (R - I) - K (R - I) K and
-    y' = y - delta with delta_i = tr(D_i M) (D_i the ``_inversion_map``
-    duals, so sum_i delta_i Pi_i = M and sum_i y'_i Pi_i = I + K (R - I) K),
+    s = 1 the sum is l(rho).  The dual point: with K the projector onto rho's
+    null space (the eigenvectors ``_project`` gave weight exactly 0),
+    M = (R - I) - K (R - I) K and y' = y - delta, delta_i = tr(D_i M) (D_i
+    the ``_inversion_map`` duals, so sum_i y'_i Pi_i = I + K (R - I) K),
     zero-count entries clipped at 0; s = max(1, lambda_max(sum_i y'_i Pi_i))
-    absorbs that null-space block, the clipping and rounding, so the bound
-    holds for any M, and at the optimum, where R <= I, s = 1.
+    absorbs that block, clipping and rounding, so the bound holds for any M.
     So l_max - l(rho) <= -sum_{n_i>0} n_i log1p(-delta_i/y_i) + N log s, whose
-    first-order term N tr(rho M) = N (sum_i p_i y_i - 1) is exactly 0, as
-    rho K = 0.  Where some y'_i <= 0 with n_i > 0, an observed p_i sits at
-    PROB_FLOOR or the dual value is not finite, the certificate is the
-    Frank-Wolfe gap N (lambda_max(R) - 1) (Glancy, Knill, Girard, NJP 14,
-    095017 (2012)), computed for those fits only.  A fit leaves the batch
-    certified at MLE_TOL = 0.1 nats, well below the 0.5-nat one-sigma
-    likelihood scale.
+    first-order term N tr(rho M) = N (sum_i p_i y_i - 1) is 0 as rho K = 0.
+    Where some y'_i <= 0 with n_i > 0, an observed p_i sits at PROB_FLOOR or
+    the dual value is not finite, the certificate is instead the Frank-Wolfe
+    gap N (lambda_max(R) - 1) (Glancy, Knill, Girard, NJP 14, 095017
+    (2012)).  A fit leaves the batch certified at MLE_TOL = 0.1 nats, well
+    below the 0.5-nat one-sigma likelihood scale.
     All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products, the
     starts (one stacked product) and the fitted states' checks (one stack)
     included, so a fit's result does not depend, bit for bit, on its batch.

@@ -358,30 +358,21 @@ def test_mle_certifies_slow_bootstrap_replica():
     assert_report_consistent(report)
 
 
-NEAR_PURE_1E5 = [[18101, 24631, 5367, 51901], [27215, 15655, 40168, 16962],
-                 [41913, 1109, 40143, 16835], [7004, 8122, 16193, 68681],
-                 [15018, 26, 52240, 32716], [7777, 7579, 74142, 10502],
-                 [3027, 19092, 20256, 57625], [6404, 15880, 61089, 16627],
-                 [17149, 5004, 64884, 12963]]
-
-
 def test_mle_keeps_plain_steps_whose_drop_is_rounding():
     # A 1e5-shot near-pure table: near the optimum the projection's rounding
     # outweighs the true gain of a plain step; rejecting such steps left the
-    # fit at a 0.25-nat gap until the cap.
-    report = mle_reconstruct(CountsTable(all_settings(2), NEAR_PURE_1E5))
-    assert report.converged
-    assert_report_consistent(report)
-
-
-def test_mle_certifies_near_pure_table_within_60_iterations():
-    # The dual point built on the fitted state's null space has no first-order
-    # term, so this table certifies in 43 iterations.  Splitting R's
-    # eigenbasis at <v_k|rho|v_k> = 1e-3 instead took 112: there R's nearly
-    # degenerate top eigenvectors mix rho's support, and N tr(rho M) made up
-    # most of a bound many times the true shortfall.
-    report = mle_reconstruct(CountsTable(all_settings(2), NEAR_PURE_1E5))
+    # fit at a 0.25-nat gap until the cap.  It certifies in 43 iterations; a
+    # dual point split in R's eigenbasis at <v_k|rho|v_k> = 1e-3 took 112, as
+    # R's nearly degenerate top eigenvectors mix rho's support and the bound's
+    # first-order term N tr(rho M) outweighed the true shortfall.
+    counts = [[18101, 24631, 5367, 51901], [27215, 15655, 40168, 16962],
+              [41913, 1109, 40143, 16835], [7004, 8122, 16193, 68681],
+              [15018, 26, 52240, 32716], [7777, 7579, 74142, 10502],
+              [3027, 19092, 20256, 57625], [6404, 15880, 61089, 16627],
+              [17149, 5004, 64884, 12963]]
+    report = mle_reconstruct(CountsTable(all_settings(2), counts))
     assert report.converged and report.iterations <= 60
+    assert_report_consistent(report)
 
 
 def test_roundtrip_certifies_near_pure_high_shot_state():
