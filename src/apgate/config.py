@@ -69,6 +69,13 @@ class RunConfig:
         for name in ("trials", "mc_replicas"):
             if getattr(self, name) >= 2**53:
                 raise ValueError(f"{name} must be below 2**53")
+        for name, value in (("seed", self.seed), ("shots_per_setting", self.shots_per_setting),
+                            ("detection.threshold", self.detection.threshold)):
+            try:
+                str(value)      # the run's JSON snapshot writes its digits
+            except ValueError:
+                raise ValueError(f"{name} must have at most {sys.get_int_max_str_digits()} "
+                                 f"digits, got {_shown(value)}") from None
 
     def to_dict(self) -> dict:
         """The config document of this run: plain units, every key present."""

@@ -114,30 +114,30 @@ def _model_for(cfg: RunConfig, nbar: float) -> tuple[ImperfectionConfig, float]:
 
 
 def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
-                     atom_ket: np.ndarray, photon_kets: Sequence[np.ndarray],
-                     settings: Sequence[MeasurementSetting],
+                     inputs: Sequence[tuple], settings: Sequence[MeasurementSetting],
                      atom_phase: float = 0.0,
                      atom_pre_measure: Optional[np.ndarray] = None,
                      atom_confusion: Optional[np.ndarray] = None):
-    """Per-setting outcome probabilities of one gate protocol.
+    """Per-setting outcome probabilities of one gate protocol for a stack of
+    ``inputs``, each ``(atom ket, photon kets, prep fidelity)`` with one photon
+    count and run as if its prep fidelity were ``imp.prep_fidelity``.
 
-    Returns ``(tables, survival)`` where ``tables[s]`` is the normalized
-    outcome distribution of setting ``s`` (C-order over the atom bit followed
-    by the photon bits, bit 0 the + outcome) and ``survival`` is the
-    photon-survival weight of one attempt: the total before normalization,
-    common to all settings.
+    Returns ``(tables, survivals)`` where ``tables[i, s]`` is the normalized
+    outcome distribution of input ``i`` in setting ``s`` (C-order over the atom
+    bit followed by the photon bits, bit 0 the + outcome) and ``survivals[i]``
+    its photon-survival weight of one attempt: the total before normalization.
 
     The reflection map is diagonal, so the model is one branch tensor of
-    shape (jitter node, branch, 2^n): per in/out-of-mode photon pattern and
-    per dephasing sub-branch, the initial ket times the in-mode photons'
+    shape (input, jitter node, branch, 2^n): per in/out-of-mode photon pattern
+    and per dephasing sub-branch, the initial ket times the in-mode photons'
     reflection factors, the drift phase ``atom_phase`` and the dephasing
     phase flip, scaled by the square root of the branch prior, then rotated
     by ``atom_pre_measure`` on the atom.  Atoms prepared in the wrong state
     add one more branch: every photon uncoupled, no rotation, and the atom
     read as |up> since it always fluoresces (the upper hyperfine outcome in
     a Z readout, an even split in X or Y).  Then each step is one product on
-    the flat outcome index, one row per (node, branch, setting): Born weights
-    with the stacked bras, readout with one Kronecker matrix
+    the flat outcome index, one row per (input, node, branch, setting): Born
+    weights with the stacked bras, readout with one Kronecker matrix
     (``atom_confusion``, the identity if None, times the analyzer flips).
 
     Extra-photon contamination (with weight q2 a photon's record is an
@@ -147,7 +147,8 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     photon meets the same detuning, mode pattern and atom as the first, and
     the map is nonlinear, so the marginal is the branch's, not the mixture's.
     """
-    k = len(photon_kets)
+    atom_kets, photon_kets, f_prep = zip(*inputs)
+    k = len(photon_kets[0])
     n = 1 + k
     ov = imp.mode_overlap
     deltas, weights = jitter_nodes(imp.freq_jitter_khz, imp.freq_bias_khz)
@@ -155,48 +156,52 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     bits = np.array(list(np.ndindex((2,) * n)))                  # (2^n, n), 0 = up/+
     out_of_mode = np.array(list(np.ndindex((2,) * k)), dtype=bool)   # (2^k, k)
 
-    # Branch tensor (node, mode pattern, dephasing sign, 2^n).
+    # Branch tensor (input, node, mode pattern, dephasing sign, 2^n).
     pair = amps[:, 2 * bits[:, :1] + bits[:, 1:]]                 # (node, 2^n, k)
     factors = np.where(out_of_mode[:, None], 1.0, pair[:, None]).prod(axis=-1)
-    coherence = imp.atomic_coherence_factor
-    priors = (imp.prep_fidelity * np.where(out_of_mode, 1.0 - ov, ov).prod(axis=1)[:, None]
-              * np.array([1.0 + coherence, 1.0 - coherence]) / 2.0)
-    phot0 = functools.reduce(np.kron, [np.asarray(v, dtype=complex) for v in photon_kets])
-    psi0 = np.kron(np.asarray(atom_ket, dtype=complex), phot0)
+    coherence = np.array([dataclasses.replace(imp, prep_fidelity=f).atomic_coherence_factor
+                          for f in f_prep])
+    f_prep = np.array(f_prep)
+    priors = (f_prep[:, None, None] * np.where(out_of_mode, 1.0 - ov, ov).prod(axis=1)[:, None]
+              * np.stack([1.0 + coherence, 1.0 - coherence], axis=1)[:, None] / 2.0)
+    phot0 = np.array([functools.reduce(np.kron, np.asarray(p, dtype=complex)) for p in photon_kets])
+    psi0 = np.array([np.kron(a, p) for a, p in zip(np.asarray(atom_kets, dtype=complex), phot0)])
     atom_bit = bits[:, 0]
     signs = np.array([np.ones(2 ** n), (-1.0) ** atom_bit])
-    vec = (factors[:, :, None] * np.sqrt(priors)[..., None] * signs
-           * psi0 * np.exp(-1j * atom_phase * atom_bit))
+    vec = (factors[:, :, None] * np.sqrt(priors)[:, None, ..., None] * signs
+           * psi0[:, None, None, None] * np.exp(-1j * atom_phase * atom_bit))
     pre = np.eye(2) if atom_pre_measure is None else atom_pre_measure
-    vec = vec.reshape(len(deltas), -1, 2 ** n) @ np.kron(pre, np.eye(2 ** k)).T
-    err_prior = (1.0 - imp.prep_fidelity) * (ov * np.abs(amps[:, 1]) ** 2 + 1.0 - ov) ** k
-    err = np.sqrt(err_prior)[:, None, None] * np.kron([1.0, 0.0], phot0)
-    vec = np.concatenate([vec, err], axis=1)
+    vec = vec.reshape(-1, 2 ** (k + 1), 2 ** n) @ np.kron(pre, np.eye(2 ** k)).T
+    err_prior = (1.0 - f_prep[:, None]) * (ov * np.abs(amps[:, 1]) ** 2 + 1.0 - ov) ** k
+    err = np.sqrt(err_prior)[..., None, None] * np.kron([1.0, 0.0], phot0)[:, None, None]
+    vec = np.concatenate([vec, err.reshape(-1, 1, 2 ** n)], axis=1)
 
     basis = np.concatenate([s.basis_matrix() for s in settings])    # (S 2^n, 2^n) bras
-    grid = np.abs(vec.reshape(-1, 2 ** n) @ basis.T) ** 2     # rows (node, branch)
+    grid = np.abs(vec.reshape(-1, 2 ** n) @ basis.T) ** 2     # rows (input, node, branch)
     readout = [np.eye(2) if atom_confusion is None else atom_confusion]
     confusion = functools.reduce(np.kron, readout + [confusion_matrix(imp.photonic_meas_error)] * k)
-    grid = grid.reshape(-1, 2 ** n) @ confusion.T     # rows (node, branch, setting)
+    grid = grid.reshape(-1, 2 ** n) @ confusion.T     # rows (input, node, branch, setting)
     total = grid.sum(axis=1, keepdims=True)
     # A subnormal total would overflow; its branch is below 1e-308 anyway.
     scale = q2 / np.where(total >= np.finfo(float).tiny, total, np.inf)
     agree = (bits.T[:, :, None] == bits.T[:, None]).astype(float)   # [j, o, o']: same bit j
-    for j in range(1, n):     # in place: the grids are the engine's largest arrays
+    # In place, as the grids are the engine's largest arrays; q2 = 0 would leave them as they are.
+    for j in range(1, n) if q2 else ():
         marginal = grid @ agree[j]                                 # outcomes sharing bit j
         rest = grid @ np.delete(agree, j, axis=0).prod(axis=0)     # ... every other bit
         grid *= 1.0 - q2
         grid += rest * (scale * marginal)
     node_weights = np.repeat(weights, vec.shape[1])
-    tables = (node_weights @ grid.reshape(len(node_weights), -1)).reshape(len(settings), -1)
+    tables = (node_weights @ grid.reshape(len(inputs), len(node_weights), -1)).reshape(
+        len(inputs), len(settings), -1)
 
-    sums = tables.sum(axis=1)
-    if np.max(np.abs(sums - sums[0])) > 1e-9:
+    sums = tables.sum(axis=2)
+    if np.max(np.abs(sums - sums[:, :1])) > 1e-9:
         raise RuntimeError("survival weight leaked a setting dependence")
-    survival = float(sums[0])
-    if survival <= 1e-12:
+    survivals = sums[:, 0]
+    if survivals.min() <= 1e-12:
         raise StarvationError("post-selection removed all weight")
-    return tables / survival, survival
+    return tables / survivals[:, None, None], survivals
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +300,11 @@ def run_truth_table(cfg: RunConfig) -> ProtocolResult:
     imp = dataclasses.replace(imp, freq_bias_khz=0.0)
     setting = MeasurementSetting(("Z", "X"))
     # Atom-down inputs carry no preparation error.
-    inputs = [(DOWN, X_MINUS, 1.0), (DOWN, X_PLUS, 1.0),
-              (UP, X_MINUS, imp.prep_fidelity), (UP, X_PLUS, imp.prep_fidelity)]
-    runs = [_protocol_tables(cfg.cavity, dataclasses.replace(imp, prep_fidelity=f_prep), q2,
-                             atom, [photon], [setting],
-                             atom_confusion=detection_confusion(cfg.detection))
-            for atom, photon, f_prep in inputs]
-    survivals = [survival for _, survival in runs]
-    rows, _ = _observe(cfg, [setting] * 4, np.concatenate([t for t, _ in runs]),
-                       survivals)
+    inputs = [(DOWN, [X_MINUS], 1.0), (DOWN, [X_PLUS], 1.0),
+              (UP, [X_MINUS], imp.prep_fidelity), (UP, [X_PLUS], imp.prep_fidelity)]
+    tables, survivals = _protocol_tables(cfg.cavity, imp, q2, inputs, [setting],
+                                         atom_confusion=detection_confusion(cfg.detection))
+    rows, _ = _observe(cfg, [setting] * 4, tables[:, 0], survivals)
     raw = {"counts" if cfg.mode == "monte-carlo" else "probabilities": rows}
     matrix = (rows / rows.sum(axis=1, keepdims=True))[:, ::-1]
     correct = [float(matrix[i, _TT_CORRECT_COLUMN[i]]) for i in range(4)]
@@ -338,9 +339,10 @@ def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSett
     """
     n_photons = settings[0].n_qubits - 1
     drift = cfg.imperfections.drift_phase_per_reflection * n_photons
-    tables, survival = _protocol_tables(
-        cfg.cavity, *_model_for(cfg, cfg.pulses.bell_mean_photons), X_MINUS, [X_MINUS] * n_photons,
-        settings, atom_phase=drift, atom_pre_measure=atom_pre_measure)
+    imp, q2 = _model_for(cfg, cfg.pulses.bell_mean_photons)
+    (tables,), (survival,) = _protocol_tables(
+        cfg.cavity, imp, q2, [(X_MINUS, [X_MINUS] * n_photons, imp.prep_fidelity)], settings,
+        atom_phase=drift, atom_pre_measure=atom_pre_measure)
     keep_prob = survival * cfg.preselection_pass
     rows, rng = _observe(cfg, settings, tables, keep_prob)
     fit_settings, fitted, derived = ((settings, [rows], {}) if herald is None
@@ -476,6 +478,27 @@ def run_ramsey(cfg: RunConfig, detuning_grid_khz: Optional[Sequence[float]] = No
     return ProtocolResult("ramsey", raw, derived, _metadata(cfg, cfg.trials), (csv,))
 
 
+def _poisson_histogram(rng: np.random.Generator, lam: float, n: int) -> np.ndarray:
+    """Counts of ``n`` Poisson(``lam``) draws at each value 0, 1, ... up to the
+    largest, exact in distribution at a cost set by the support, not by ``n``:
+    value k takes a binomial share of the draws left at the hazard P(X = k | X >= k)
+    (sequential conditional binomials; Devroye 1986, ch. XI).  A pass weighs 2 span
+    values relative to its first (at most e^lam, finite up to DetectionModel's 700)
+    and uses the first span hazards: as the Poisson hazard rises, the mass past the
+    pass is below P(X >= span) < e^-88 of what is left at each, far below rounding."""
+    counts = []
+    while n:
+        span = int(lam + 40.0 * math.sqrt(lam)) + 60
+        w = np.cumprod(np.r_[1.0, lam / (len(counts) + np.arange(1, 2 * span))])
+        tail = np.cumsum(w[::-1])[::-1]
+        for h in np.divide(w, tail, out=np.ones_like(w), where=tail > 0)[:span]:
+            counts.append(int(rng.binomial(n, h)))
+            n -= counts[-1]
+            if not n:
+                break
+    return np.array(counts)
+
+
 def run_state_detection(cfg: RunConfig, trials: Optional[int] = None) -> ProtocolResult:
     """Photon-count histograms of the hyperfine readout and its threshold fidelity.
 
@@ -488,13 +511,12 @@ def run_state_detection(cfg: RunConfig, trials: Optional[int] = None) -> Protoco
     model = cfg.detection
     rng = _streams(cfg, 1)[0]
     n_each = trials // 2
-    counts_f2 = rng.poisson(model.mean_signal_photons, size=n_each)
-    counts_f1 = rng.poisson(model.dark_rate, size=n_each)
-    correct_f2 = float(np.mean(counts_f2 >= model.threshold))
-    correct_f1 = float(np.mean(counts_f1 < model.threshold))
-    top = int(max(counts_f2.max(), counts_f1.max())) + 1
-    hist_f2 = np.bincount(counts_f2, minlength=top) / n_each
-    hist_f1 = np.bincount(counts_f1, minlength=top) / n_each
+    counts_f2, counts_f1 = (_poisson_histogram(rng, lam, n_each)
+                            for lam in (model.mean_signal_photons, model.dark_rate))
+    correct_f2 = float(counts_f2[model.threshold:].sum() / n_each)
+    correct_f1 = float(counts_f1[:model.threshold].sum() / n_each)
+    top = max(len(counts_f2), len(counts_f1))
+    hist_f2, hist_f1 = (np.pad(c, (0, top - len(c))) / n_each for c in (counts_f2, counts_f1))
     derived = {
         "fidelity": 0.5 * (correct_f2 + correct_f1),
         "fidelity_closed_form": hyperfine_fidelity(model),

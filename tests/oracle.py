@@ -12,6 +12,8 @@ least-squares inverse of the cached Born map replaced; that product sums in
 another order, so it is reproduced to rounding (1e-14).
 ``reference_poisson_cdf`` is the full k-term Poisson sum that the
 early-stopping one replaced, and must be reproduced bit for bit.
+``reference_state_detection`` is the per-trial Poisson sampler that the
+histogram sampler replaced; the two agree in distribution, not in bits.
 ``reference_mle`` maximizes a table's likelihood by another algorithm than
 ``tomography.mle_batch``, from another start, with its own certificate, so
 that the fit's certified gap can be checked against it.
@@ -267,6 +269,23 @@ def reference_poisson_cdf(k: int, lam: float) -> float:
         term *= lam / i
         total += term
     return min(1.0, total)
+
+
+def reference_state_detection(cfg, trials: int):
+    """Count histograms of a state-detection run drawn trial by trial, as the
+    driver drew them before ``protocols._poisson_histogram``: ``trials // 2``
+    Poisson draws per prepared state from the run's child-0 stream, F2 first.
+    Returns the integer histograms ``(f2, f1)``, each ``bincount`` long enough
+    for both, and ``(correct_f2, correct_f1)``."""
+    model = cfg.detection
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    n_each = trials // 2
+    counts_f2 = rng.poisson(model.mean_signal_photons, size=n_each)
+    counts_f1 = rng.poisson(model.dark_rate, size=n_each)
+    correct = (float(np.mean(counts_f2 >= model.threshold)),
+               float(np.mean(counts_f1 < model.threshold)))
+    top = int(max(counts_f2.max(), counts_f1.max())) + 1
+    return tuple(np.bincount(c, minlength=top) for c in (counts_f2, counts_f1)), correct
 
 
 def log_likelihood(settings, counts, rho: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import inspect
 import io
@@ -14,8 +15,9 @@ import pytest
 
 from apgate import cli, protocols, tomography
 from apgate.cli import main
-from apgate.config import (ConfigError, config_from_dict, load_config,
+from apgate.config import (ConfigError, RunConfig, config_from_dict, load_config,
                            paper_profile)
+from apgate.pulse import DetectionModel
 from apgate.protocols import ProtocolResult
 from apgate.qlin import DensityMatrix
 
@@ -96,6 +98,28 @@ def test_config_from_dict_names_the_faulty_key(document, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict(document)
     assert str(err.value) == message
+
+
+HUGE = 10**5000     # past Python's 4300-digit limit for integer strings
+
+
+@pytest.mark.parametrize("field,build", [
+    ("seed", lambda: RunConfig(seed=HUGE)),
+    ("seed", lambda: dataclasses.replace(paper_profile(), seed=HUGE)),
+    ("shots_per_setting", lambda: RunConfig(seed=1, shots_per_setting=HUGE)),
+    ("shots_per_setting", lambda: dataclasses.replace(paper_profile(), shots_per_setting=HUGE)),
+    ("detection.threshold", lambda: RunConfig(seed=1, detection=DetectionModel(threshold=HUGE))),
+    ("detection.threshold", lambda: dataclasses.replace(
+        paper_profile(), detection=dataclasses.replace(paper_profile().detection, threshold=HUGE))),
+], ids=["seed", "seed-replace", "shots_per_setting", "shots_per_setting-replace",
+        "detection-threshold", "detection-threshold-replace"])
+def test_run_config_rejects_integers_past_the_digit_limit(field, build):
+    # Built in Python, not from a document: the run's JSON snapshot could
+    # not write the integer, so the config itself refuses it.
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == (f"{field} must have at most {sys.get_int_max_str_digits()} "
+                              f"digits, got an integer of 16610 bits")
 
 
 def test_readme_config_examples_load():
@@ -452,7 +476,7 @@ def test_cli_eraser_atom_marginal_guard_exit_code(tmp_path, capsys, monkeypatch)
     # Every setting keeps the same total, but the first one's atom marginal differs.
     tables = np.full((9, 8), 1.0 / 8)
     tables[0] = [0.15] * 4 + [0.1] * 4
-    monkeypatch.setattr(protocols, "_protocol_tables", lambda *a, **k: (tables, 0.5))
+    monkeypatch.setattr(protocols, "_protocol_tables", lambda *a, **k: ([tables], [0.5]))
     _assert_internal_error(["eraser"], "atom outcome probability leaked a setting dependence",
                            tmp_path, capsys)
 
@@ -666,8 +690,19 @@ def test_cli_subnormal_branch_weight_runs(key, subcommand, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_cli_state_detection_runs_at_the_trial_ceiling(tmp_path, capsys):
+    # Each histogram is drawn whole, so the largest legal trial count costs no
+    # more than the default: 2**53 - 1 trials, 2**52 - 1 per prepared state.
+    path = write_config(tmp_path, {"seed": 1, "trials": 2**53 - 1})
+    assert main(["state-detection", "--config", path, "--out", str(tmp_path / "out")]) == 0, \
+        capsys.readouterr().err
+    result = json.loads((tmp_path / "out" / "state-detection.json").read_text())
+    assert result["metadata"]["trials"] == 2**53 - 1
+    derived = result["derived"]
+    assert derived["fidelity"] == pytest.approx(derived["fidelity_closed_form"], abs=1e-7)
+
+
 @pytest.mark.parametrize("argv,document", [
-    (["state-detection"], {"trials": 10 ** 12}),
     (["bell", "--mode", "monte-carlo"], {"trials": 2000, "mc_replicas": 10 ** 12}),
     (["ramsey", "--grid-khz", "0", "1", "1e12"], {}),
 ])

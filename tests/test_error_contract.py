@@ -12,10 +12,12 @@ probabilities and fidelities in [0, 1].  Tier-1 makes every
 only other warning a run may raise is the documented faint-pulse
 ``UserWarning``; the test records warnings itself, so any new one fails it.
 
-Counts are drawn small, at 1e12, which numpy refuses to allocate at once (a
-``memory`` error), or at 1e300 or 10**400, past the 2**53 ceiling (a config
-error), and never in between: values in between are legal and can allocate
-gigabytes and run for minutes.  Round-trip shots past that ceiling (2**63, 1e19) are
+Counts are drawn small, at 1e12, or at 1e300 or 10**400, past the 2**53
+ceiling (a config error), and never in between.  Every driver's cost is
+independent of ``trials`` (state detection draws each histogram whole), but
+``mc_replicas`` allocates one table per replica: at 1e12 numpy refuses the
+allocation at once (a ``memory`` error), while values in between are legal and
+can allocate gigabytes and run for minutes.  Round-trip shots past that ceiling (2**63, 1e19) are
 rejected before any draw, and round-trip states above 10,000 (10,001 and
 2**63) before any stream is spawned; no larger legal state count is drawn.
 """

@@ -252,6 +252,45 @@ def test_state_detection_calibrated_sampling():
                                                                    abs=1e-6)
 
 
+@pytest.mark.parametrize("detection", [
+    DetectionModel(),                                          # paper rate and dark rate
+    DetectionModel(mean_signal_photons=700.0, threshold=700),  # the rate ceiling
+    DetectionModel(dark_prob=0.0, threshold=3),                # no dark counts: rate 0
+], ids=["paper", "ceiling", "no-dark"])
+def test_state_detection_histograms_match_the_per_trial_reference(detection):
+    # The whole-histogram sampler against the per-trial draws it replaced,
+    # pooled over 30 seeds of 100,000 trials: per count, the two-sample z of the
+    # pooled frequencies stays within 5.  Every run's histograms hold integer
+    # counts summing to trials // 2, and its rates read off them.
+    from oracle import reference_state_detection
+
+    trials, n_each = 100_000, 50_000
+    pooled = np.zeros((2, 2, 2000))     # route, prepared state (F2, F1), count
+    for seed in range(30):
+        cfg = dataclasses.replace(paper_profile(seed=seed), detection=detection)
+        result = run_state_detection(cfg, trials=trials)
+        derived, raw = result.derived, result.raw_counts
+        for state, key in enumerate(("histogram_f2", "histogram_f1")):
+            counts = np.rint(raw[key] * n_each)
+            assert np.allclose(raw[key] * n_each, counts, rtol=0, atol=1e-6)
+            assert counts.sum() == n_each
+            pooled[0, state, :len(counts)] += counts
+        threshold = detection.threshold
+        assert derived["correct_f2"] == pytest.approx(
+            1.0 - raw["histogram_f2"][:threshold].sum(), rel=0, abs=1e-12)
+        assert derived["correct_f1"] == pytest.approx(
+            raw["histogram_f1"][:threshold].sum(), rel=0, abs=1e-12)
+        reference, _ = reference_state_detection(cfg, trials)
+        for state, counts in enumerate(reference):
+            pooled[1, state, :len(counts)] += counts
+    total = pooled.sum(axis=2, keepdims=True)
+    p = pooled.sum(axis=0) / total.sum(axis=0)
+    spread = np.sqrt(p * (1.0 - p) * (1.0 / total[0] + 1.0 / total[1]))
+    shown = spread > 0
+    z = (pooled[0] / total[0] - pooled[1] / total[1])[shown] / spread[shown]
+    assert np.abs(z).max() < 5.0
+
+
 # --- loss budget and round trip -------------------------------------------------------
 
 def test_loss_budget_report():
@@ -286,7 +325,8 @@ def test_engine_matches_kraus_channel_composition():
                               loss_coupled=losses[0], loss_uncoupled=losses[1])
     cfg = ideal_profile()
     settings = all_settings(2)
-    tables, survival = _protocol_tables(cfg.cavity, imp, 0.0, X_MINUS, [X_MINUS], settings)
+    (tables,), (survival,) = _protocol_tables(
+        cfg.cavity, imp, 0.0, [(X_MINUS, [X_MINUS], imp.prep_fidelity)], settings)
 
     rho0 = PureState(_np.kron(X_MINUS, X_MINUS)).density()
     rho1, success = apply_channel(rho0, mode_mismatch_channel(overlap, losses))
@@ -311,7 +351,8 @@ def test_engine_matches_dephased_channel_composition():
     coherence = imp.atomic_coherence_factor
     cfg = ideal_profile()
     settings = all_settings(2)
-    tables, _ = _protocol_tables(cfg.cavity, imp, 0.0, X_MINUS, [X_MINUS], settings)
+    (tables,), _ = _protocol_tables(
+        cfg.cavity, imp, 0.0, [(X_MINUS, [X_MINUS], imp.prep_fidelity)], settings)
 
     rho0 = PureState(_np.kron(X_MINUS, X_MINUS)).density()
     rho1, _ = apply_channel(rho0, mode_mismatch_channel(0.92, (0.34, 0.30)))
@@ -322,6 +363,26 @@ def test_engine_matches_dephased_channel_composition():
     for setting, row in zip(settings, tables):
         assert np.allclose(row, born_probabilities(dephased, setting),
                            atol=1e-12)
+
+
+def test_truth_table_is_one_engine_pass(monkeypatch):
+    # The four inputs share one call, and each input's tables and survival are
+    # bit for bit those of a stack holding it alone.
+    engine, calls = protocols._protocol_tables, []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "_protocol_tables", counted)
+    run_truth_table(paper_profile())
+    [(args, kwargs)] = calls
+    cavity, imp, q2, inputs, *rest = args
+    assert len(inputs) == 4 and q2 > 0
+    tables, survivals = engine(*args, **kwargs)
+    for i, one in enumerate(inputs):
+        (alone,), (survival,) = engine(cavity, imp, q2, [one], *rest, **kwargs)
+        assert np.array_equal(alone, tables[i]) and survival == survivals[i]
 
 
 # --- engine against the full-model density-matrix oracle ---------------------
