@@ -125,7 +125,8 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     Returns ``(tables, survivals)`` where ``tables[i, s]`` is the normalized
     outcome distribution of input ``i`` in setting ``s`` (C-order over the atom
     bit followed by the photon bits, bit 0 the + outcome) and ``survivals[i]``
-    its photon-survival weight of one attempt: the total before normalization.
+    its photon-survival weight of one attempt: the total before normalization,
+    common to all settings.
 
     The reflection map is diagonal, so the model is one branch tensor of
     shape (input, jitter node, branch, 2^n): per in/out-of-mode photon pattern
@@ -181,16 +182,16 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     readout = [np.eye(2) if atom_confusion is None else atom_confusion]
     confusion = functools.reduce(np.kron, readout + [confusion_matrix(imp.photonic_meas_error)] * k)
     grid = grid.reshape(-1, 2 ** n) @ confusion.T     # rows (input, node, branch, setting)
-    total = grid.sum(axis=1, keepdims=True)
-    # A subnormal total would overflow; its branch is below 1e-308 anyway.
-    scale = q2 / np.where(total >= np.finfo(float).tiny, total, np.inf)
-    agree = (bits.T[:, :, None] == bits.T[:, None]).astype(float)   # [j, o, o']: same bit j
-    # In place, as the grids are the engine's largest arrays; q2 = 0 would leave them as they are.
-    for j in range(1, n) if q2 else ():
-        marginal = grid @ agree[j]                                 # outcomes sharing bit j
-        rest = grid @ np.delete(agree, j, axis=0).prod(axis=0)     # ... every other bit
-        grid *= 1.0 - q2
-        grid += rest * (scale * marginal)
+    if q2:      # without extra photons this would leave every entry as it is
+        total = grid.sum(axis=1, keepdims=True)
+        # A subnormal total would overflow; its branch is below 1e-308 anyway.
+        scale = q2 / np.where(total >= np.finfo(float).tiny, total, np.inf)
+        agree = (bits.T[:, :, None] == bits.T[:, None]).astype(float)   # [j, o, o']: same bit j
+        for j in range(1, n):     # in place: the grids are the engine's largest arrays
+            marginal = grid @ agree[j]                                 # outcomes sharing bit j
+            rest = grid @ np.delete(agree, j, axis=0).prod(axis=0)     # ... every other bit
+            grid *= 1.0 - q2
+            grid += rest * (scale * marginal)
     node_weights = np.repeat(weights, vec.shape[1])
     tables = (node_weights @ grid.reshape(len(inputs), len(node_weights), -1)).reshape(
         len(inputs), len(settings), -1)
