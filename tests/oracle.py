@@ -275,17 +275,13 @@ def reference_state_detection(cfg, trials: int):
     """Count histograms of a state-detection run drawn trial by trial, as the
     driver drew them before ``protocols._poisson_histogram``: ``trials // 2``
     Poisson draws per prepared state from the run's child-0 stream, F2 first.
-    Returns the integer histograms ``(f2, f1)``, each ``bincount`` long enough
-    for both, and ``(correct_f2, correct_f1)``."""
+    Returns the integer histograms ``(f2, f1)``."""
     model = cfg.detection
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     n_each = trials // 2
     counts_f2 = rng.poisson(model.mean_signal_photons, size=n_each)
     counts_f1 = rng.poisson(model.dark_rate, size=n_each)
-    correct = (float(np.mean(counts_f2 >= model.threshold)),
-               float(np.mean(counts_f1 < model.threshold)))
-    top = int(max(counts_f2.max(), counts_f1.max())) + 1
-    return tuple(np.bincount(c, minlength=top) for c in (counts_f2, counts_f1)), correct
+    return np.bincount(counts_f2), np.bincount(counts_f1)
 
 
 def log_likelihood(settings, counts, rho: np.ndarray) -> float:

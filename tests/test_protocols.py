@@ -280,8 +280,7 @@ def test_state_detection_histograms_match_the_per_trial_reference(detection):
             1.0 - raw["histogram_f2"][:threshold].sum(), rel=0, abs=1e-12)
         assert derived["correct_f1"] == pytest.approx(
             raw["histogram_f1"][:threshold].sum(), rel=0, abs=1e-12)
-        reference, _ = reference_state_detection(cfg, trials)
-        for state, counts in enumerate(reference):
+        for state, counts in enumerate(reference_state_detection(cfg, trials)):
             pooled[1, state, :len(counts)] += counts
     total = pooled.sum(axis=2, keepdims=True)
     p = pooled.sum(axis=0) / total.sum(axis=0)
