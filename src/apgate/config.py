@@ -3,7 +3,7 @@
 Config files are JSON with unit-suffixed keys (plain MHz/kHz/GHz, ppm); the
 values keep the document's units and are converted where the physics reads
 them.  Each section is held as written, one dataclass field per key, so the
-document is the config's ``asdict``.  Unknown keys are rejected with their
+document is the config's fields.  Unknown keys are rejected with their
 dotted path, and the seed is mandatory so every run is reproducible.
 """
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from functools import partial
 from pathlib import Path
 
@@ -78,11 +78,11 @@ class RunConfig:
                                  f"digits, got {_shown(value)}") from None
 
     def to_dict(self) -> dict:
-        """The config document of this run: plain units, every key present."""
-        data = asdict(self)
+        """The run's config document, fresh dicts of its fields: plain units, every key present."""
+        data = {k: dict(vars(v)) if is_dataclass(v) else v for k, v in vars(self).items()}
         keys = list(data)
         keys.insert(keys.index("cavity") + 1, "mirrors")
-        data["mirrors"] = data["cavity"].pop("mirrors")
+        data["mirrors"] = dict(vars(data["cavity"].pop("mirrors")))
         return {key: data[key] for key in keys}
 
 
@@ -158,22 +158,21 @@ def _build(path: str, make, section: dict, defaults: dict):
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a parsed config document and build a RunConfig.
 
-    The schema is the paper profile's own document: its keys are the allowed
-    keys, its values the defaults and their types the casts.
+    The schema ``_SCHEMA`` is the paper profile's own document: its keys are the
+    allowed keys, its values the defaults and their types the casts.
     """
-    schema = paper_profile(seed=0).to_dict()
-    _keys_checked(data, schema, "")
+    _keys_checked(data, _SCHEMA, "")
     if "seed" not in data:
         raise ConfigError("seed", "missing required field")
     sections = {name: _keys_checked(data.get(name, {}), defaults, name)
-                for name, defaults in schema.items() if isinstance(defaults, dict)}
-    mirrors = _build("mirrors", MirrorBudget, sections["mirrors"], schema["mirrors"])
+                for name, defaults in _SCHEMA.items() if isinstance(defaults, dict)}
+    mirrors = _build("mirrors", MirrorBudget, sections["mirrors"], _SCHEMA["mirrors"])
     makers = {"cavity": partial(CavityParams, mirrors=mirrors),
               "imperfections": ImperfectionConfig, "detection": DetectionModel,
               "pulses": PulseConfig}
-    parts = {name: _build(name, make, sections[name], schema[name])
+    parts = {name: _build(name, make, sections[name], _SCHEMA[name])
              for name, make in makers.items()}
-    run = {k: d for k, d in schema.items() if not isinstance(d, dict)}
+    run = {k: d for k, d in _SCHEMA.items() if not isinstance(d, dict)}
     return _build("run", partial(RunConfig, **parts), data, run)
 
 
@@ -206,3 +205,4 @@ def ideal_profile(seed: int = 20140401) -> RunConfig:
 
 
 PROFILES = {"paper": paper_profile, "ideal": ideal_profile}
+_SCHEMA = paper_profile(seed=0).to_dict()     # built once; config_from_dict only reads it

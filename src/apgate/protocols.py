@@ -1,25 +1,24 @@
 """End-to-end experiment drivers.
 
-Each driver composes the reflection gate with the calibrated imperfection
-model, simulates the measurement chain and reports reconstructed states and
-figures of merit.  Every protocol runs in one of two modes:
+Each driver composes the reflection gate with the calibrated imperfection model,
+simulates the measurement chain and reports reconstructed states and figures of merit.
+Every protocol runs in one of two modes:
 
-* ``analytic``: channels and imperfections are composed exactly (Gaussian
-  detuning jitter is integrated by quadrature), giving deterministic
-  per-setting outcome probabilities.  Reconstruction is linear inversion
-  alone: exact tables give a physical matrix (see ``_reconstruct``).
-* ``monte-carlo``: trial-level sampling.  Per-trial latent variables
-  (detuning draw, preparation error, mode-matching branch, extra-photon
-  contamination) are independent across trials, so sampling outcome counts
-  from the per-setting mixture distribution is statistically identical to
-  looping over trials; retention is binomial in the survival probability.
+* ``analytic``: channels and imperfections are composed exactly (Gaussian detuning
+  jitter is integrated by quadrature), giving deterministic per-setting outcome
+  probabilities.  Reconstruction is linear inversion alone: exact tables give a
+  physical matrix (see ``_reconstruct``).
+* ``monte-carlo``: trial-level sampling.  Per-trial latent variables (detuning draw,
+  preparation error, mode-matching branch, extra-photon contamination) are independent
+  across trials, so sampling outcome counts from the per-setting mixture distribution
+  is statistically identical to looping over trials; retention is binomial in the
+  survival probability.
 
-Every random draw comes from one child of the run's seed sequence, handed
-out by ``_streams``: a sampled protocol run draws setting ``s``'s counts from
-child ``s`` and its bootstrap from the next child, ``S`` for ``S`` settings;
-Ramsey and state detection draw from child 0; the reconstruction round trip
-draws state ``i`` and its counts from child ``i``.  Results therefore do not
-depend on any worker fan-out.
+Every random draw comes from one child of the run's seed sequence, handed out by
+``_streams``: a sampled protocol run draws setting ``s``'s counts from child ``s`` and
+its bootstrap from the next child, ``S`` for ``S`` settings; Ramsey and state detection
+draw from child 0; the reconstruction round trip draws state ``i`` and its counts from
+child ``i``.  Results therefore do not depend on any worker fan-out.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from .pulse import (ImperfectionConfig, confusion_matrix, detection_confusion,
                     hyperfine_fidelity, jitter_nodes, multiphoton_fraction,
                     spectral_sigma_khz)
 from .qlin import (DOWN, DensityMatrix, PureState, UP, X_MINUS, X_PLUS, _checked,
-                   fidelity_pure, optimal_phase_fidelity, rotation)
+                   fidelity_pure, kron, optimal_phase_fidelity, rotation)
 # linear_inversion, mle_reconstruct, monte_carlo_errors and simulate_counts are
 # unused here but stay importable: perfbench's tracer patches them at this module.
 from .tomography import (MeasurementSetting, all_settings, fit_with_errors,
@@ -57,23 +56,22 @@ class StarvationError(RuntimeError):
 
 def bell_target() -> PureState:
     """(|up_a up_px> + |down_a down_px>)/sqrt(2)."""
-    vec = (np.kron(UP, X_PLUS) + np.kron(DOWN, X_MINUS)) / math.sqrt(2)
-    return PureState(vec)
+    return PureState((kron(UP, X_PLUS) + kron(DOWN, X_MINUS)) / math.sqrt(2))
 
 
 def ghz_target() -> PureState:
     """(|up_a up_px up_px> - |down_a down_px down_px>)/sqrt(2)."""
-    plus = np.kron(UP, np.kron(X_PLUS, X_PLUS))
-    minus = np.kron(DOWN, np.kron(X_MINUS, X_MINUS))
+    plus = kron(UP, kron(X_PLUS, X_PLUS))
+    minus = kron(DOWN, kron(X_MINUS, X_MINUS))
     return PureState((plus - minus) / math.sqrt(2))
 
 
 def phi_plus_photons() -> PureState:
-    return PureState((np.kron(X_PLUS, X_PLUS) + np.kron(X_MINUS, X_MINUS)) / math.sqrt(2))
+    return PureState((kron(X_PLUS, X_PLUS) + kron(X_MINUS, X_MINUS)) / math.sqrt(2))
 
 
 def phi_minus_photons() -> PureState:
-    return PureState((np.kron(X_PLUS, X_PLUS) - np.kron(X_MINUS, X_MINUS)) / math.sqrt(2))
+    return PureState((kron(X_PLUS, X_PLUS) - kron(X_MINUS, X_MINUS)) / math.sqrt(2))
 
 
 # ---------------------------------------------------------------------------
@@ -118,35 +116,33 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
                      atom_phase: float = 0.0,
                      atom_pre_measure: Optional[np.ndarray] = None,
                      atom_confusion: Optional[np.ndarray] = None):
-    """Per-setting outcome probabilities of one gate protocol for a stack of
-    ``inputs``, each ``(atom ket, photon kets, prep fidelity)`` with one photon
-    count and run as if its prep fidelity were ``imp.prep_fidelity``.
+    """Per-setting outcome probabilities of one gate protocol for a stack of ``inputs``,
+    each ``(atom ket, photon kets, prep fidelity)`` with one photon count and run as if
+    its prep fidelity were ``imp.prep_fidelity``.
 
-    Returns ``(tables, survivals)`` where ``tables[i, s]`` is the normalized
-    outcome distribution of input ``i`` in setting ``s`` (C-order over the atom
-    bit followed by the photon bits, bit 0 the + outcome) and ``survivals[i]``
-    its photon-survival weight of one attempt: the total before normalization,
-    common to all settings.
+    Returns ``(tables, survivals)`` where ``tables[i, s]`` is the normalized outcome
+    distribution of input ``i`` in setting ``s`` (C-order over the atom bit followed by
+    the photon bits, bit 0 the + outcome) and ``survivals[i]`` its photon-survival
+    weight of one attempt: the total before normalization, common to all settings.
 
-    The reflection map is diagonal, so the model is one branch tensor of
-    shape (input, jitter node, branch, 2^n): per in/out-of-mode photon pattern
-    and per dephasing sub-branch, the initial ket times the in-mode photons'
-    reflection factors, the drift phase ``atom_phase`` and the dephasing
-    phase flip, scaled by the square root of the branch prior, then rotated
-    by ``atom_pre_measure`` on the atom.  Atoms prepared in the wrong state
-    add one more branch: every photon uncoupled, no rotation, and the atom
-    read as |up> since it always fluoresces (the upper hyperfine outcome in
-    a Z readout, an even split in X or Y).  Then each step is one product on
-    the flat outcome index, one row per (input, node, branch, setting): Born
-    weights with the stacked bras, readout with one Kronecker matrix
-    (``atom_confusion``, the identity if None, times the analyzer flips).
+    The reflection map is diagonal, so the model is one branch tensor of shape (input,
+    jitter node, branch, 2^n): per in/out-of-mode photon pattern and per dephasing
+    sub-branch, the initial ket times the in-mode photons' reflection factors, the
+    drift phase ``atom_phase`` and the dephasing phase flip, scaled by the square root
+    of the branch prior, then rotated by ``atom_pre_measure`` on the atom.  Atoms
+    prepared in the wrong state add one more branch: every photon uncoupled, no
+    rotation, and the atom read as |up> since it always fluoresces (the upper hyperfine
+    outcome in a Z readout, an even split in X or Y).  Then each step is one product on
+    the flat outcome index, one row per (input, node, branch, setting): Born weights
+    with the stacked bras, readout with one Kronecker matrix (``atom_confusion``, the
+    identity if None, times the analyzer flips).
 
-    Extra-photon contamination (with weight q2 a photon's record is an
-    independent draw from its own marginal) acts on each branch before the
-    quadrature weights average the nodes.  Photon j's marginal sums outcomes
-    sharing its bit, the rest those agreeing on every other bit; the extra
-    photon meets the same detuning, mode pattern and atom as the first, and
-    the map is nonlinear, so the marginal is the branch's, not the mixture's.
+    Extra-photon contamination (with weight q2 a photon's record is an independent
+    draw from its own marginal) acts on each branch before the quadrature weights
+    average the nodes.  Photon j's marginal sums outcomes sharing its bit, the rest
+    those agreeing on every other bit; the extra photon meets the same detuning, mode
+    pattern and atom as the first, and the map is nonlinear, so the marginal is the
+    branch's, not the mixture's.
     """
     atom_kets, photon_kets, f_prep = zip(*inputs)
     k = len(photon_kets[0])
@@ -165,22 +161,22 @@ def _protocol_tables(cavity: CavityParams, imp: ImperfectionConfig, q2: float,
     f_prep = np.array(f_prep)
     priors = (f_prep[:, None, None] * np.where(out_of_mode, 1.0 - ov, ov).prod(axis=1)[:, None]
               * np.stack([1.0 + coherence, 1.0 - coherence], axis=1)[:, None] / 2.0)
-    phot0 = np.array([functools.reduce(np.kron, np.asarray(p, dtype=complex)) for p in photon_kets])
-    psi0 = np.array([np.kron(a, p) for a, p in zip(np.asarray(atom_kets, dtype=complex), phot0)])
+    phot0 = np.array([functools.reduce(kron, np.asarray(p, dtype=complex)) for p in photon_kets])
+    psi0 = np.array([kron(a, p) for a, p in zip(np.asarray(atom_kets, dtype=complex), phot0)])
     atom_bit = bits[:, 0]
     signs = np.array([np.ones(2 ** n), (-1.0) ** atom_bit])
     vec = (factors[:, :, None] * np.sqrt(priors)[:, None, ..., None] * signs
            * psi0[:, None, None, None] * np.exp(-1j * atom_phase * atom_bit))
     pre = np.eye(2) if atom_pre_measure is None else atom_pre_measure
-    vec = vec.reshape(-1, 2 ** (k + 1), 2 ** n) @ np.kron(pre, np.eye(2 ** k)).T
+    vec = vec.reshape(-1, 2 ** (k + 1), 2 ** n) @ kron(pre, np.eye(2 ** k)).T
     err_prior = (1.0 - f_prep[:, None]) * (ov * np.abs(amps[:, 1]) ** 2 + 1.0 - ov) ** k
-    err = np.sqrt(err_prior)[..., None, None] * np.kron([1.0, 0.0], phot0)[:, None, None]
+    err = np.sqrt(err_prior)[..., None, None] * kron([1.0, 0.0], phot0)[:, None, None]
     vec = np.concatenate([vec, err.reshape(-1, 1, 2 ** n)], axis=1)
 
     basis = np.concatenate([s.basis_matrix() for s in settings])    # (S 2^n, 2^n) bras
     grid = np.abs(vec.reshape(-1, 2 ** n) @ basis.T) ** 2     # rows (input, node, branch)
     readout = [np.eye(2) if atom_confusion is None else atom_confusion]
-    confusion = functools.reduce(np.kron, readout + [confusion_matrix(imp.photonic_meas_error)] * k)
+    confusion = functools.reduce(kron, readout + [confusion_matrix(imp.photonic_meas_error)] * k)
     grid = grid.reshape(-1, 2 ** n) @ confusion.T     # rows (input, node, branch, setting)
     if q2:      # without extra photons this would leave every entry as it is
         total = grid.sum(axis=1, keepdims=True)
@@ -329,14 +325,13 @@ def _entanglement(cfg: RunConfig, label: str, settings: Sequence[MeasurementSett
                   atom_pre_measure: Optional[np.ndarray] = None) -> ProtocolResult:
     """Reflect, observe, report: the pipeline every entanglement protocol runs.
 
-    One faint pulse per photon qubit of ``settings`` reflects off
-    |down_ax down_px ...>, the atom (rotated by ``atom_pre_measure``) and the
-    photons are read in every setting, and each reconstructed state is
-    reported against its target and the (``u``, ``v``) phase family.
-    ``states`` holds one (target, fidelity key suffix, phase key suffix) per
-    state.  Without ``herald`` the rows are one joint tomography;
-    ``herald(settings, tables, rows)`` splits them instead into the
-    tomography settings, one block of joint rows per state and its own derived keys.
+    One faint pulse per photon qubit of ``settings`` reflects off |down_ax down_px ...>,
+    the atom (rotated by ``atom_pre_measure``) and the photons are read in every
+    setting, and each reconstructed state is reported against its target and the
+    (``u``, ``v``) phase family.  ``states`` holds one (target, fidelity key suffix,
+    phase key suffix) per state.  Without ``herald`` the rows are one joint tomography;
+    ``herald(settings, tables, rows)`` splits them instead into the tomography
+    settings, one block of joint rows per state and its own derived keys.
     """
     n_photons = settings[0].n_qubits - 1
     drift = cfg.imperfections.drift_phase_per_reflection * n_photons
@@ -375,7 +370,7 @@ def run_bell(cfg: RunConfig) -> ProtocolResult:
     and tomograph the post-selected joint state."""
     return _entanglement(
         cfg, "bell", all_settings(2), [(bell_target(), "", "")],
-        PureState(np.kron(UP, X_PLUS)), PureState(np.kron(DOWN, X_MINUS)))
+        PureState(kron(UP, X_PLUS)), PureState(kron(DOWN, X_MINUS)))
 
 
 def run_ghz(cfg: RunConfig) -> ProtocolResult:
@@ -387,8 +382,8 @@ def run_ghz(cfg: RunConfig) -> ProtocolResult:
     """
     return _entanglement(
         cfg, "ghz", all_settings(3), [(ghz_target(), "", "")],
-        PureState(np.kron(UP, np.kron(X_PLUS, X_PLUS))),
-        PureState(np.kron(DOWN, np.kron(X_MINUS, X_MINUS))))
+        PureState(kron(UP, kron(X_PLUS, X_PLUS))),
+        PureState(kron(DOWN, kron(X_MINUS, X_MINUS))))
 
 
 # Atom rotation that maps the three-particle state onto
@@ -428,7 +423,7 @@ def run_eraser(cfg: RunConfig) -> ProtocolResult:
         cfg, "eraser", [MeasurementSetting(("Z",) + s.labels) for s in all_settings(2)],
         [(phi_plus_photons(), "_phi_plus", "_plus"),
          (phi_minus_photons(), "_phi_minus", "_minus")],
-        PureState(np.kron(X_PLUS, X_PLUS)), PureState(np.kron(X_MINUS, X_MINUS)),
+        PureState(kron(X_PLUS, X_PLUS)), PureState(kron(X_MINUS, X_MINUS)),
         herald=_split_heralds, atom_pre_measure=rotation(math.pi / 2, ERASER_ROTATION_PHASE))
 
 

@@ -140,6 +140,14 @@ Y_PLUS = _frozen(np.array([1, 1j], dtype=complex) / math.sqrt(2))
 Y_MINUS = _frozen(np.array([1, -1j], dtype=complex) / math.sqrt(2))
 
 
+def kron(a, b) -> np.ndarray:
+    """``np.kron`` of 1-D or 2-D arrays: its broadcast product, so its bits, minus its overhead."""
+    a, b = np.asarray(a), np.asarray(b)
+    a, b = (a, b) if a.ndim == b.ndim else np.atleast_2d(a, b)   # 1-D beside 2-D: a row
+    out = a[(slice(None), None) * a.ndim] * b[(None, slice(None)) * b.ndim]    # a0 b0 a1 b1
+    return out.reshape([s * t for s, t in zip(a.shape, b.shape)])
+
+
 def rotation(theta: float, phi: float) -> np.ndarray:
     """Single-qubit rotation exp(-i theta/2 (cos(phi) X + sin(phi) Y)), a
     read-only 2x2 array."""

@@ -1,16 +1,15 @@
 """Measurement simulation and density-matrix reconstruction.
 
-Each qubit is read out in one of the three Pauli bases; a complete run covers
-all 3^n basis combinations, whose Born map, built once per process and tuple of
-setting names, is the one route from density matrices to Born weights: a stack
-of states is sampled with one product (``simulate_batch``).  Count tables travel
-as one float stack (B x settings x 2^n) checked by ``_counts`` alone (a
-``CountsTable`` is a stack of one) and feed linear inversion, one stacked
-product with the map's least-squares inverse.  ``mle_batch``, the batched
-maximum-likelihood core, starts all its fits there and checks them as one
-stack; they are physical and certified within MLE_TOL nats of the maximum by a
-Lagrange-dual bound built on each fitted state's null space.  Monte-Carlo
-tables and their bootstrap replicas share one batch (``fit_with_errors``).
+Each qubit is read out in one of the three Pauli bases; a complete run covers all 3^n
+basis combinations, whose Born map, built once per process and tuple of setting names,
+is the one route from density matrices to Born weights: a stack of states is sampled
+with one product (``simulate_batch``).  Count tables travel as one float stack
+(B x settings x 2^n) checked by ``_counts`` alone (a ``CountsTable`` is a stack of one)
+and feed linear inversion, one stacked product with the map's least-squares inverse.
+``mle_batch``, the batched maximum-likelihood core, starts its fits there and iterates
+each until a Lagrange-dual bound on its null space certifies it within MLE_TOL nats of
+the maximum; row-wise arithmetic keeps each fit the same bit for bit in any batch.
+Monte-Carlo tables and their bootstrap replicas share one batch (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -26,11 +25,8 @@ from .qlin import DensityMatrix, X_MINUS, X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN, _fr
 PROB_FLOOR = 1e-12
 MLE_TOL = 0.1
 
-_EIGENBASES = {
-    "X": np.stack([X_PLUS, X_MINUS]),
-    "Y": np.stack([Y_PLUS, Y_MINUS]),
-    "Z": np.stack([UP, DOWN]),
-}
+_EIGENBASES = {"X": np.stack([X_PLUS, X_MINUS]), "Y": np.stack([Y_PLUS, Y_MINUS]),
+               "Z": np.stack([UP, DOWN])}
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,9 +80,8 @@ class CountsTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        settings = tuple(self.settings)
-        object.__setattr__(self, "settings", settings)
-        object.__setattr__(self, "counts", _frozen(_counts(settings, [self.counts])[0]))
+        object.__setattr__(self, "settings", tuple(self.settings))
+        object.__setattr__(self, "counts", _frozen(_counts(self.settings, [self.counts])[0]))
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -152,15 +147,14 @@ def _inversion_map(names: tuple) -> np.ndarray:
 
 
 def linear_inversion(table: CountsTable) -> np.ndarray:
-    """Direct inversion of a tomographically complete run: its frequencies
-    times the least-squares inverse of the Born map, cached per setting tuple.
+    """Direct inversion of a tomographically complete run: its frequencies times the
+    least-squares inverse of the Born map, cached per setting tuple.
 
-    That is the Pauli-expectation estimator: the frame operator F = sum
-    |Pi><Pi| of the outcome projectors is diagonal in the Pauli basis, each
-    string weighted by its number of compatible settings, so F^-1 averages each
-    Pauli expectation over those settings, reordered and repeated ones
-    included.  Exact on exact probabilities; finite counts can give small
-    negative eigenvalues, left unclamped for diagnostic use.
+    That is the Pauli-expectation estimator: the frame operator F = sum |Pi><Pi| of the
+    outcome projectors is diagonal in the Pauli basis, each string weighted by its
+    number of compatible settings, so F^-1 averages each Pauli expectation over those
+    settings, reordered and repeated ones included.  Exact on exact probabilities;
+    finite counts can give small negative eigenvalues, left unclamped for diagnostic use.
     """
     return linear_inversions(table.settings, table.counts[None])[0]
 
@@ -208,8 +202,8 @@ def _project(x: np.ndarray, dim: int) -> tuple:
     the eigenvalues are projected onto the probability simplex.  Also each
     state's null space (B x d x d): its eigenvectors of weight exactly 0."""
     values, vectors = np.linalg.eigh(x.view(complex).reshape(-1, dim, dim))
-    excess = np.cumsum(values[:, ::-1], axis=1) - 1.0
-    support = np.sum(values[:, ::-1] - excess / np.arange(1, dim + 1) > 0, axis=1)
+    excess = values[:, ::-1].cumsum(axis=1) - 1.0
+    support = (values[:, ::-1] - excess / np.arange(1, dim + 1) > 0).sum(axis=1)
     shift = excess[np.arange(len(x)), support - 1] / support
     weights = np.maximum(values - shift[:, None], 0.0)
     rho = (vectors * weights[:, None, :]) @ vectors.conj().swapaxes(1, 2)
@@ -221,45 +215,43 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     """Maximum-likelihood states of B count tables (B x settings x 2^n) that
     ``linear_inversions`` accepts (complete, with counts in every setting).
 
-    Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017))
-    on f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i y_i Pi_i
-    with y_i = (n_i/N)/p_i.  From its table's projected linear inversion
-    (Smolin, Gambetta, Smith, PRL 108, 070502 (2012)), each fit steps from the
-    momentum point sigma to P(sigma + t R(sigma)), P the projection onto
-    density matrices; t halves until f obeys its quadratic upper bound
-    around sigma, then grows by 1.1.  Likelihood changes are summed from the
-    step's own probabilities, so gains below the rounding of l still count;
-    the history records each accepted step's signed change.  Momentum
-    restarts (sigma <- rho, theta <- 1) when a step would lower the
-    likelihood (rho and its history stay).  A plain step (sigma = rho) that
-    passed the bound cannot lower l, so a measured drop is rounding: the
-    step is kept, and so is its drop in the history.
+    Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017)) on
+    f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i y_i Pi_i, y_i = (n_i/N)/p_i.
+    From its table's projected linear inversion (Smolin, Gambetta, Smith, PRL 108, 070502
+    (2012)), each fit steps from the momentum point sigma to P(sigma + t R(sigma)), P the
+    projection onto density matrices; t halves until f obeys its quadratic upper bound
+    around sigma, then grows by 1.1.  Likelihood changes are summed from the step's own
+    probabilities, so gains below the rounding of l still count; the history records
+    each accepted step's signed change.  Momentum restarts (sigma <- rho, theta <- 1)
+    when a step would lower the likelihood (rho and its history stay).  A plain step
+    (sigma = rho) that passed the bound cannot lower l, so a measured drop is rounding:
+    the step and its drop stay.
     Certificate: as log x <= x - 1, every state's l is at most
-    sum_{n_i>0} n_i log(n_i / (N y'_i)) + N log s for any y' >= 0, positive
-    where n_i > 0, with lambda_max(sum_i y'_i Pi_i) <= s (Lagrange duality;
-    Boyd and Vandenberghe, Convex Optimization (2004), ch. 5); at y' = y,
-    s = 1 the sum is l(rho).  The dual point: with K the projector onto rho's
-    null space (the eigenvectors ``_project`` gave weight exactly 0),
-    M = (R - I) - K (R - I) K and y' = y - delta, delta_i = tr(D_i M) (D_i
-    the ``_inversion_map`` duals, so sum_i y'_i Pi_i = I + K (R - I) K),
-    zero-count entries clipped at 0; s = max(1, lambda_max(sum_i y'_i Pi_i))
-    absorbs that block, clipping and rounding, so the bound holds for any M.
-    So l_max - l(rho) <= -sum_{n_i>0} n_i log1p(-delta_i/y_i) + N log s, whose
-    first-order term N tr(rho M) = N (sum_i p_i y_i - 1) is 0 as rho K = 0.
-    Where some y'_i <= 0 with n_i > 0, an observed p_i sits at PROB_FLOOR or
-    the dual value is not finite, the certificate is instead the Frank-Wolfe
-    gap N (lambda_max(R) - 1) (Glancy, Knill, Girard, NJP 14, 095017
-    (2012)).  A fit leaves the batch certified at MLE_TOL = 0.1 nats, well
-    below the 0.5-nat one-sigma likelihood scale.
-    All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m) products, the
-    starts (one stacked product) and the fitted states' checks (one stack)
-    included, so a fit's result does not depend, bit for bit, on its batch.
+    sum_{n_i>0} n_i log(n_i / (N y'_i)) + N log s for any y' >= 0, positive where
+    n_i > 0, with lambda_max(sum_i y'_i Pi_i) <= s (Lagrange duality; Boyd and
+    Vandenberghe, Convex Optimization (2004), ch. 5); at y' = y, s = 1 the sum is l(rho).
+    The dual point: with K the projector onto rho's null space (the eigenvectors
+    ``_project`` gave weight exactly 0), M = (R - I) - K (R - I) K and y' = y - delta,
+    delta_i = tr(D_i M) (D_i the ``_inversion_map`` duals, so sum_i y'_i Pi_i =
+    I + K (R - I) K), zero-count entries clipped at 0; s = max(1, lambda_max(sum_i y'_i
+    Pi_i)) absorbs that block, clipping and rounding, so the bound holds for any M.  So
+    l_max - l(rho) <= -sum_{n_i>0} n_i log1p(-delta_i/y_i) + N log s, whose first-order
+    term N tr(rho M) = N (sum_i p_i y_i - 1) is 0 as rho K = 0.  Where some y'_i <= 0
+    with n_i > 0, an observed p_i sits at PROB_FLOOR or the dual value is not finite,
+    the certificate is instead the Frank-Wolfe gap N (lambda_max(R) - 1) (Glancy, Knill,
+    Girard, NJP 14, 095017 (2012)), its eigenvalues taken for those fits only.
+    A fit certified at MLE_TOL = 0.1 nats (the one-sigma likelihood scale is 0.5) leaves
+    the batch: only live fits iterate, and a pass in which some certify drops them from
+    every per-fit array.  All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m)
+    products, the starts and the fitted states' checks (one stack each) included, so a
+    fit's result does not depend, bit for bit, on its batch or on the row it moves to; a
+    fit that did not move recomputes its own p(x) and gap.
     """
     # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = y @ to_op.
     c, names = _counts(settings, counts), tuple(s.name for s in settings)
-    to_op, dim, n = _born_map(names), c.shape[2], c.reshape(len(c), -1)
+    to_op, dim, eye, n = _born_map(names), c.shape[2], np.eye(c.shape[2]), c.reshape(len(c), -1)
     total, duals = n.sum(axis=1), _inversion_map(names)    # sum_i tr(D_i M) Pi_i = M
-    freq, fits = n / total[:, None], np.arange(len(n))
+    freq, obs, fits = n / total[:, None], n > 0, np.arange(len(n))    # of the live fits below
 
     def probs(x):
         return (x[:, None, :] @ to_op.T)[:, 0, :]
@@ -267,61 +259,66 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     def adjoint(y):                           # sum_i y_i Pi_i
         return (y[:, None, :] @ to_op)[:, 0, :]
 
-    def gap(p, ker, idx):                     # p = p(x), ker x's null space, of fits idx
-        b, obs, y = len(idx), n[idx] > 0, freq[idx] / np.maximum(p, PROB_FLOOR)
-        rm = adjoint(y).view(complex).reshape(b, dim, dim) - np.eye(dim)     # R - I
+    def gap(p, ker):                          # of the live fits: p = p(x), ker x's null space
+        y = freq / p
+        rm = adjoint(y).view(complex).reshape(-1, dim, dim) - eye     # R - I
         k = ker @ ker.conj().swapaxes(1, 2)
-        delta = ((rm - k @ rm @ k).reshape(b, 1, dim * dim).view(float) @ duals.T)[:, 0, :]
+        delta = ((rm - k @ rm @ k).reshape(-1, 1, dim * dim).view(float) @ duals.T)[:, 0, :]
         ratio = np.where(obs, delta / np.where(obs, y, 1.0), 0.0)     # < 1 means y' > 0
         y_dual = adjoint(np.where(obs, y - delta, np.maximum(-delta, 0.0)))
-        s = np.linalg.eigvalsh(y_dual.view(complex).reshape(b, dim, dim))[:, -1]
-        ok = np.all(~obs | ((ratio < 1.0) & (p > PROB_FLOOR)), axis=1)
-        dual = total[idx] * np.log(np.maximum(s, 1.0)) - _dot(
-            n[idx], np.log1p(-np.where(ok[:, None], ratio, 0.0)))
+        s = np.linalg.eigvalsh(y_dual.view(complex).reshape(-1, dim, dim))[:, -1]
+        ok = (~obs | ((ratio < 1.0) & (p > PROB_FLOOR))).all(axis=1)
+        dual = total * np.log(np.maximum(s, 1.0)) - _dot(
+            n, np.log1p(-np.where(ok[:, None], ratio, 0.0)))
         fw = ~(ok & np.isfinite(dual))                # Frank-Wolfe gap where the dual fails
-        dual[fw] = total[idx][fw] * np.linalg.eigvalsh(rm[fw])[:, -1]
+        if fw.any():
+            dual[fw] = total[fw] * np.linalg.eigvalsh(rm[fw])[:, -1]
         return dual
 
-    def gain(d, p, idx):                      # l(rho + d) - l(rho), p = p(rho)
-        p = np.maximum(p, PROB_FLOOR)
-        return _dot(n[idx], np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
+    def gain(d, p, n):                        # l(rho + d) - l(rho), p = p(rho), n its counts
+        return _dot(n, np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
+    # Every p(x) and p(sigma) is held at PROB_FLOOR, as each use reads it.
     x, ker = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
-    px = probs(x)                                 # p(x), refreshed where x moves
-    ll = _dot(n, np.log(np.maximum(px, PROB_FLOOR)))
-    gaps, sigma, theta, step = gap(px, ker, fits), x.copy(), np.ones(len(n)), np.ones(len(n))
-    history = [[v] for v in ll.tolist()]
-    for _ in range(max_iter):
-        active = fits[gaps > MLE_TOL]
-        if not active.size:
-            break
-        xs, ps = sigma[active], probs(sigma[active])
-        grad, cand = adjoint(freq[active] / np.maximum(ps, PROB_FLOOR)), np.empty_like(xs)
-        todo, cker = np.arange(len(active)), ker[active]
-        for _ in range(64):                       # backtracking
-            idx, t = active[todo], step[active[todo]]
-            cand[todo], cker[todo] = _project(xs[todo] + t[:, None] * grad[todo], dim)
-            d = cand[todo] - xs[todo]
-            ok = gain(d, ps[todo], idx) / total[idx] >= _dot(grad[todo] - 0.5 * d / t[:, None], d)
-            step[idx] = np.where(ok, 1.1 * t, 0.5 * t)
-            todo = todo[~ok]
-            if not todo.size:
+    px = np.maximum(probs(x), PROB_FLOOR)
+    ll = _dot(n, np.log(px))
+    gaps, sigma, theta, step = gap(px, ker), x.copy(), np.ones(len(n)), np.ones(len(n))
+    history, rho, gap_out = [[v] for v in ll.tolist()], x.copy(), gaps.copy()
+    for it in range(max_iter + 1):
+        live = (gaps > MLE_TOL) & (it < max_iter)     # at the cap every fit leaves
+        if not live.all():                            # results out, the rest compacted
+            rho[fits], gap_out[fits] = x, gaps
+            x, sigma, theta, step, ker, px, ll, gaps, n, total, freq, obs, fits = (
+                a[live] for a in (x, sigma, theta, step, ker, px, ll, gaps, n, total, freq, obs,
+                                  fits))
+            if not fits.size:
                 break
-        cand[todo], cker[todo] = x[active[todo]], ker[active[todo]]     # no step passed: stay
-        rise = gain(cand - x[active], px[active], active)
-        moved = (rise >= 0.0) | (theta[active] == 1.0)
-        up, stay = active[moved], active[~moved]
-        prev, x[up], ker[up], ll[up] = x[up], cand[moved], cker[moved], ll[up] + rise[moved]
-        th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[up] ** 2))
-        sigma[up] = x[up] + ((theta[up] - 1.0) / th)[:, None] * (x[up] - prev)
-        theta[up], sigma[stay], theta[stay] = th, x[stay], 1.0
-        px[up] = probs(x[up])
-        gaps[up] = gap(px[up], ker[up], up)
-        for i, v in zip(active.tolist(), ll[active].tolist()):
+        ps = np.maximum(probs(sigma), PROB_FLOOR)
+        grad, rows = adjoint(freq / ps), slice(None)
+        cand, cker = np.empty_like(x), np.empty_like(ker)
+        for _ in range(64):                       # backtracking: every row, then those that failed
+            xs, t = sigma[rows], step[rows]
+            cand[rows], cker[rows] = _project(xs + t[:, None] * grad[rows], dim)
+            d = cand[rows] - xs
+            ok = (gain(d, ps[rows], n[rows]) / total[rows]
+                  >= _dot(grad[rows] - 0.5 * d / t[:, None], d))
+            step[rows], rows = np.where(ok, 1.1 * t, 0.5 * t), np.arange(len(x))[rows][~ok]
+            if not rows.size:
+                break
+        cand[rows], cker[rows] = x[rows], ker[rows]     # no step passed: stay
+        rise = gain(cand - x, px, n)
+        moved = (rise >= 0.0) | (theta == 1.0)
+        th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        prev, x = x, np.where(moved[:, None], cand, x)
+        sigma = np.where(moved[:, None], x + ((theta - 1.0) / th)[:, None] * (x - prev), x)
+        ker, ll = np.where(moved[:, None, None], cker, ker), np.where(moved, ll + rise, ll)
+        theta, px = np.where(moved, th, 1.0), np.maximum(probs(x), PROB_FLOOR)
+        gaps = gap(px, ker)
+        for i, v in zip(fits.tolist(), ll.tolist()):
             history[i].append(v)
-    return [ReconstructionReport(rho, float(ll[b]), len(history[b]) - 1,
-                                 bool(gaps[b] <= MLE_TOL), history[b], float(gaps[b]))
-            for b, rho in enumerate(DensityMatrix.stack(x.view(complex).reshape(-1, dim, dim)))]
+    return [ReconstructionReport(r, history[b][-1], len(history[b]) - 1,
+                                 bool(gap_out[b] <= MLE_TOL), history[b], float(gap_out[b]))
+            for b, r in enumerate(DensityMatrix.stack(rho.view(complex).reshape(-1, dim, dim)))]
 
 
 def mle_reconstruct(table: CountsTable, max_iter: int = 5000) -> ReconstructionReport:

@@ -15,8 +15,8 @@ import pytest
 
 from apgate import cli, protocols, tomography
 from apgate.cli import main
-from apgate.config import (ConfigError, RunConfig, config_from_dict, load_config,
-                           paper_profile)
+from apgate.config import (ConfigError, RunConfig, config_from_dict, ideal_profile,
+                           load_config, paper_profile)
 from apgate.pulse import DetectionModel
 from apgate.protocols import ProtocolResult
 from apgate.qlin import DensityMatrix
@@ -78,6 +78,41 @@ def test_config_round_trip_equality():
     cavity = {"g_mhz": 5.5, "kappa_mhz": 11.0, "gamma_mhz": 0.17, "delta_c_mhz": 6.5,
               "delta_a_mhz": 0.0}
     assert config_from_dict({"seed": 9, "cavity": cavity}).to_dict()["cavity"] == cavity
+
+
+def _asdict_document(cfg):
+    # The document as dataclasses.asdict builds it, the mirrors lifted out of the cavity.
+    data = dataclasses.asdict(cfg)
+    keys = list(data)
+    keys.insert(keys.index("cavity") + 1, "mirrors")
+    data["mirrors"] = data["cavity"].pop("mirrors")
+    return {key: data[key] for key in keys}
+
+
+@pytest.mark.parametrize("make", [paper_profile, ideal_profile, lambda: load_config(
+    Path(__file__).parent / "golden" / "full-schema.json")], ids=["paper", "ideal", "full-schema"])
+def test_to_dict_is_the_asdict_document(make):
+    cfg = make()
+    # json.dumps keeps key order, nested sections included, and tells 1 from 1.0 and True.
+    assert json.dumps(cfg.to_dict()) == json.dumps(_asdict_document(cfg))
+    assert cfg.to_dict() == _asdict_document(cfg)
+
+
+def test_config_documents_share_no_state():
+    # Every to_dict call builds fresh dicts, and the schema config_from_dict
+    # caches is none of them: spoiling a returned document changes nothing a
+    # later config_from_dict accepts.
+    document = {"seed": 1, "trials": 7, "cavity": {"g_mhz": 6.0}, "detection": {"threshold": 3},
+                "mirrors": {"loss_other_ppm": 9.0}}
+    before = config_from_dict(document)
+    for doc in (paper_profile(seed=0).to_dict(), before.to_dict()):
+        doc["cavity"]["bogus"] = 1
+        del doc["cavity"]["g_mhz"], doc["seed"]
+        doc["trials"], doc["detection"]["threshold"], doc["mirrors"] = "many", 2.5, {}
+    assert config_from_dict(document) == before and before.to_dict()["trials"] == 7
+    assert config_from_dict({"seed": 1}) == paper_profile(seed=1)
+    with pytest.raises(ConfigError, match=r"^cavity\.bogus: unknown key$"):
+        config_from_dict({"seed": 1, "cavity": {"bogus": 1}})
 
 
 @pytest.mark.parametrize("document,message", [

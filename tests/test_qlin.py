@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apgate.qlin import (DensityMatrix, PAULI_X, PureState,
-                         UP, X_PLUS, fidelity_pure,
+from apgate.qlin import (DOWN, DensityMatrix, PAULI_X, PureState,
+                         UP, X_MINUS, X_PLUS, fidelity_pure, kron,
                          optimal_phase_fidelity, rotation)
+from apgate.pulse import confusion_matrix, detection_confusion, DetectionModel
 from apgate.config import ideal_profile
 from apgate.protocols import StarvationError, run_bell, run_eraser
 from oracle import KrausChannel, apply_channel
@@ -336,3 +337,28 @@ def test_density_json_validates_on_load():
 def test_qlin_guards(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_kron_is_np_kron_bit_for_bit():
+    # The engine's Kronecker products: atom and photon kets, photon kets of kets,
+    # the pre-measurement rotation beside photon identities, readout confusion
+    # matrices, and the 1-D prefix [1, 0] beside a stack of photon kets (np.kron
+    # reads it as a row); then every pair of 1-D or 2-D shapes up to 8, real and
+    # complex.  Each must equal np.kron in shape, dtype and bytes.
+    rng = np.random.default_rng(70)
+    cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    phot0 = np.array([kron(X_MINUS, X_MINUS), kron(X_PLUS, X_MINUS)])
+    pairs = [(UP, X_PLUS), (DOWN, kron(X_MINUS, X_MINUS)), (cplx(2), cplx(4)),
+             (rotation(math.pi / 2, -math.pi / 2), np.eye(4)), (np.eye(2), np.eye(1)),
+             (detection_confusion(DetectionModel()), confusion_matrix(0.01)),
+             (kron(confusion_matrix(0.02), confusion_matrix(0.01)), confusion_matrix(0.03)),
+             ([1.0, 0.0], phot0), ([1.0, 0.0], cplx(3, 2)), ([1.0, 0.0], cplx(1, 8))]
+    shapes = [(k,) for k in range(1, 9)] + [(r, c) for r in range(1, 9) for c in range(1, 9)]
+    for _ in range(300):
+        sa, sb = (shapes[i] for i in rng.integers(len(shapes), size=2))
+        pairs.append((cplx(*sa) if rng.random() < 0.5 else rng.normal(size=sa),
+                      cplx(*sb) if rng.random() < 0.5 else rng.normal(size=sb)))
+    for a, b in pairs:
+        got, expected = kron(a, b), np.kron(a, b)
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()

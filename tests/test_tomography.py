@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from apgate import tomography
+from apgate import protocols, tomography
 from apgate.config import paper_profile
-from apgate.protocols import run_bell, run_eraser, run_ghz, tomo_roundtrip
+from apgate.protocols import ghz_target, run_bell, run_eraser, run_ghz, tomo_roundtrip
 from apgate.qlin import DensityMatrix, PureState, UP, fidelity_pure
 from apgate.tomography import (MLE_TOL, CountsTable, FitError,
                                MeasurementSetting, all_settings,
@@ -319,19 +319,25 @@ def assert_report_consistent(report):
     assert report.converged == (report.gap <= MLE_TOL)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_mle_batch_is_batch_invariant(n):
-    rng = np.random.default_rng(14)
-    counts = [simulate_counts(random_pure(rng, 2 ** n).density(), all_settings(n), 2000, rng)
-              .counts for _ in range(7)]
-    batch = mle_batch(all_settings(n), counts)
-    alone = mle_batch(all_settings(n), counts[4:5])[0]
-    assert np.array_equal(alone.rho.entries, batch[4].rho.entries)
-    assert (alone.ll_history, alone.iterations, alone.gap) == (
-        batch[4].ll_history, batch[4].iterations, batch[4].gap)
-    for report in batch:
-        assert report.converged
-        assert_report_consistent(report)
+    # 1e3- and 1e5-shot tables mixed: the fits certify at different iterations,
+    # so each pass runs on another set of live fits, moved to other rows of the
+    # stacks.  Every report equals its fit run alone, at every cap.
+    rng = np.random.default_rng(14 + n)
+    counts = [simulate_counts(random_pure(rng, 2 ** n).density(), all_settings(n), shots, rng)
+              .counts for shots in (1000, 100_000, 1000, 100_000, 1000, 100_000, 1000)]
+    for cap in (0, 1, 2, 7, 5000):
+        batch = mle_batch(all_settings(n), counts, cap)
+        for table, report in zip(counts, batch):
+            alone = mle_batch(all_settings(n), [table], cap)[0]
+            assert np.array_equal(alone.rho.entries, report.rho.entries)
+            assert (alone.log_likelihood, alone.iterations, alone.converged, alone.ll_history,
+                    alone.gap) == (report.log_likelihood, report.iterations, report.converged,
+                                   report.ll_history, report.gap)
+            assert_report_consistent(report)
+    assert all(report.converged for report in batch)
+    assert len({report.iterations for report in batch}) >= 2
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
@@ -403,13 +409,15 @@ def test_mle_history_drops_only_by_rounding():
 
 
 def test_mle_finishes_a_pass_in_which_no_fit_moves(monkeypatch):
-    # In one pass of this 5-state batch every fit still active restarts its
-    # momentum, so no fit moves and the certificate is taken of an empty stack.
-    # Each certificate makes one _dot call, and only it can be of no rows.
-    dot, sizes = tomography._dot, []
-    monkeypatch.setattr(tomography, "_dot", lambda a, b: sizes.append(len(a)) or dot(a, b))
+    # In one pass of this 5-state batch (pass 48, of the one fit still live)
+    # every fit still iterating restarts its momentum, so no fit moves: each
+    # fit with at least k iterations repeats its log-likelihood at step k.
+    core, reports = protocols.mle_batch, []
+    monkeypatch.setattr(protocols, "mle_batch", lambda *a: reports.extend(core(*a)) or reports)
     derived = tomo_roundtrip(paper_profile(seed=58), n_states=5, shots=100_000).derived
-    assert 0 in sizes
+    assert len(reports) == 5
+    assert any(all(r.ll_history[k] == r.ll_history[k - 1] for r in reports if r.iterations >= k)
+               for k in range(1, max(r.iterations for r in reports) + 1))
     assert derived["all_monotone"] and derived["min_fidelity"] > 0.9
 
 
@@ -445,6 +453,26 @@ def test_mle_gap_bounds_the_reference_shortfall(name):
         shortfall = l_ref - log_likelihood(settings, counts, report.rho.entries)
         assert shortfall <= report.gap + 1e-12 * abs(l_ref), (cap, shortfall, report.gap)
     assert report.converged and shortfall <= MLE_TOL
+
+
+def test_mle_falls_back_to_the_frank_wolfe_gap():
+    # The start of this 100-shot GHZ table (the projected linear inversion,
+    # of rank 3 or more) lies so far from the maximum that its dual point puts
+    # y'_i <= 0 on an observed outcome, so the certificate is the Frank-Wolfe
+    # gap N (lambda_max(R) - 1), here rebuilt from the oracle's Born weights
+    # and the settings' projectors.  Its true shortfall is 42 nats.
+    settings = all_settings(3)
+    counts = simulate_counts(ghz_target().density(), settings, 100, np.random.default_rng(0)).counts
+    report = mle_batch(settings, [counts], 0)[0]
+    total = counts.sum()
+    r = sum(np.einsum("o,oij->ij", c / total / np.maximum(born_probabilities(report.rho, s),
+                                                           tomography.PROB_FLOOR),
+                      s.projectors()) for s, c in zip(settings, counts))
+    assert report.gap == pytest.approx(total * (np.linalg.eigvalsh(r)[-1] - 1.0), rel=1e-9)
+    _, l_ref = reference_mle(settings, counts)
+    shortfall = l_ref - log_likelihood(settings, counts, report.rho.entries)
+    assert 1.0 < shortfall <= report.gap
+    assert not report.converged and mle_batch(settings, [counts])[0].converged
 
 
 def test_monte_carlo_uncertified_replica_raises(monkeypatch):
