@@ -1,24 +1,25 @@
 """End-to-end experiment drivers.
 
-Each driver composes the reflection gate with the calibrated imperfection model,
-simulates the measurement chain and reports reconstructed states and figures of merit.
-Every protocol runs in one of two modes:
+Each driver composes the reflection gate with the calibrated imperfection
+model, simulates the measurement chain and reports reconstructed states and
+figures of merit.  Every protocol runs in one of two modes:
 
-* ``analytic``: channels and imperfections are composed exactly (Gaussian detuning
-  jitter is integrated by quadrature), giving deterministic per-setting outcome
-  probabilities.  Reconstruction is linear inversion alone: exact tables give a
-  physical matrix (see ``_reconstruct``).
-* ``monte-carlo``: trial-level sampling.  Per-trial latent variables (detuning draw,
-  preparation error, mode-matching branch, extra-photon contamination) are independent
-  across trials, so sampling outcome counts from the per-setting mixture distribution
-  is statistically identical to looping over trials; retention is binomial in the
-  survival probability.
+* ``analytic``: channels and imperfections are composed exactly (Gaussian
+  detuning jitter is integrated by quadrature), giving deterministic
+  per-setting outcome probabilities.  Reconstruction is linear inversion
+  alone: exact tables give a physical matrix (see ``_reconstruct``).
+* ``monte-carlo``: trial-level sampling.  Per-trial latent variables
+  (detuning draw, preparation error, mode-matching branch, extra-photon
+  contamination) are independent across trials, so sampling outcome counts
+  from the per-setting mixture distribution is statistically identical to
+  looping over trials; retention is binomial in the survival probability.
 
-Every random draw comes from one child of the run's seed sequence, handed out by
-``_streams``: a sampled protocol run draws setting ``s``'s counts from child ``s`` and
-its bootstrap from the next child, ``S`` for ``S`` settings; Ramsey and state detection
-draw from child 0; the reconstruction round trip draws state ``i`` and its counts from
-child ``i``.  Results therefore do not depend on any worker fan-out.
+Every random draw comes from one child of the run's seed sequence, handed
+out by ``_streams``: a sampled protocol run draws setting ``s``'s counts from
+child ``s`` and its bootstrap from the next child, ``S`` for ``S`` settings;
+Ramsey and state detection draw from child 0; the reconstruction round trip
+draws state ``i`` and its counts from child ``i``.  Results therefore do not
+depend on any worker fan-out.
 """
 from __future__ import annotations
 

@@ -278,9 +278,8 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     def gain(d, p, n):                        # l(rho + d) - l(rho), p = p(rho), n its counts
         return _dot(n, np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
-    # Every p(x) and p(sigma) is held at PROB_FLOOR, as each use reads it.
     x, ker = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
-    px = np.maximum(probs(x), PROB_FLOOR)
+    px = np.maximum(probs(x), PROB_FLOOR)     # p(x), and p(sigma), floored as every use reads them
     ll = _dot(n, np.log(px))
     gaps, sigma, theta, step = gap(px, ker), x.copy(), np.ones(len(n)), np.ones(len(n))
     history, rho, gap_out = [[v] for v in ll.tolist()], x.copy(), gaps.copy()
