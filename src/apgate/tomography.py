@@ -8,7 +8,8 @@ with one product (``simulate_batch``).  Count tables travel as one float stack
 and feed linear inversion, one stacked product with the map's least-squares inverse.
 ``mle_batch``, the batched maximum-likelihood core, starts its fits there and iterates
 each until a Lagrange-dual bound on its null space certifies it within MLE_TOL nats of
-the maximum; row-wise arithmetic keeps each fit the same bit for bit in any batch.
+the maximum, the bound's eigenvalue term taken only where its eigen-free term could
+certify; row-wise arithmetic keeps each fit the same bit for bit in any batch.
 Monte-Carlo tables and their bootstrap replicas share one batch (``fit_with_errors``).
 """
 from __future__ import annotations
@@ -240,6 +241,10 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     with n_i > 0, an observed p_i sits at PROB_FLOOR or the dual value is not finite,
     the certificate is instead the Frank-Wolfe gap N (lambda_max(R) - 1) (Glancy, Knill,
     Girard, NJP 14, 095017 (2012)), its eigenvalues taken for those fits only.
+    Two stages: the eigen-free log1p term T1 for every fit, N log s (a product and an
+    ``eigvalsh``) only where T1 <= MLE_TOL or the gaps are reported (the pass before the
+    cap; the start if max_iter <= 0): as N log s >= 0 and fl(a - b) >= -b, no other fit
+    can certify, and every reported gap is the whole bound, so no result moves a bit.
     A fit certified at MLE_TOL = 0.1 nats (the one-sigma likelihood scale is 0.5) leaves
     the batch: only live fits iterate, and a pass in which some certify drops them from
     every per-fit array.  All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m)
@@ -259,17 +264,19 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     def adjoint(y):                           # sum_i y_i Pi_i
         return (y[:, None, :] @ to_op)[:, 0, :]
 
-    def gap(p, ker):                          # of the live fits: p = p(x), ker x's null space
+    def gap(p, ker, report):                  # of the live fits: p = p(x), ker x's null space
         y = freq / p
         rm = adjoint(y).view(complex).reshape(-1, dim, dim) - eye     # R - I
         k = ker @ ker.conj().swapaxes(1, 2)
         delta = ((rm - k @ rm @ k).reshape(-1, 1, dim * dim).view(float) @ duals.T)[:, 0, :]
         ratio = np.where(obs, delta / np.where(obs, y, 1.0), 0.0)     # < 1 means y' > 0
-        y_dual = adjoint(np.where(obs, y - delta, np.maximum(-delta, 0.0)))
-        s = np.linalg.eigvalsh(y_dual.view(complex).reshape(-1, dim, dim))[:, -1]
         ok = (~obs | ((ratio < 1.0) & (p > PROB_FLOOR))).all(axis=1)
-        dual = total * np.log(np.maximum(s, 1.0)) - _dot(
-            n, np.log1p(-np.where(ok[:, None], ratio, 0.0)))
+        dual = -_dot(n, np.log1p(-np.where(ok[:, None], ratio, 0.0)))     # first term
+        solve = ok & ((dual <= MLE_TOL) | report)    # N log s >= 0: no other row can certify
+        if solve.any():
+            y_dual = adjoint(np.where(obs, y - delta, np.maximum(-delta, 0.0))[solve])
+            s = np.linalg.eigvalsh(y_dual.view(complex).reshape(-1, dim, dim))[:, -1]
+            dual[solve] += total[solve] * np.log(np.maximum(s, 1.0))
         fw = ~(ok & np.isfinite(dual))                # Frank-Wolfe gap where the dual fails
         if fw.any():
             dual[fw] = total[fw] * np.linalg.eigvalsh(rm[fw])[:, -1]
@@ -281,7 +288,8 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     x, ker = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
     px = np.maximum(probs(x), PROB_FLOOR)     # p(x), and p(sigma), floored as every use reads them
     ll = _dot(n, np.log(px))
-    gaps, sigma, theta, step = gap(px, ker), x.copy(), np.ones(len(n)), np.ones(len(n))
+    gaps = gap(px, ker, max_iter <= 0)        # reported as they are when max_iter <= 0
+    sigma, theta, step = x.copy(), np.ones(len(n)), np.ones(len(n))
     history, rho, gap_out = [[v] for v in ll.tolist()], x.copy(), gaps.copy()
     for it in range(max_iter + 1):
         live = (gaps > MLE_TOL) & (it < max_iter)     # at the cap every fit leaves
@@ -312,7 +320,7 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         sigma = np.where(moved[:, None], x + ((theta - 1.0) / th)[:, None] * (x - prev), x)
         ker, ll = np.where(moved[:, None, None], cker, ker), np.where(moved, ll + rise, ll)
         theta, px = np.where(moved, th, 1.0), np.maximum(probs(x), PROB_FLOOR)
-        gaps = gap(px, ker)
+        gaps = gap(px, ker, it == max_iter - 1)     # the gaps reported at the cap
         for i, v in zip(fits.tolist(), ll.tolist()):
             history[i].append(v)
     return [ReconstructionReport(r, history[b][-1], len(history[b]) - 1,
