@@ -19,6 +19,9 @@ histogram sampler replaced; the two agree in distribution, not in bits.
 that the fit's certified gap can be checked against it.
 ``fisher_std`` is the delta-method error of a fidelity from the Fisher
 information, a second route to the bootstrap's ``fidelity_std``.
+``reference_jitter_nodes`` averages over the Gaussian detuning on a fine
+uniform grid, without ``pulse.jitter_nodes``' Gauss-Hermite rule, so the
+engine's detuning average can be checked against another quadrature.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from apgate.cavity import CavityParams, gate_branch_amplitudes
+from apgate.cavity import TWO_PI, CavityParams, gate_branch_amplitudes
 from apgate.protocols import ERASER_ROTATION_PHASE, StarvationError
 from apgate.pulse import (confusion_matrix, detection_confusion, jitter_nodes,
                           multiphoton_fraction, spectral_sigma_khz)
@@ -374,3 +377,17 @@ def fisher_std(settings, counts, rho: np.ndarray, target: np.ndarray) -> float:
     psi = np.asarray(target, dtype=complex)
     g = directions @ np.outer(psi, psi.conj()).reshape(-1).view(float)
     return float(np.sqrt(g @ np.linalg.solve(info, g)))
+
+
+def reference_jitter_nodes(sigma_khz: float, bias_khz: float = 0.0):
+    """``pulse.jitter_nodes``' contract (angular MHz nodes, weights summing to 1)
+    from the trapezoid rule on 4801 evenly spaced points over +-12 sigma, a
+    spacing of sigma / 200: it resolves features far narrower than the
+    Gaussian and converges geometrically for smooth integrands (Trefethen and
+    Weideman, SIAM Review 56, 385 (2014)); the tails beyond carry e^-72."""
+    if sigma_khz == 0.0:
+        return np.array([TWO_PI * bias_khz * 1e-3]), np.array([1.0])
+    x = np.linspace(-12.0, 12.0, 4801)
+    w = np.exp(-0.5 * x ** 2) * (x[1] - x[0]) / math.sqrt(2.0 * math.pi)
+    w[[0, -1]] *= 0.5
+    return TWO_PI * (bias_khz + sigma_khz * x) * 1e-3, w

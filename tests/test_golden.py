@@ -15,13 +15,16 @@ Regenerate only for an intended output change, and say so::
     PYTHONPATH=src python tests/test_golden.py --capture
 
 To compare a recapture run by run, dump every run's files with each
-checkout's sources (the manifest is left alone) and compare the dumps::
+checkout's sources (the manifest is left alone) and compare the dumps; a
+fidelity move is stated in units of its ``*_std`` and, for a Monte-Carlo
+fit, of the old fit's Fisher-information std (``fisher_stds``)::
 
     PYTHONPATH=<old checkout>/src python tests/test_golden.py --dump OLD
     PYTHONPATH=src python tests/test_golden.py --dump NEW
     PYTHONPATH=src python tests/test_golden.py --compare OLD NEW
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -114,6 +117,51 @@ def test_manifest_covers_every_run():
     assert sorted(_manifest()["runs"]) == sorted(golden_runs())
 
 
+@pytest.mark.parametrize("runner", ["bell", "ghz", "eraser"])
+def test_fisher_stds_read_each_fit_from_the_result(runner, monkeypatch):
+    # fisher_stds rebuilds every fit's table (the eraser's herald blocks) and
+    # state from the result JSON alone; they must be the ones the run fitted.
+    from oracle import fisher_std
+    from apgate import protocols
+    from apgate.config import paper_profile
+    merged, calls = protocols.fit_with_errors, []
+
+    def spy(settings, counts, *rest):
+        calls.append((settings, counts, merged(settings, counts, *rest)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(protocols, "fit_with_errors", spy)
+    cfg = dataclasses.replace(paper_profile(), mode="monte-carlo", mc_replicas=3)
+    result = getattr(protocols, f"run_{runner}")(cfg)
+    (settings, counts, fits), = calls
+    targets = {"bell": [protocols.bell_target()], "ghz": [protocols.ghz_target()],
+               "eraser": [protocols.phi_plus_photons(), protocols.phi_minus_photons()]}
+    expected = [fisher_std(settings, c, rho.entries, t.amplitudes)
+                for c, (rho, _), t in zip(counts, fits, targets[runner], strict=True)]
+    got = fisher_stds(json.loads(result.to_json()))
+    assert list(got.values()) == pytest.approx(expected, rel=1e-12)
+    assert sorted(got) == sorted(k[:-4] for k in result.derived if k.endswith("_std"))
+
+
+def test_compare_states_fidelity_shifts_in_fisher_std(tmp_path, monkeypatch, capsys):
+    name = "paper/monte-carlo/bell"
+    monkeypatch.setattr(sys.modules[__name__], "golden_runs",
+                        lambda: {name: ["bell", "--config", str(GOLDEN / "paper.json"),
+                                        "--mode", "monte-carlo"]})
+    for side in ("old", "new"):
+        dump(tmp_path / side)
+    moved = tmp_path / "new" / name / "bell.json"
+    result = json.loads(moved.read_text())
+    result["derived"]["fidelity"] += 1e-3
+    moved.write_text(json.dumps(result))
+    capsys.readouterr()
+    compare(tmp_path / "old", tmp_path / "new")
+    line = capsys.readouterr().out
+    std = fisher_stds(json.loads((tmp_path / "old" / name / "bell.json").read_text()))["fidelity"]
+    assert line.startswith(f"{name}: bell.json;")
+    assert f"= {1e-3 / std:+.3f} fisher std" in line, line
+
+
 def capture(scratch: Path):
     runs = {name: run_once(argv, scratch / name.replace("/", "_"))
             for name, argv in sorted(golden_runs().items())}
@@ -149,10 +197,39 @@ def _run_bytes(root: Path, name: str) -> dict:
     return {**files, "<streams>": (root / f"{name}.streams.json").read_bytes()}
 
 
+def fisher_stds(result: dict) -> dict:
+    """``fidelity*`` key -> ``oracle.fisher_std`` of a Monte-Carlo bell, ghz or
+    eraser result, from its raw counts and fitted density matrix: the golden
+    configs' ``*_std`` rest on 3 bootstrap replicas, far too few to judge a
+    shift by.  The eraser's fits are its herald blocks of joint rows."""
+    from oracle import fisher_std
+    from apgate.protocols import (bell_target, ghz_target, phi_minus_photons,
+                                  phi_plus_photons)
+    from apgate.qlin import DensityMatrix
+    from apgate.tomography import MeasurementSetting, all_settings
+    label, raw, derived = result.get("label"), result.get("raw_counts", {}), result.get("derived")
+    if label not in ("bell", "ghz", "eraser") or "counts" not in raw:
+        return {}
+    counts = np.array(raw["counts"], dtype=float)
+    if label == "eraser":      # atom outcome F2 heralds Phi-, F1 Phi+
+        blocks = counts.reshape(len(counts), 2, -1)
+        fits = {"_phi_plus": (blocks[:, 1], phi_plus_photons()),
+                "_phi_minus": (blocks[:, 0], phi_minus_photons())}
+        settings = all_settings(2)
+    else:
+        fits = {"": (counts, bell_target() if label == "bell" else ghz_target())}
+        settings = [MeasurementSetting(tuple(name)) for name in raw["settings"]]
+    return {f"fidelity{key}": fisher_std(
+                settings, table, DensityMatrix.from_json_dict(derived[f"density_matrix{key}"])
+                .entries, target.amplitudes)
+            for key, (table, target) in fits.items()}
+
+
 def compare(old: Path, new: Path):
     """One line per run whose bytes differ between two dumps: the files that
     differ, how many numeric leaves of the result JSON moved and the largest
-    move, and each ``fidelity*`` shift in units of the old ``*_std``."""
+    move, and each ``fidelity*`` shift in units of the old ``*_std`` and, for
+    Monte-Carlo fits, of the old fit's ``fisher_stds``."""
     for name in sorted(golden_runs()):
         before, after = _run_bytes(old, name), _run_bytes(new, name)
         differing = sorted(k for k in set(before) | set(after) if before.get(k) != after.get(k))
@@ -169,12 +246,14 @@ def compare(old: Path, new: Path):
             if moved:
                 top = max(moved, key=lambda k: abs(moved[k]))
                 line += f"; {len(moved)} moved, largest {abs(moved[top]):.2g} ({top})"
-            derived = a.get("derived", {})
+            derived, fisher = a.get("derived", {}), fisher_stds(a)
             for key in sorted(derived):
                 std = derived.get(f"{key}_std")
                 if key.startswith("fidelity") and std and f"derived.{key}" in moved:
                     shift = moved[f"derived.{key}"]
                     line += f"; {key} {shift:+.2g} = {shift / std:+.3f} std"
+                    if key in fisher:
+                        line += f" = {shift / fisher[key]:+.3f} fisher std"
         print(line)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -473,6 +474,28 @@ def test_mle_falls_back_to_the_frank_wolfe_gap():
     shortfall = l_ref - log_likelihood(settings, counts, report.rho.entries)
     assert 1.0 < shortfall <= report.gap
     assert not report.converged and mle_batch(settings, [counts])[0].converged
+
+
+def test_certificate_solves_only_where_it_can_certify(monkeypatch):
+    # The bound's eigenvalue term N log s is never negative, so it is solved
+    # only for fits whose eigen-free first term is within MLE_TOL: once per fit
+    # in the pass that certifies it, beside the one check of the fitted states.
+    # Solving it for every live fit in every pass took 706 rows in this batch.
+    settings, counts = _reference_tables()["bell"]
+    replicas = tomography._replicas(tomography._counts(settings, [counts])[0], 100,
+                                    np.random.default_rng(5))
+    eigvalsh, rows = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        caller = sys._getframe(1)       # the Frank-Wolfe call comes after gap binds fw
+        if not (caller.f_code.co_name == "gap" and "fw" in caller.f_locals):
+            rows.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    reports = mle_batch(settings, np.concatenate([[counts], replicas]))
+    assert all(r.converged for r in reports)
+    assert sum(rows) <= 2 * len(reports), sum(rows)
 
 
 def test_monte_carlo_uncertified_replica_raises(monkeypatch):
