@@ -207,7 +207,7 @@ def fisher_stds(result: dict) -> dict:
                                   phi_plus_photons)
     from apgate.qlin import DensityMatrix
     from apgate.tomography import MeasurementSetting, all_settings
-    label, raw, derived = result.get("label"), result.get("raw_counts", {}), result.get("derived")
+    label, raw = result.get("label"), result.get("raw_counts", {})
     if label not in ("bell", "ghz", "eraser") or "counts" not in raw:
         return {}
     counts = np.array(raw["counts"], dtype=float)
@@ -220,8 +220,8 @@ def fisher_stds(result: dict) -> dict:
         fits = {"": (counts, bell_target() if label == "bell" else ghz_target())}
         settings = [MeasurementSetting(tuple(name)) for name in raw["settings"]]
     return {f"fidelity{key}": fisher_std(
-                settings, table, DensityMatrix.from_json_dict(derived[f"density_matrix{key}"])
-                .entries, target.amplitudes)
+                settings, table, DensityMatrix.from_json_dict(
+                    result["derived"][f"density_matrix{key}"]).entries, target.amplitudes)
             for key, (table, target) in fits.items()}
 
 
