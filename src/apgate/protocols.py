@@ -265,9 +265,7 @@ def _estimate(cfg: RunConfig, settings: Sequence[MeasurementSetting], tables,
     """
     if cfg.mode != "monte-carlo":
         return (*_reconstruct(settings, tables), None)
-    rhos, stds = zip(*fit_with_errors(
-        settings, tables, [functools.partial(fidelity_pure, target=t) for t in targets],
-        cfg.mc_replicas, rng))
+    rhos, stds = zip(*fit_with_errors(settings, tables, targets, cfg.mc_replicas, rng))
     return rhos, "mle", stds
 
 

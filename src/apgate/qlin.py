@@ -155,13 +155,18 @@ def rotation(theta: float, phi: float) -> np.ndarray:
     return _frozen(math.cos(theta / 2) * PAULI_I - 1j * math.sin(theta / 2) * axis)
 
 
-def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
-    """Overlap <psi| rho |psi>, clamped to [0, 1]."""
-    if rho.dim != target.dim:
-        raise ValueError("dimension mismatch between state and target")
+def fidelities(rhos: np.ndarray, target: PureState) -> np.ndarray:
+    """Overlaps <psi| rho |psi> of the stack ``rhos`` (B x d x d) in [0, 1], each its own bits."""
     v = target.amplitudes
-    f = float(np.real(v.conj() @ rho.entries @ v))
-    return min(1.0, max(0.0, f))
+    if rhos.shape[1:] != (v.size, v.size):
+        raise ValueError("dimension mismatch between state and target")
+    f = ((v.conj() @ rhos)[:, None, :] @ v[:, None])[:, 0, 0].real    # stacked: row-wise
+    return np.clip(f, 0.0, 1.0) + 0.0         # + 0.0: clamped -0.0 reads 0.0
+
+
+def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
+    """Overlap <psi| rho |psi>, clamped to [0, 1]: ``fidelities`` of a stack of one."""
+    return float(fidelities(rho.entries[None], target)[0])
 
 
 def optimal_phase_fidelity(rho: DensityMatrix, u: PureState, v: PureState):

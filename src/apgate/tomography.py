@@ -6,11 +6,12 @@ is the one route from density matrices to Born weights: a stack of states is sam
 with one product (``simulate_batch``).  Count tables travel as one float stack
 (B x settings x 2^n) checked by ``_counts`` alone (a ``CountsTable`` is a stack of one)
 and feed linear inversion, one stacked product with the map's least-squares inverse.
-``mle_batch``, the batched maximum-likelihood core, starts its fits there and iterates
-each until a Lagrange-dual bound on its null space certifies it within MLE_TOL nats of
-the maximum, the bound's eigenvalue term taken only where its eigen-free term could
-certify; row-wise arithmetic keeps each fit the same bit for bit in any batch.
-Monte-Carlo tables and their bootstrap replicas share one batch (``fit_with_errors``).
+``mle_batch``, the batched maximum-likelihood core, starts its fits there, seeds each
+first line search at its curvature step and iterates each until a Lagrange-dual bound on
+its null space certifies it within MLE_TOL nats of the maximum, the bound's eigenvalue
+term taken only where its eigen-free term could certify; row-wise arithmetic keeps each
+fit the same bit for bit in any batch.  Monte-Carlo tables and their bootstrap replicas
+share one batch, the replicas' fidelities one product (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from .qlin import DensityMatrix, X_MINUS, X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN, _frozen
+from .qlin import (DensityMatrix, PureState, X_MINUS, X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN,
+                   _frozen, fidelities)
 
 PROB_FLOOR = 1e-12
 MLE_TOL = 0.1
@@ -68,9 +70,13 @@ class MeasurementSetting:
 
 
 def all_settings(n_qubits: int) -> List[MeasurementSetting]:
-    """The complete set of 3^n basis combinations, lexicographic in (X, Y, Z)."""
-    return [MeasurementSetting(labels)
-            for labels in itertools.product("XYZ", repeat=n_qubits)]
+    """The complete set of 3^n basis combinations, lexicographic in (X, Y, Z), built once."""
+    return list(_all_settings(n_qubits))
+
+
+@functools.lru_cache(maxsize=None)
+def _all_settings(n_qubits: int) -> tuple:
+    return tuple(MeasurementSetting(labels) for labels in itertools.product("XYZ", repeat=n_qubits))
 
 
 @dataclass(frozen=True)
@@ -221,12 +227,17 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     From its table's projected linear inversion (Smolin, Gambetta, Smith, PRL 108, 070502
     (2012)), each fit steps from the momentum point sigma to P(sigma + t R(sigma)), P the
     projection onto density matrices; t halves until f obeys its quadratic upper bound
-    around sigma, then grows by 1.1.  Likelihood changes are summed from the step's own
-    probabilities, so gains below the rounding of l still count; the history records
-    each accepted step's signed change.  Momentum restarts (sigma <- rho, theta <- 1)
-    when a step would lower the likelihood (rho and its history stay).  A plain step
-    (sigma = rho) that passed the bound cannot lower l, so a measured drop is rounding:
-    the step and its drop stay.
+    around sigma, then grows by 1.1.  Pass 0 (``seeded``) starts at t = min(1, 2^ceil(log2
+    t_c)) >= 2^-63, t_c = ||G||^2 / sum_i f_i (tr(Pi_i G)/p_i)^2 the Cauchy step along R's
+    traceless part G (t = 1 where t_c is not finite and positive): failures halve, a passing
+    start below 1 doubles while the double passes.  Where the test is monotone along the
+    chain, this and halving from 1 both accept the largest passing power of two <= 1, so
+    the seed saves projections and moves no bit.
+    Likelihood changes are summed from the step's own probabilities, so gains below the
+    rounding of l still count; the history records each accepted step's signed change.
+    Momentum restarts (sigma <- rho, theta <- 1) when a step would lower the likelihood
+    (rho and its history stay).  A plain step (sigma = rho) that passed the bound cannot
+    lower l, so a measured drop is rounding: the step and its drop stay.
     Certificate: as log x <= x - 1, every state's l is at most
     sum_{n_i>0} n_i log(n_i / (N y'_i)) + N log s for any y' >= 0, positive where
     n_i > 0, with lambda_max(sum_i y'_i Pi_i) <= s (Lagrange duality; Boyd and
@@ -285,6 +296,27 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     def gain(d, p, n):                        # l(rho + d) - l(rho), p = p(rho), n its counts
         return _dot(n, np.log1p(np.maximum(probs(d), PROB_FLOOR - p) / p))
 
+    def trial(rows, t):                       # P(sigma + t grad) of the rows; did f obey its bound?
+        xs = sigma[rows]
+        c, ck = _project(xs + t[:, None] * grad[rows], dim)
+        d = c - xs
+        return c, ck, (gain(d, ps[rows], n[rows]) / total[rows]
+                       >= _dot(grad[rows] - 0.5 * d / t[:, None], d))
+
+    def seeded():                             # pass 0's search (docstring): rho, null space, step
+        tr = grad[:, ::2 * dim + 2].sum(axis=1)                 # G = grad - (tr / d) I
+        curv = _dot(freq, ((probs(grad) - tr[:, None] / dim) / ps) ** 2)    # tr Pi_i = 1
+        tc = (_dot(grad, grad) - tr ** 2 / dim) / np.where(curv > 0.0, curv, np.inf)
+        t0 = np.where(tc > 0.0, np.exp2(np.ceil(np.log2(np.clip(tc, 2.0 ** -63, 1.0)))), 1.0)
+        cand, cker, step = x.copy(), ker.copy(), np.full(len(x), 2.0 ** -64)
+        rows, t = np.arange(len(x)), t0
+        while rows.size:                      # passes from t0 up double below 1,
+            c, ck, ok = trial(rows, t)        # failures from t0 down halve to 2^-63
+            cand[rows[ok]], cker[rows[ok]], step[rows[ok]] = c[ok], ck[ok], 1.1 * t[ok]
+            go = np.where(ok, (t >= t0[rows]) & (t < 1.0), (t <= t0[rows]) & (t > 2.0 ** -63))
+            rows, t = rows[go], (np.where(ok, 2.0, 0.5) * t)[go]
+        return cand, cker, step
+
     x, ker = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
     px = np.maximum(probs(x), PROB_FLOOR)     # p(x), and p(sigma), floored as every use reads them
     ll = _dot(n, np.log(px))
@@ -301,18 +333,18 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
             if not fits.size:
                 break
         ps = np.maximum(probs(sigma), PROB_FLOOR)
-        grad, rows = adjoint(freq / ps), slice(None)
-        cand, cker = np.empty_like(x), np.empty_like(ker)
-        for _ in range(64):                       # backtracking: every row, then those that failed
-            xs, t = sigma[rows], step[rows]
-            cand[rows], cker[rows] = _project(xs + t[:, None] * grad[rows], dim)
-            d = cand[rows] - xs
-            ok = (gain(d, ps[rows], n[rows]) / total[rows]
-                  >= _dot(grad[rows] - 0.5 * d / t[:, None], d))
-            step[rows], rows = np.where(ok, 1.1 * t, 0.5 * t), np.arange(len(x))[rows][~ok]
-            if not rows.size:
-                break
-        cand[rows], cker[rows] = x[rows], ker[rows]     # no step passed: stay
+        grad = adjoint(freq / ps)
+        if it == 0:
+            cand, cker, step = seeded()
+        else:
+            cand, cker, rows = np.empty_like(x), np.empty_like(ker), slice(None)
+            for _ in range(64):                   # backtracking: every row, then those that failed
+                t = step[rows]
+                cand[rows], cker[rows], ok = trial(rows, t)
+                step[rows], rows = np.where(ok, 1.1 * t, 0.5 * t), np.arange(len(x))[rows][~ok]
+                if not rows.size:
+                    break
+            cand[rows], cker[rows] = x[rows], ker[rows]     # no step passed: stay
         rise = gain(cand - x, px, n)
         moved = (rise >= 0.0) | (theta == 1.0)
         th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
@@ -342,12 +374,10 @@ def _replicas(counts: np.ndarray, resamples: int, rng: np.random.Generator) -> n
     return rng.multinomial(totals, _frequencies(counts), size=(resamples, len(counts)))
 
 
-def _replica_std(reports: List[ReconstructionReport], metric: Callable) -> float:
-    """Sample standard deviation of ``metric`` over the replica fits, each of
-    which must be certified (else ``FitError``)."""
-    values = [metric(r.certified(f"bootstrap replica {i} of {len(reports)}").rho)
-              for i, r in enumerate(reports)]
-    return float(np.std(values, ddof=1))
+def _replica_std(reports: List[ReconstructionReport], values: Callable) -> float:
+    """Sample std of ``values`` of the replicas' states, each certified (else ``FitError``)."""
+    return float(np.std(values([r.certified(f"bootstrap replica {i} of {len(reports)}").rho
+                                for i, r in enumerate(reports)]), ddof=1))
 
 
 def monte_carlo_errors(table: CountsTable,
@@ -356,21 +386,23 @@ def monte_carlo_errors(table: CountsTable,
     """Parametric-bootstrap standard error of a reconstruction metric, under
     ``"metric"``, from the replicas alone (``fit_with_errors`` fits the
     observed table in the same batch as its replicas)."""
-    replicas = _replicas(table.counts, resamples, rng)
-    return {"metric": _replica_std(mle_batch(table.settings, replicas), metric)}
+    reports = mle_batch(table.settings, _replicas(table.counts, resamples, rng))
+    return {"metric": _replica_std(reports, lambda rhos: [metric(r) for r in rhos])}
 
 
 def fit_with_errors(settings: Sequence[MeasurementSetting], counts: Sequence,
-                    metrics: Sequence[Callable], resamples: int,
+                    targets: Sequence[PureState], resamples: int,
                     rng: np.random.Generator) -> List[tuple]:
-    """(certified MLE state, bootstrap error of ``metrics[j]``) per table j:
-    the tables and all their replicas, drawn table by table, share one
-    ``mle_batch`` call, and table j's fit is certified before its replicas.
-    By batch invariance each pair equals, bit for bit, ``mle_reconstruct``
-    followed by ``monte_carlo_errors`` on the same generator."""
+    """(certified MLE state, bootstrap error of its fidelity to ``targets[j]``) per
+    table j: the tables and all their replicas, drawn table by table, share one
+    ``mle_batch`` call, table j's fit is certified before its replicas, and their
+    fidelities are one ``fidelities`` product.  By batch invariance each pair equals,
+    bit for bit, ``mle_reconstruct`` followed by ``monte_carlo_errors`` with
+    ``fidelity_pure`` on the same generator."""
     observed = _counts(settings, counts)
     k, replicas = len(observed), [_replicas(c, resamples, rng) for c in observed]
     reports = mle_batch(settings, np.concatenate([observed] + replicas))
     return [(reports[j].certified("top-level fit").rho,
-             _replica_std(reports[k + j * resamples:k + (j + 1) * resamples], metric))
-            for j, metric in enumerate(metrics)]
+             _replica_std(reports[k + j * resamples:k + (j + 1) * resamples],
+                          lambda rhos: fidelities(np.array([r.entries for r in rhos]), target)))
+            for j, target in enumerate(targets)]

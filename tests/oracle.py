@@ -17,6 +17,8 @@ histogram sampler replaced; the two agree in distribution, not in bits.
 ``reference_mle`` maximizes a table's likelihood by another algorithm than
 ``tomography.mle_batch``, from another start, with its own certificate, so
 that the fit's certified gap can be checked against it.
+``reference_first_step`` is one table's first pass of ``mle_batch`` as the
+search first ran it, halving t from 1, so the seeded search's bits can be checked.
 ``fisher_std`` is the delta-method error of a fidelity from the Fisher
 information, a second route to the bootstrap's ``fidelity_std``.
 ``reference_jitter_nodes`` averages over the Gaussian detuning on a fine
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from apgate import tomography
 from apgate.cavity import TWO_PI, CavityParams, gate_branch_amplitudes
 from apgate.protocols import ERASER_ROTATION_PHASE, StarvationError
 from apgate.pulse import (confusion_matrix, detection_confusion, jitter_nodes,
@@ -348,6 +351,42 @@ def reference_mle(settings, counts, tol: float = 0.01):
         else:
             eps /= 2.0
     raise RuntimeError("reference maximizer did not reach its bound")
+
+
+def reference_first_step(settings, counts):
+    """``(x, ll_history, t)``: one table's first projected-gradient step from its
+    projected linear inversion x0, by t = 1, 1/2, ... down to 2^-63 until
+    l/N obeys its quadratic upper bound around x0, as ``mle_batch`` ran before its
+    first step was seeded; x (real rows of (re, im) pairs) is x0 where no t passes.
+
+    It uses the package's ``_project`` and the bound's test, written as the batch
+    of one it is (stacked (1, k) @ (k, m) products), so it matches ``mle_batch(...,
+    1)`` bit for bit on a table not certified at its start.
+    """
+    c = tomography._counts(settings, [counts])
+    to_op, dim = _born_map(tuple(s.name for s in settings)), c.shape[2]
+    n = c.reshape(1, -1)
+    total = n.sum(axis=1)
+
+    def dot(a, b):
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+    def probs(m):
+        return (m[:, None, :] @ to_op.T)[:, 0, :]
+
+    x, _ = tomography._project(
+        tomography.linear_inversions(settings, c).reshape(1, -1).view(float), dim)
+    p = np.maximum(probs(x), tomography.PROB_FLOOR)
+    ll = dot(n, np.log(p))
+    grad = ((n / total[:, None] / p)[:, None, :] @ to_op)[:, 0, :]
+    for k in range(64):
+        t = 0.5 ** k
+        cand, _ = tomography._project(x + t * grad, dim)
+        d = cand - x
+        gain = dot(n, np.log1p(np.maximum(probs(d), tomography.PROB_FLOOR - p) / p))
+        if gain / total >= dot(grad - 0.5 * d / t, d):
+            return cand[0], [float(ll[0]), float((ll + gain)[0])], t
+    return x[0], [float(ll[0]), float(ll[0])], 0.0
 
 
 def fisher_std(settings, counts, rho: np.ndarray, target: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from apgate.protocols import (StarvationError, bell_target, ghz_target,
                               run_state_detection, run_truth_table,
                               tomo_roundtrip)
 from apgate.pulse import DetectionModel, ImperfectionConfig, PulseConfig
-from apgate.qlin import UP, DensityMatrix, rotation
+from apgate.qlin import UP, DensityMatrix, fidelity_pure, rotation
 from apgate.tomography import (CountsTable, MeasurementSetting, all_settings,
                                linear_inversion, mle_reconstruct,
                                monte_carlo_errors)
@@ -576,19 +577,21 @@ def test_monte_carlo_run_is_one_fit_batch(monkeypatch):
 @pytest.mark.parametrize("runner", [run_bell, run_ghz, run_eraser])
 def test_one_batch_matches_separate_fits(runner, monkeypatch):
     # Bit for bit: each observed fit as mle_reconstruct, each error as
-    # monte_carlo_errors on the same generator stream, herald after herald.
+    # monte_carlo_errors with fidelity_pure against the same target on the
+    # same generator stream, herald after herald.
     merged, calls = protocols.fit_with_errors, []
-    def spy(settings, counts, metrics, resamples, rng):
+    def spy(settings, counts, targets, resamples, rng):
         start = copy.deepcopy(rng)
-        fits = merged(settings, counts, metrics, resamples, rng)
-        calls.append((settings, counts, metrics, resamples, start, fits))
+        fits = merged(settings, counts, targets, resamples, rng)
+        calls.append((settings, counts, targets, resamples, start, fits))
         return fits
     monkeypatch.setattr(protocols, "fit_with_errors", spy)
     runner(MC_SMALL)
-    (settings, counts, metrics, resamples, rng, fits), = calls
+    (settings, counts, targets, resamples, rng, fits), = calls
     assert len(fits) == len(counts) == (2 if runner is run_eraser else 1)
-    for c, metric, (rho, std) in zip(counts, metrics, fits):
+    for c, target, (rho, std) in zip(counts, targets, fits, strict=True):
         table = CountsTable(settings, c)
+        metric = functools.partial(fidelity_pure, target=target)
         assert np.array_equal(rho.entries, mle_reconstruct(table).rho.entries)
         assert std == monte_carlo_errors(table, metric, resamples, rng)["metric"]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apgate.qlin import (DOWN, DensityMatrix, PAULI_X, PureState,
-                         UP, X_MINUS, X_PLUS, fidelity_pure, kron,
+                         UP, X_MINUS, X_PLUS, fidelities, fidelity_pure, kron,
                          optimal_phase_fidelity, rotation)
 from apgate.pulse import confusion_matrix, detection_confusion, DetectionModel
 from apgate.config import ideal_profile
@@ -94,6 +94,35 @@ def test_fidelity_global_phase_invariant():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity_pure(random_density(np.random.default_rng(1), 4), PureState(UP))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_fidelities_match_fidelity_pure_bit_for_bit(dim):
+    # The bootstrap scores its replicas in one stacked product; each value must
+    # be the per-state fidelity_pure's bits, and those the plain <v| rho |v>
+    # product's (clamped) that fidelity_pure used before, so no golden moves.
+    # The stack holds random mixed and pure states, the target itself (a
+    # fidelity rounding to about 1) and a state orthogonal to it (about 0).
+    rng = np.random.default_rng(dim)
+    target = random_state(rng, dim)
+    v = target.amplitudes
+    other = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    orthogonal = PureState(other - np.vdot(v, other) * v)
+    rhos = ([random_density(rng, dim) for _ in range(40)]
+            + [random_state(rng, dim).density() for _ in range(20)]
+            + [target.density(), orthogonal.density()])
+    stack = np.array([r.entries for r in rhos])
+    stacked = fidelities(stack, target)
+    assert stacked.shape == (len(rhos),) and stacked.dtype == np.float64
+    for f, rho in zip(stacked.tolist(), rhos, strict=True):
+        plain = min(1.0, max(0.0, float(np.real(v.conj() @ rho.entries @ v))))
+        single = fidelity_pure(rho, target)
+        assert type(single) is float
+        assert np.array([f, single]).tobytes() == np.array([plain, plain]).tobytes()
+    assert stacked[-1] <= 1e-15 and stacked[-2] >= 1.0 - 1e-15
+    assert np.array_equal(fidelities(stack[::-1], target), stacked[::-1])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fidelities(stack, PureState(np.ones(4 if dim == 2 else 2)))
 
 
 # --- optimal phase fidelity ---------------------------------------------------

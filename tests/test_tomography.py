@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from apgate import protocols, tomography
-from apgate.config import paper_profile
+from apgate.config import ideal_profile, paper_profile
 from apgate.protocols import ghz_target, run_bell, run_eraser, run_ghz, tomo_roundtrip
 from apgate.qlin import DensityMatrix, PureState, UP, fidelity_pure
 from apgate.tomography import (MLE_TOL, CountsTable, FitError,
@@ -15,7 +16,7 @@ from apgate.tomography import (MLE_TOL, CountsTable, FitError,
                                linear_inversion, mle_batch, mle_reconstruct,
                                monte_carlo_errors, simulate_batch,
                                simulate_counts)
-from oracle import (born_probabilities, log_likelihood,
+from oracle import (born_probabilities, log_likelihood, reference_first_step,
                     reference_linear_inversion, reference_mle)
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -46,6 +47,21 @@ def test_all_settings_complete():
     names = {s.name for s in all_settings(2)}
     assert len(names) == 9
     assert "XX" in names and "ZY" in names
+
+
+def test_all_settings_are_built_once():
+    # One cached tuple of frozen settings per qubit count, handed out as a fresh
+    # list: equal to a fresh build, and edits to one list reach no later call.
+    for n in (1, 2, 3):
+        fresh = [MeasurementSetting(labels) for labels in itertools.product("XYZ", repeat=n)]
+        first = all_settings(n)
+        assert first == fresh and all(a is b for a, b in zip(first, all_settings(n)))
+        first.reverse()
+        first.append(first.pop(0))
+        first[0] = MeasurementSetting(("Z",) * n)
+        assert all_settings(n) == fresh
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        all_settings(1)[0].labels = ("X",)
 
 
 def test_setting_projectors_complete_and_orthogonal():
@@ -496,6 +512,68 @@ def test_certificate_solves_only_where_it_can_certify(monkeypatch):
     reports = mle_batch(settings, np.concatenate([[counts], replicas]))
     assert all(r.converged for r in reports)
     assert sum(rows) <= 2 * len(reports), sum(rows)
+
+
+@pytest.mark.parametrize("profile", [paper_profile, ideal_profile])
+def test_first_pass_projects_about_two_states_per_fit(profile, monkeypatch):
+    # Pass 0 starts each fit's line search at its curvature (Cauchy) step, so it
+    # projects about two trial states per fit: the one that fails and the half
+    # that passes, or the one that passes and the double that fails.  Halving
+    # from 1 projected 3.81 per fit in this paper-profile batch (385 rows; none
+    # of its fits accepts t = 1).  Here it takes 203: one fit, whose Cauchy step
+    # 0.255 lies just above 1/4, fails at 1/2 and 1/4.  The ideal-profile fits
+    # accept t = 1 from t_c >= 1: one trial each, as before.
+    cfg = dataclasses.replace(profile(), mode="monte-carlo", mc_replicas=2)  # same counts as 100
+    settings, counts = all_settings(2), run_bell(cfg).raw_counts["counts"]
+    replicas = tomography._replicas(tomography._counts(settings, [counts])[0], 100,
+                                    np.random.default_rng(5))
+    core, rows = tomography._project, []
+    monkeypatch.setattr(tomography, "_project", lambda x, dim: rows.append(len(x)) or core(x, dim))
+    batch = np.concatenate([[counts], replicas])
+    start = mle_batch(settings, batch, 0)
+    assert not any(r.converged for r in start)       # every fit runs pass 0
+    rows.clear()
+    mle_batch(settings, batch, 1)
+    per_fit = (sum(rows) - len(batch)) / len(batch)  # less the starts' projection
+    if profile is paper_profile:
+        assert per_fit <= 2.05, per_fit
+    else:
+        assert per_fit == 1.0, per_fit
+
+
+def _first_step_tables():
+    # 36 pure and mixed states of 2 and 3 qubits with white noise 1e-4 to 1e-2, at
+    # 300 to 30000 shots: none is certified at its start; at this seed the first
+    # accepted steps run from 1 down to 2^-9, and in two fits the first trial
+    # passes below 1 and its double passes too.
+    rng = np.random.default_rng(1)
+    for n, pure, eps, shots in itertools.product((2, 3), (True, False), (1e-4, 1e-3, 1e-2),
+                                                 (300, 3000, 30000)):
+        rank = 1 if pure else int(rng.integers(2, 2 ** n + 1))
+        a = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+        rho = (1 - eps) * a @ a.conj().T / np.sum(np.abs(a) ** 2) + eps * np.eye(2 ** n) / 2 ** n
+        yield n, simulate_batch(rho[None], all_settings(n), shots, [rng])[0]
+
+
+def test_first_step_matches_halving_from_one():
+    # The seeded search of pass 0 accepts, bit for bit, the step that halving
+    # from 1 accepts (oracle.reference_first_step): each table alone and in one
+    # batch per qubit count, where fits that halve and fits that double share
+    # every projection.
+    steps, by_n = set(), {2: [], 3: []}
+    for n, counts in _first_step_tables():
+        x, history, t = reference_first_step(all_settings(n), counts)
+        expected = DensityMatrix(x.view(complex).reshape(2 ** n, 2 ** n)).entries
+        by_n[n].append((counts, expected, history))
+        steps.add(t)
+    for n, cases in by_n.items():
+        batch = mle_batch(all_settings(n), [c for c, _, _ in cases], 1)
+        for (counts, expected, history), report in zip(cases, batch, strict=True):
+            alone = mle_batch(all_settings(n), [counts], 1)[0]
+            for r in (report, alone):
+                assert r.iterations == 1 and r.ll_history == history
+                assert r.rho.entries.tobytes() == expected.tobytes()
+    assert max(steps) == 1.0 and min(steps) <= 2.0 ** -7, sorted(steps)
 
 
 def test_monte_carlo_uncertified_replica_raises(monkeypatch):
