@@ -7,11 +7,12 @@ with one product (``simulate_batch``).  Count tables travel as one float stack
 (B x settings x 2^n) checked by ``_counts`` alone (a ``CountsTable`` is a stack of one)
 and feed linear inversion, one stacked product with the map's least-squares inverse.
 ``mle_batch``, the batched maximum-likelihood core, starts its fits there, seeds each
-first line search at its curvature step and iterates each until a Lagrange-dual bound on
-its null space certifies it within MLE_TOL nats of the maximum, the bound's eigenvalue
-term taken only where its eigen-free term could certify; row-wise arithmetic keeps each
-fit the same bit for bit in any batch.  Monte-Carlo tables and their bootstrap replicas
-share one batch, the replicas' fidelities one product (``fit_with_errors``).
+first line search at its curvature step, projects a full-rank fit's trials by a trace
+shift (eigenvalues only) where no weight clips, and iterates each fit until a
+Lagrange-dual bound on its null space certifies it within MLE_TOL nats of the maximum,
+the bound's eigenvalue term taken only where its eigen-free term could certify; row-wise
+arithmetic keeps each fit the same bit for bit in any batch.  Monte-Carlo tables and their
+bootstrap replicas share one batch, the replicas' fidelities one product (``fit_with_errors``).
 """
 from __future__ import annotations
 
@@ -204,17 +205,31 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _project(x: np.ndarray, dim: int) -> tuple:
-    """Nearest density matrices (Frobenius norm) to the Hermitian rows ``x``:
-    the eigenvalues are projected onto the probability simplex.  Also each
-    state's null space (B x d x d): its eigenvectors of weight exactly 0."""
+def _project(x: np.ndarray, dim: int, full=None) -> tuple:
+    """Nearest density matrices (Frobenius norm) to the Hermitian rows ``x``, their null
+    spaces (B x d x d) and which have full rank.  A row flagged in ``full`` whose eigenvalues
+    alone (``eigvalsh``) all exceed s = (tr x - 1)/d is x - s I; others take ``_simplex``."""
+    if full is None or not full.any():
+        return _simplex(x, dim)
+    xf, shifted = x[full], full.copy()
+    s = (xf[:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim
+    shifted[full] = ok = np.linalg.eigvalsh(xf.view(complex).reshape(-1, dim, dim))[:, 0] > s
+    rho, ker, rest = x.copy(), np.zeros((len(x), dim, dim), complex), ~shifted
+    rho[shifted, ::2 * dim + 2] -= s[ok, None]
+    if rest.any():
+        rho[rest], ker[rest], shifted[rest] = _simplex(x[rest], dim)
+    return rho, ker, shifted
+
+
+def _simplex(x: np.ndarray, dim: int) -> tuple:
+    """``_project`` by ``eigh``: eigenvalues onto the simplex, null eigenvectors of weight 0."""
     values, vectors = np.linalg.eigh(x.view(complex).reshape(-1, dim, dim))
     excess = values[:, ::-1].cumsum(axis=1) - 1.0
     support = (values[:, ::-1] - excess / np.arange(1, dim + 1) > 0).sum(axis=1)
     shift = excess[np.arange(len(x)), support - 1] / support
     weights = np.maximum(values - shift[:, None], 0.0)
-    rho = (vectors * weights[:, None, :]) @ vectors.conj().swapaxes(1, 2)
-    return rho.reshape(len(x), -1).view(float), vectors * (weights == 0.0)[:, None, :]
+    rho = ((vectors * weights[:, None, :]) @ vectors.conj().swapaxes(1, 2)).reshape(len(x), -1)
+    return rho.view(float), vectors * (weights == 0.0)[:, None, :], support == dim
 
 
 def mle_batch(settings: Sequence[MeasurementSetting], counts,
@@ -226,9 +241,10 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i y_i Pi_i, y_i = (n_i/N)/p_i.
     From its table's projected linear inversion (Smolin, Gambetta, Smith, PRL 108, 070502
     (2012)), each fit steps from the momentum point sigma to P(sigma + t R(sigma)), P the
-    projection onto density matrices; t halves until f obeys its quadratic upper bound
-    around sigma, then grows by 1.1.  Pass 0 (``seeded``) starts at t = min(1, 2^ceil(log2
-    t_c)) >= 2^-63, t_c = ||G||^2 / sum_i f_i (tr(Pi_i G)/p_i)^2 the Cauchy step along R's
+    projection onto density matrices, flagged (``full``) for its trace shift while the
+    fit's state has full rank; t halves until f obeys its quadratic upper bound around
+    sigma, then grows by 1.1.  Pass 0 (``seeded``) starts at t = min(1, 2^ceil(log2 t_c))
+    >= 2^-63, t_c = ||G||^2 / sum_i f_i (tr(Pi_i G)/p_i)^2 the Cauchy step along R's
     traceless part G (t = 1 where t_c is not finite and positive): failures halve, a passing
     start below 1 doubles while the double passes.  Where the test is monotone along the
     chain, this and halving from 1 both accept the largest passing power of two <= 1, so
@@ -242,11 +258,11 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     sum_{n_i>0} n_i log(n_i / (N y'_i)) + N log s for any y' >= 0, positive where
     n_i > 0, with lambda_max(sum_i y'_i Pi_i) <= s (Lagrange duality; Boyd and
     Vandenberghe, Convex Optimization (2004), ch. 5); at y' = y, s = 1 the sum is l(rho).
-    The dual point: with K the projector onto rho's null space (the eigenvectors
-    ``_project`` gave weight exactly 0), M = (R - I) - K (R - I) K and y' = y - delta,
-    delta_i = tr(D_i M) (D_i the ``_inversion_map`` duals, so sum_i y'_i Pi_i =
-    I + K (R - I) K), zero-count entries clipped at 0; s = max(1, lambda_max(sum_i y'_i
-    Pi_i)) absorbs that block, clipping and rounding, so the bound holds for any M.  So
+    The dual point: with K the projector onto rho's null space (``_project``'s; K = 0 at
+    full rank, its products skipped where every live fit has it), M = (R - I) - K (R - I) K
+    and y' = y - delta, delta_i = tr(D_i M) (D_i the ``_inversion_map`` duals, so sum_i
+    y'_i Pi_i = I + K (R - I) K), zero-count entries clipped at 0; s = max(1, lambda_max(
+    sum_i y'_i Pi_i)) absorbs that block, clipping and rounding: the bound holds for any M.  So
     l_max - l(rho) <= -sum_{n_i>0} n_i log1p(-delta_i/y_i) + N log s, whose first-order
     term N tr(rho M) = N (sum_i p_i y_i - 1) is 0 as rho K = 0.  Where some y'_i <= 0
     with n_i > 0, an observed p_i sits at PROB_FLOOR or the dual value is not finite,
@@ -257,11 +273,11 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     cap; the start if max_iter <= 0): as N log s >= 0 and fl(a - b) >= -b, no other fit
     can certify, and every reported gap is the whole bound, so no result moves a bit.
     A fit certified at MLE_TOL = 0.1 nats (the one-sigma likelihood scale is 0.5) leaves
-    the batch: only live fits iterate, and a pass in which some certify drops them from
-    every per-fit array.  All per-fit arithmetic is row-wise or stacked (1, k) @ (k, m)
-    products, the starts and the fitted states' checks (one stack each) included, so a
-    fit's result does not depend, bit for bit, on its batch or on the row it moves to; a
-    fit that did not move recomputes its own p(x) and gap.
+    the batch: only live fits iterate, compacted in every per-fit array.  All per-fit
+    arithmetic is row-wise or stacked (1, k) @ (k, m) products, the starts and the fitted
+    states' checks (one stack each) included, so a fit's result does not depend, bit for
+    bit, on its batch or on the row it moves to; a fit that did not move recomputes its
+    own p(x) and gap.  The momentum update selects nothing where every fit moved.
     """
     # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = y @ to_op.
     c, names = _counts(settings, counts), tuple(s.name for s in settings)
@@ -275,11 +291,11 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     def adjoint(y):                           # sum_i y_i Pi_i
         return (y[:, None, :] @ to_op)[:, 0, :]
 
-    def gap(p, ker, report):                  # of the live fits: p = p(x), ker x's null space
+    def gap(p, ker, full, report):            # of the live fits: p = p(x), ker x's null space
         y = freq / p
-        rm = adjoint(y).view(complex).reshape(-1, dim, dim) - eye     # R - I
-        k = ker @ ker.conj().swapaxes(1, 2)
-        delta = ((rm - k @ rm @ k).reshape(-1, 1, dim * dim).view(float) @ duals.T)[:, 0, :]
+        rm = adjoint(y).view(complex).reshape(-1, dim, dim) - eye     # R - I; K = 0 at full rank
+        m = rm if full.all() else rm - (k := ker @ ker.conj().swapaxes(1, 2)) @ rm @ k
+        delta = (m.reshape(-1, 1, dim * dim).view(float) @ duals.T)[:, 0, :]
         ratio = np.where(obs, delta / np.where(obs, y, 1.0), 0.0)     # < 1 means y' > 0
         ok = (~obs | ((ratio < 1.0) & (p > PROB_FLOOR))).all(axis=1)
         dual = -_dot(n, np.log1p(-np.where(ok[:, None], ratio, 0.0)))     # first term
@@ -298,61 +314,65 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
 
     def trial(rows, t):                       # P(sigma + t grad) of the rows; did f obey its bound?
         xs = sigma[rows]
-        c, ck = _project(xs + t[:, None] * grad[rows], dim)
+        c, ck, cf = _project(xs + t[:, None] * grad[rows], dim, full[rows])
         d = c - xs
-        return c, ck, (gain(d, ps[rows], n[rows]) / total[rows]
+        return c, ck, cf, (gain(d, ps[rows], n[rows]) / total[rows]
                        >= _dot(grad[rows] - 0.5 * d / t[:, None], d))
 
-    def seeded():                             # pass 0's search (docstring): rho, null space, step
+    def seeded():                             # pass 0's search (docstring): trial's fields, step
         tr = grad[:, ::2 * dim + 2].sum(axis=1)                 # G = grad - (tr / d) I
         curv = _dot(freq, ((probs(grad) - tr[:, None] / dim) / ps) ** 2)    # tr Pi_i = 1
         tc = (_dot(grad, grad) - tr ** 2 / dim) / np.where(curv > 0.0, curv, np.inf)
         t0 = np.where(tc > 0.0, np.exp2(np.ceil(np.log2(np.clip(tc, 2.0 ** -63, 1.0)))), 1.0)
-        cand, cker, step = x.copy(), ker.copy(), np.full(len(x), 2.0 ** -64)
+        cand, cker, cfull, step = x.copy(), ker.copy(), full.copy(), np.full(len(x), 2.0 ** -64)
         rows, t = np.arange(len(x)), t0
         while rows.size:                      # passes from t0 up double below 1,
-            c, ck, ok = trial(rows, t)        # failures from t0 down halve to 2^-63
-            cand[rows[ok]], cker[rows[ok]], step[rows[ok]] = c[ok], ck[ok], 1.1 * t[ok]
+            c, ck, cf, ok = trial(rows, t)    # failures from t0 down halve to 2^-63
+            cand[rows[ok]], cker[rows[ok]], cfull[rows[ok]], step[rows[ok]] = (
+                c[ok], ck[ok], cf[ok], 1.1 * t[ok])
             go = np.where(ok, (t >= t0[rows]) & (t < 1.0), (t <= t0[rows]) & (t > 2.0 ** -63))
             rows, t = rows[go], (np.where(ok, 2.0, 0.5) * t)[go]
-        return cand, cker, step
+        return cand, cker, cfull, step
 
-    x, ker = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
+    def moved_to(new, old):                   # per fit, new where it moved; no copy if all did
+        return new if every else np.where(moved.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+
+    x, ker, full = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
     px = np.maximum(probs(x), PROB_FLOOR)     # p(x), and p(sigma), floored as every use reads them
     ll = _dot(n, np.log(px))
-    gaps = gap(px, ker, max_iter <= 0)        # reported as they are when max_iter <= 0
+    gaps = gap(px, ker, full, max_iter <= 0)        # reported as they are when max_iter <= 0
     sigma, theta, step = x.copy(), np.ones(len(n)), np.ones(len(n))
     history, rho, gap_out = [[v] for v in ll.tolist()], x.copy(), gaps.copy()
     for it in range(max_iter + 1):
         live = (gaps > MLE_TOL) & (it < max_iter)     # at the cap every fit leaves
         if not live.all():                            # results out, the rest compacted
             rho[fits], gap_out[fits] = x, gaps
-            x, sigma, theta, step, ker, px, ll, gaps, n, total, freq, obs, fits = (
-                a[live] for a in (x, sigma, theta, step, ker, px, ll, gaps, n, total, freq, obs,
-                                  fits))
+            x, sigma, theta, step, ker, full, px, ll, gaps, n, total, freq, obs, fits = (
+                a[live] for a in (x, sigma, theta, step, ker, full, px, ll, gaps, n, total, freq,
+                                  obs, fits))
             if not fits.size:
                 break
         ps = np.maximum(probs(sigma), PROB_FLOOR)
         grad = adjoint(freq / ps)
         if it == 0:
-            cand, cker, step = seeded()
+            cand, cker, cfull, step = seeded()
         else:
-            cand, cker, rows = np.empty_like(x), np.empty_like(ker), slice(None)
+            cand, cker, cfull, rows = x.copy(), ker.copy(), full.copy(), slice(None)
             for _ in range(64):                   # backtracking: every row, then those that failed
                 t = step[rows]
-                cand[rows], cker[rows], ok = trial(rows, t)
+                cand[rows], cker[rows], cfull[rows], ok = trial(rows, t)
                 step[rows], rows = np.where(ok, 1.1 * t, 0.5 * t), np.arange(len(x))[rows][~ok]
                 if not rows.size:
                     break
-            cand[rows], cker[rows] = x[rows], ker[rows]     # no step passed: stay
+            cand[rows], cker[rows], cfull[rows] = x[rows], ker[rows], full[rows]     # stay
         rise = gain(cand - x, px, n)
         moved = (rise >= 0.0) | (theta == 1.0)
-        th = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-        prev, x = x, np.where(moved[:, None], cand, x)
-        sigma = np.where(moved[:, None], x + ((theta - 1.0) / th)[:, None] * (x - prev), x)
-        ker, ll = np.where(moved[:, None, None], cker, ker), np.where(moved, ll + rise, ll)
-        theta, px = np.where(moved, th, 1.0), np.maximum(probs(x), PROB_FLOOR)
-        gaps = gap(px, ker, it == max_iter - 1)     # the gaps reported at the cap
+        th, every = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2)), moved.all()
+        prev, x = x, moved_to(cand, x)
+        sigma = moved_to(x + ((theta - 1.0) / th)[:, None] * (x - prev), x)
+        ker, full, ll = moved_to(cker, ker), moved_to(cfull, full), moved_to(ll + rise, ll)
+        theta, px = moved_to(th, 1.0), np.maximum(probs(x), PROB_FLOOR)
+        gaps = gap(px, ker, full, it == max_iter - 1)     # the gaps reported at the cap
         for i, v in zip(fits.tolist(), ll.tolist()):
             history[i].append(v)
     return [ReconstructionReport(r, history[b][-1], len(history[b]) - 1,

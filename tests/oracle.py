@@ -19,6 +19,9 @@ histogram sampler replaced; the two agree in distribution, not in bits.
 that the fit's certified gap can be checked against it.
 ``reference_first_step`` is one table's first pass of ``mle_batch`` as the
 search first ran it, halving t from 1, so the seeded search's bits can be checked.
+``reference_project`` is the Frobenius projection onto density matrices one
+matrix at a time, its simplex shift found by bisection, so ``_project``'s
+sorted-sum shift and its trace-shift path can be checked against it.
 ``fisher_std`` is the delta-method error of a fidelity from the Fisher
 information, a second route to the bootstrap's ``fidelity_std``.
 ``reference_jitter_nodes`` averages over the Gaussian detuning on a fine
@@ -359,9 +362,10 @@ def reference_first_step(settings, counts):
     l/N obeys its quadratic upper bound around x0, as ``mle_batch`` ran before its
     first step was seeded; x (real rows of (re, im) pairs) is x0 where no t passes.
 
-    It uses the package's ``_project`` and the bound's test, written as the batch
-    of one it is (stacked (1, k) @ (k, m) products), so it matches ``mle_batch(...,
-    1)`` bit for bit on a table not certified at its start.
+    It uses the package's ``_project``, its trials flagged by the start's full rank
+    as ``mle_batch`` flags them, and the bound's test, written as the batch of one it
+    is (stacked (1, k) @ (k, m) products), so it matches ``mle_batch(..., 1)`` bit for
+    bit on a table not certified at its start.
     """
     c = tomography._counts(settings, [counts])
     to_op, dim = _born_map(tuple(s.name for s in settings)), c.shape[2]
@@ -374,19 +378,40 @@ def reference_first_step(settings, counts):
     def probs(m):
         return (m[:, None, :] @ to_op.T)[:, 0, :]
 
-    x, _ = tomography._project(
+    x, _, full = tomography._project(
         tomography.linear_inversions(settings, c).reshape(1, -1).view(float), dim)
     p = np.maximum(probs(x), tomography.PROB_FLOOR)
     ll = dot(n, np.log(p))
     grad = ((n / total[:, None] / p)[:, None, :] @ to_op)[:, 0, :]
     for k in range(64):
         t = 0.5 ** k
-        cand, _ = tomography._project(x + t * grad, dim)
+        cand, _, _ = tomography._project(x + t * grad, dim, full)
         d = cand - x
         gain = dot(n, np.log1p(np.maximum(probs(d), tomography.PROB_FLOOR - p) / p))
         if gain / total >= dot(grad - 0.5 * d / t, d):
             return cand[0], [float(ll[0]), float((ll + gain)[0])], t
     return x[0], [float(ll[0]), float(ll[0])], 0.0
+
+
+def reference_project(matrices):
+    """``(rhos, clipped)``: the nearest density matrix (Frobenius norm) to each
+    Hermitian matrix of the stack, and how many of its eigenvalues project to
+    weight 0 (Smolin, Gambetta, Smith, PRL 108, 070502 (2012)).
+
+    Per matrix: eigenvalues l_k, then the shift tau with sum_k max(l_k - tau, 0)
+    = 1, bisected on [l_max - 1, l_max] (the sum is 1 or more at the left end, 0 at
+    the right) until the bracket stops shrinking; weights max(l_k - tau, 0).
+    """
+    rhos, clipped = [], []
+    for m in np.asarray(matrices, dtype=complex):
+        values, vectors = np.linalg.eigh(m)
+        lo, hi = values[-1] - 1.0, values[-1]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if np.maximum(values - mid, 0.0).sum() > 1.0 else (lo, mid)
+        weights = np.maximum(values - 0.5 * (lo + hi), 0.0)
+        rhos.append((vectors * weights) @ vectors.conj().T)
+        clipped.append(int((weights == 0.0).sum()))
+    return np.array(rhos), np.array(clipped)
 
 
 def fisher_std(settings, counts, rho: np.ndarray, target: np.ndarray) -> float:

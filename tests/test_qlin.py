@@ -271,6 +271,17 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+def test_eigenvalue_floor_sits_between_1e_8_and_1e_6():
+    # The floor (EIGENVALUE_FLOOR = -1e-8) bounds how far below zero a fitted
+    # state's eigenvalue may round; -5e-7 lies beyond it and -5e-9 inside, so a
+    # floor loosened to -1e-6, or tightened to -1e-9, fails here.
+    beyond, inside = np.diag([1 + 5e-7, -5e-7]), np.diag([1 + 5e-9, -5e-9])
+    for build in (DensityMatrix, lambda m: DensityMatrix.stack(m[None])[0]):
+        with pytest.raises(ValueError, match="negative eigenvalue beyond the floor"):
+            build(beyond)
+        assert np.linalg.eigvalsh(build(inside).entries)[0] < 0.0
+
+
 def _rough_densities(rng, dim, count):
     # Trace and Hermiticity off by rounding-sized amounts, so that the
     # symmetrization and the division by the trace both change bits.

@@ -17,7 +17,7 @@ from apgate.tomography import (MLE_TOL, CountsTable, FitError,
                                monte_carlo_errors, simulate_batch,
                                simulate_counts)
 from oracle import (born_probabilities, log_likelihood, reference_first_step,
-                    reference_linear_inversion, reference_mle)
+                    reference_linear_inversion, reference_mle, reference_project)
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -313,6 +313,62 @@ def test_mle_iteration_cap_reported():
     assert not report.converged
 
 
+def _hermitian_rows(rng, dim, kind, count):
+    # Hermitian matrices U diag(l) U^H off unit trace by a common offset: "interior"
+    # projects with every weight positive, "clipped" clips one (weight 0 for an
+    # eigenvalue 0.5 below the rest), "rank-1" clips all but the top one.
+    for _ in range(count):
+        w = rng.uniform(0.5, 1.5, size=dim)
+        if kind == "clipped":
+            w[0] = 0.0
+        elif kind == "rank-1":
+            w[:-1] = 0.0
+        lam = w / w.sum() + rng.uniform(-0.2, 0.2) / dim
+        if kind != "interior":
+            lam[w == 0.0] -= rng.uniform(0.5, 1.0, size=(w == 0.0).sum())
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        m = (u * lam) @ u.conj().T
+        yield 0.5 * (m + m.conj().T), int((w == 0.0).sum())
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_project_matches_the_bisection_oracle(dim):
+    # Flagged rows (full rank before) take the trace shift x - s I where no weight
+    # clips and fall back to eigh where one does; unflagged rows take eigh.  Both
+    # must give the Frobenius projection of oracle.reference_project.
+    rng = np.random.default_rng(dim)
+    rows = [r for kind in ("interior", "clipped", "rank-1")
+            for r in _hermitian_rows(rng, dim, kind, 8)]
+    order = rng.permutation(len(rows))
+    m = np.array([rows[i][0] for i in order])
+    clipped = np.array([rows[i][1] for i in order])
+    x = m.reshape(len(m), -1).view(float)
+    expected, oracle_clipped = reference_project(m)
+    assert np.array_equal(oracle_clipped, clipped)
+    flags = {"flagged": np.ones(len(x), bool), "unflagged": np.zeros(len(x), bool),
+             "mixed": rng.random(len(x)) < 0.5}
+    out = {name: tomography._project(x, dim, full) for name, full in flags.items()}
+    for name, (rho, ker, full) in out.items():
+        got = rho.view(complex).reshape(-1, dim, dim)
+        assert np.abs(got - expected).max() <= 1e-13, name
+        assert np.array_equal(ker.any(axis=(1, 2)), clipped > 0), name
+        assert np.array_equal(full, clipped == 0), name
+        assert np.array_equal(np.linalg.matrix_rank(ker), clipped), name
+    (rho_f, ker_f, _), (rho_u, ker_u, _) = out["flagged"], out["unflagged"]
+    clip = clipped > 0
+    assert rho_f[clip].tobytes() == rho_u[clip].tobytes()
+    assert ker_f[clip].tobytes() == ker_u[clip].tobytes()
+    # Interior flagged rows moved only on the diagonal's real parts: x - s I.
+    off = np.ones(2 * dim * dim, bool)
+    off[::2 * dim + 2] = False
+    assert np.array_equal(rho_f[~clip][:, off], x[~clip][:, off])
+    assert not np.array_equal(rho_f[~clip], rho_u[~clip])
+    for name, full in flags.items():        # each row alone, bit for bit
+        for i in range(len(x)):
+            alone = tomography._project(x[i:i + 1], dim, full[i:i + 1])
+            assert all(a[0].tobytes() == b[i].tobytes() for a, b in zip(alone, out[name]))
+
+
 def test_mle_starts_at_projected_linear_inversion():
     # Every start of a batch is its own table's projected linear inversion.
     rng = np.random.default_rng(18)
@@ -355,6 +411,35 @@ def test_mle_batch_is_batch_invariant(n):
             assert_report_consistent(report)
     assert all(report.converged for report in batch)
     assert len({report.iterations for report in batch}) >= 2
+
+
+def test_mle_batch_mixing_full_rank_and_null_space_fits_is_batch_invariant(monkeypatch):
+    # The paper-profile Monte-Carlo bell table and 20 bootstrap replicas fit to
+    # full rank, so their trials are flagged for the trace shift; 1e5-shot
+    # pure-state tables fit with a null space, so theirs take eigh.  Each pass
+    # then projects both kinds in one call, and every report must still equal
+    # its fit run alone.
+    settings, counts = _reference_tables()["bell"]
+    full_rank = tomography._replicas(tomography._counts(settings, [counts])[0], 20,
+                                     np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    pure = [simulate_counts(random_pure(rng).density(), settings, 100_000, rng).counts
+            for _ in range(4)]
+    tables = np.insert(np.concatenate([[counts], full_rank]), [3, 8, 13, 21], pure, axis=0)
+    core, flags = tomography._project, []
+    monkeypatch.setattr(tomography, "_project",
+                        lambda x, dim, full=None: flags.append(full) or core(x, dim, full))
+    for cap in (0, 1, 2, 7, 5000):
+        batch = mle_batch(settings, tables, cap)
+        for table, report in zip(tables, batch, strict=True):
+            alone = mle_batch(settings, [table], cap)[0]
+            assert alone.rho.entries.tobytes() == report.rho.entries.tobytes()
+            assert (alone.ll_history, alone.gap, alone.iterations) == (
+                report.ll_history, report.gap, report.iterations)
+    assert all(report.converged for report in batch)
+    lowest = [np.linalg.eigvalsh(r.rho.entries)[0] for r in batch]
+    assert sum(v > 1e-6 for v in lowest) == 21 and sum(v < 1e-12 for v in lowest) == 4
+    assert any(f is not None and f.any() and not f.all() for f in flags)
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
@@ -497,6 +582,7 @@ def test_certificate_solves_only_where_it_can_certify(monkeypatch):
     # only for fits whose eigen-free first term is within MLE_TOL: once per fit
     # in the pass that certifies it, beside the one check of the fitted states.
     # Solving it for every live fit in every pass took 706 rows in this batch.
+    # The projection's own eigenvalues (full-rank trials) are not the bound's.
     settings, counts = _reference_tables()["bell"]
     replicas = tomography._replicas(tomography._counts(settings, [counts])[0], 100,
                                     np.random.default_rng(5))
@@ -504,7 +590,8 @@ def test_certificate_solves_only_where_it_can_certify(monkeypatch):
 
     def counted(a, *args, **kwargs):
         caller = sys._getframe(1)       # the Frank-Wolfe call comes after gap binds fw
-        if not (caller.f_code.co_name == "gap" and "fw" in caller.f_locals):
+        if not (caller.f_code.co_name == "gap" and "fw" in caller.f_locals
+                or caller.f_code is tomography._project.__code__):
             rows.append(len(a))
         return eigvalsh(a, *args, **kwargs)
 
@@ -528,7 +615,8 @@ def test_first_pass_projects_about_two_states_per_fit(profile, monkeypatch):
     replicas = tomography._replicas(tomography._counts(settings, [counts])[0], 100,
                                     np.random.default_rng(5))
     core, rows = tomography._project, []
-    monkeypatch.setattr(tomography, "_project", lambda x, dim: rows.append(len(x)) or core(x, dim))
+    monkeypatch.setattr(tomography, "_project",
+                        lambda x, dim, full=None: rows.append(len(x)) or core(x, dim, full))
     batch = np.concatenate([[counts], replicas])
     start = mle_batch(settings, batch, 0)
     assert not any(r.converged for r in start)       # every fit runs pass 0
