@@ -2,7 +2,9 @@
 
 ``golden/manifest.json`` holds, per run, the exit code, the warnings raised,
 the sha256 of stdout (output directory replaced by ``<out>``) and stderr, and
-the sha256 of every file written.  Each recapture, the intended output
+the sha256 of every file written, beside the numpy version and the OpenBLAS
+kernel it was captured under; a run that differs names that kernel and this
+host's, as float bits depend on it.  Each recapture, the intended output
 change behind it and its run-by-run comparison are recorded in CHANGES.md.
 Refactors must reproduce it byte for byte.  The runs are every subcommand
 of ``apgate.cli.SUBCOMMANDS`` (a new one fails the coverage test until it
@@ -24,7 +26,9 @@ fit, of the old fit's Fisher-information std (``fisher_stds``)::
     PYTHONPATH=src python tests/test_golden.py --compare OLD NEW
 """
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -99,6 +103,21 @@ def _manifest() -> dict:
     return json.loads(MANIFEST.read_text())
 
 
+@functools.lru_cache(maxsize=None)
+def openblas_kernel():
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, read through
+    ``scipy_openblas_get_corename64_``; None where that cannot be read.  Float
+    bits of the golden runs depend on it."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(golden_runs()))
 def test_golden_run(name, tmp_path):
     manifest = _manifest()
@@ -106,11 +125,13 @@ def test_golden_run(name, tmp_path):
         pytest.skip(f"manifest captured with numpy {manifest['numpy']}")
     expected = manifest["runs"][name]
     got = run_once(golden_runs()[name], tmp_path / "out")
+    kernels = (f"OpenBLAS kernel {manifest.get('openblas_kernel')} in the manifest, "
+               f"{openblas_kernel()} on this host")
     differing = sorted(k for k in set(expected["files"]) | set(got["files"])
                        if expected["files"].get(k) != got["files"].get(k))
-    assert not differing, f"{name}: files differ from the manifest: {differing}"
+    assert not differing, f"{name}: files differ from the manifest: {differing} ({kernels})"
     for key in ("exit", "warnings", "stdout", "stderr"):
-        assert got[key] == expected[key], f"{name}: {key} differs from the manifest"
+        assert got[key] == expected[key], f"{name}: {key} differs from the manifest ({kernels})"
 
 
 def test_manifest_covers_every_run():
@@ -165,7 +186,7 @@ def test_compare_states_fidelity_shifts_in_fisher_std(tmp_path, monkeypatch, cap
 def capture(scratch: Path):
     runs = {name: run_once(argv, scratch / name.replace("/", "_"))
             for name, argv in sorted(golden_runs().items())}
-    payload = {"numpy": np.__version__,
+    payload = {"numpy": np.__version__, "openblas_kernel": openblas_kernel(),
                "python": sys.version.split()[0], "runs": runs}
     MANIFEST.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(runs)} runs to {MANIFEST}")
