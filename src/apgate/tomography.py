@@ -8,8 +8,8 @@ with one product (``simulate_batch``).  Count tables travel as one float stack
 and feed linear inversion, one stacked product with the map's least-squares inverse.
 ``mle_batch``, the batched maximum-likelihood core, starts its fits there, seeds each
 first line search at its curvature step, projects a full-rank fit's trials by a trace
-shift (eigenvalues only) where no weight clips, and iterates each fit until a
-Lagrange-dual bound on its null space certifies it within MLE_TOL nats of the maximum,
+shift where a Cholesky factorization finds no weight clips, and iterates each fit until
+a Lagrange-dual bound on its null space certifies it within MLE_TOL nats of the maximum,
 the bound's eigenvalue term taken only where its eigen-free term could certify; row-wise
 arithmetic keeps each fit the same bit for bit in any batch.  Monte-Carlo tables and their
 bootstrap replicas share one batch, the replicas' fidelities one product (``fit_with_errors``).
@@ -207,17 +207,23 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _project(x: np.ndarray, dim: int, full=None) -> tuple:
     """Nearest density matrices (Frobenius norm) to the Hermitian rows ``x``, their null
-    spaces (B x d x d) and which have full rank.  A row flagged in ``full`` whose eigenvalues
-    alone (``eigvalsh``) all exceed s = (tr x - 1)/d is x - s I; others take ``_simplex``."""
+    spaces (B x d x d) and which have full rank.  Where one ``cholesky`` of the rows flagged
+    in ``full`` finds every x - s I positive definite, s = (tr x - 1)/d, those rows are
+    x - s I; else every row takes ``_simplex``, a flagged one of full support x - s I."""
     if full is None or not full.any():
         return _simplex(x, dim)
-    xf, shifted = x[full], full.copy()
-    s = (xf[:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim
-    shifted[full] = ok = np.linalg.eigvalsh(xf.view(complex).reshape(-1, dim, dim))[:, 0] > s
-    rho, ker, rest = x.copy(), np.zeros((len(x), dim, dim), complex), ~shifted
-    rho[shifted, ::2 * dim + 2] -= s[ok, None]
+    rho, shifted = x.copy(), full.copy()
+    rho[full, ::2 * dim + 2] -= ((x[full][:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim)[:, None]
+    ker, rest = np.zeros((len(x), dim, dim), complex), ~full
+    try:
+        np.linalg.cholesky(rho[full].view(complex).reshape(-1, dim, dim))
+    except np.linalg.LinAlgError:
+        rest[:] = True
     if rest.any():
-        rho[rest], ker[rest], shifted[rest] = _simplex(x[rest], dim)
+        r, k, f = _simplex(x[rest], dim)
+        own = ~(full[rest] & f)               # a flagged row of full support stays x - s I
+        rows = np.flatnonzero(rest)[own]
+        rho[rows], ker[rows], shifted[rows] = r[own], k[own], f[own]
     return rho, ker, shifted
 
 
@@ -241,9 +247,10 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i y_i Pi_i, y_i = (n_i/N)/p_i.
     From its table's projected linear inversion (Smolin, Gambetta, Smith, PRL 108, 070502
     (2012)), each fit steps from the momentum point sigma to P(sigma + t R(sigma)), P the
-    projection onto density matrices, flagged (``full``) for its trace shift while the
-    fit's state has full rank; t halves until f obeys its quadratic upper bound around
-    sigma, then grows by 1.1.  Pass 0 (``seeded``) starts at t = min(1, 2^ceil(log2 t_c))
+    projection onto density matrices, flagged (``full``) for its trace shift (decided by
+    ``_project``'s Cholesky factorization, without eigenvalues) while the fit's state has
+    full rank; t halves until f obeys its quadratic upper bound around sigma, then grows
+    by 1.1.  Pass 0 (``seeded``) starts at t = min(1, 2^ceil(log2 t_c))
     >= 2^-63, t_c = ||G||^2 / sum_i f_i (tr(Pi_i G)/p_i)^2 the Cauchy step along R's
     traceless part G (t = 1 where t_c is not finite and positive): failures halve, a passing
     start below 1 doubles while the double passes.  Where the test is monotone along the

@@ -11,6 +11,7 @@ from apgate.qlin import (DOWN, DensityMatrix, PAULI_X, PureState,
 from apgate.pulse import confusion_matrix, detection_confusion, DetectionModel
 from apgate.config import ideal_profile
 from apgate.protocols import StarvationError, run_bell, run_eraser
+from apgate.tomography import all_settings, mle_batch, simulate_counts
 from oracle import KrausChannel, apply_channel
 
 
@@ -280,6 +281,28 @@ def test_eigenvalue_floor_sits_between_1e_8_and_1e_6():
         with pytest.raises(ValueError, match="negative eigenvalue beyond the floor"):
             build(beyond)
         assert np.linalg.eigvalsh(build(inside).entries)[0] < 0.0
+
+
+def test_floor_check_factors_valid_states_without_eigenvalues(monkeypatch):
+    # One Cholesky factorization of m - EIGENVALUE_FLOOR I passes every valid
+    # state, pure and rank-deficient ones included, so no eigenvalue is computed;
+    # only a failed factorization asks eigvalsh, which then raises as before.
+    rng = np.random.default_rng(12)
+    settings = all_settings(2)
+    tables = [simulate_counts(random_state(rng, 4).density(), settings, 100_000, rng).counts
+              for _ in range(13)]
+    fitted = [r.rho.entries for r in mle_batch(settings, tables)]
+    assert all(np.linalg.eigvalsh(m)[0] < 1e-12 for m in fitted)     # null spaces
+    valid = np.array([random_state(rng, 4).density().entries for _ in range(14)] + fitted
+                     + [random_density(rng, 4).entries for _ in range(13)])
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(len(a))
+                        or eigvalsh(a, *r, **k))
+    stacked = DensityMatrix.stack(valid)
+    assert len(stacked) == 40 and calls == []
+    with pytest.raises(ValueError, match="negative eigenvalue beyond the floor"):
+        DensityMatrix.stack(np.concatenate([valid, np.diag([1 + 5e-7, -5e-7, 0.0, 0.0])[None]]))
+    assert calls == [41]
 
 
 def _rough_densities(rng, dim, count):
