@@ -392,7 +392,7 @@ def test_project_shifts_exactly_where_the_lowest_eigenvalue_exceeds_s(dim, monke
     margins *= np.where(rng.random(24) < 0.5, -1.0, 1.0)
     m = np.array(list(_near_shift_rows(rng, dim, margins)))
     x = m.reshape(len(m), -1).view(float)
-    s = (x.copy()[:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim
+    s = (x[:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim
     above = np.linalg.eigvalsh(m)[:, 0] > s
     assert np.array_equal(above, margins > 0.0)
     shifted = x.copy()
