@@ -63,7 +63,7 @@ class PureState:
 def _checked(m: np.ndarray) -> np.ndarray:
     """The stack ``m`` (B x d x d), each matrix checked finite, Hermitian and unit-trace,
     symmetrized and divided by its trace, then PSD to EIGENVALUE_FLOOR by one Cholesky
-    factorization (``eigvalsh`` only where it fails); row-wise, so independent of the stack."""
+    factorization of m - EIGENVALUE_FLOOR I; row-wise, so independent of the stack."""
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("density matrix must be square")
     _num_qubits(m.shape[1])
@@ -81,8 +81,7 @@ def _checked(m: np.ndarray) -> np.ndarray:
     try:                             # m - floor I positive definite: no eigenvalue below it
         np.linalg.cholesky(m - EIGENVALUE_FLOOR * np.eye(m.shape[1]))
     except np.linalg.LinAlgError:
-        if (np.linalg.eigvalsh(m)[:, 0] < EIGENVALUE_FLOOR).any():
-            raise ValueError("matrix has a negative eigenvalue beyond the floor") from None
+        raise ValueError("matrix has a negative eigenvalue beyond the floor") from None
     return _frozen(m)
 
 

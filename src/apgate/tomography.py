@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .qlin import (DensityMatrix, PureState, X_MINUS, X_PLUS, Y_MINUS, Y_PLUS, UP, DOWN,
                    _frozen, fidelities)
@@ -207,23 +208,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _project(x: np.ndarray, dim: int, full=None) -> tuple:
     """Nearest density matrices (Frobenius norm) to the Hermitian rows ``x``, their null
-    spaces (B x d x d) and which have full rank.  Where one ``cholesky`` of the rows flagged
-    in ``full`` finds every x - s I positive definite, s = (tr x - 1)/d, those rows are
-    x - s I; else every row takes ``_simplex``, a flagged one of full support x - s I."""
+    spaces (B x d x d) and which have full rank.  A row flagged in ``full`` whose x - s I,
+    s = (tr x - 1)/d, has a Cholesky factor (one stacked call, decided row by row) is
+    x - s I; others take ``_simplex``."""
     if full is None or not full.any():
         return _simplex(x, dim)
     rho, shifted = x.copy(), full.copy()
     rho[full, ::2 * dim + 2] -= ((x[full][:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim)[:, None]
-    ker, rest = np.zeros((len(x), dim, dim), complex), ~full
-    try:
-        np.linalg.cholesky(rho[full].view(complex).reshape(-1, dim, dim))
-    except np.linalg.LinAlgError:
-        rest[:] = True
+    with np.errstate(invalid="ignore"):   # np.linalg.cholesky's gufunc: NaN where a row fails
+        shifted[full] = ~np.isnan(_umath_linalg.cholesky_lo(
+            rho[full].view(complex).reshape(-1, dim, dim))[:, 0, 0])
+    ker, rest = np.zeros((len(x), dim, dim), complex), ~shifted
     if rest.any():
-        r, k, f = _simplex(x[rest], dim)
-        own = ~(full[rest] & f)               # a flagged row of full support stays x - s I
-        rows = np.flatnonzero(rest)[own]
-        rho[rows], ker[rows], shifted[rows] = r[own], k[own], f[own]
+        rho[rest], ker[rest], shifted[rest] = _simplex(x[rest], dim)
     return rho, ker, shifted
 
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -381,12 +382,28 @@ def _near_shift_rows(rng, dim, margins):
         yield 0.5 * (m + m.conj().T)
 
 
+def _spy_factorization(monkeypatch):
+    # Wraps the stacked factorization _project calls; each call appends the rows
+    # that factor (True) and those that do not.  eigvalsh fails the test.
+    cholesky, factored = tomography._umath_linalg.cholesky_lo, []
+
+    def spied(a, *args, **kwargs):
+        out = cholesky(a, *args, **kwargs)
+        factored.append(~np.isnan(out[:, 0, 0]))
+        return out
+
+    monkeypatch.setattr(tomography, "_umath_linalg", types.SimpleNamespace(cholesky_lo=spied))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("eigvalsh called"))
+    return factored
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_project_shifts_exactly_where_the_lowest_eigenvalue_exceeds_s(dim, monkeypatch):
-    # Flagged rows whose x - s I is positive definite are x - s I; one Cholesky
-    # factorization of the flagged rows decides, and where it fails every row takes
-    # eigh.  With lambda_min - s from 1e-9 to 1e-1 in size, either sign, the shift
-    # must follow the eigenvalues exactly, and no eigvalsh is called.
+    # Flagged rows whose x - s I is positive definite are x - s I; one stacked
+    # Cholesky factorization of the flagged rows decides each row, and the rows
+    # that do not factor take eigh.  With lambda_min - s from 1e-9 to 1e-1 in size,
+    # either sign, the shift must follow the eigenvalues exactly, and no eigvalsh
+    # is called.
     rng = np.random.default_rng(40 + dim)
     margins = np.exp(rng.uniform(np.log(1e-9), np.log(1e-1), size=24))
     margins *= np.where(rng.random(24) < 0.5, -1.0, 1.0)
@@ -398,19 +415,7 @@ def test_project_shifts_exactly_where_the_lowest_eigenvalue_exceeds_s(dim, monke
     shifted = x.copy()
     shifted[:, ::2 * dim + 2] -= s[:, None]
     expected, _ = reference_project(m)
-    cholesky, eigvalsh, factored = np.linalg.cholesky, np.linalg.eigvalsh, []
-
-    def spied(a, *args, **kwargs):
-        try:
-            out = cholesky(a, *args, **kwargs)
-        except np.linalg.LinAlgError:
-            factored.append(False)
-            raise
-        factored.append(True)
-        return out
-
-    monkeypatch.setattr(np.linalg, "cholesky", spied)
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("eigvalsh called"))
+    factored = _spy_factorization(monkeypatch)
     stacks = {"mixed": np.arange(len(x)), "above": np.flatnonzero(above)}
     flags = {"flagged": np.ones(len(x), bool), "some": rng.random(len(x)) < 0.5}
     for (sname, rows), (fname, full) in itertools.product(stacks.items(), flags.items()):
@@ -424,7 +429,41 @@ def test_project_shifts_exactly_where_the_lowest_eigenvalue_exceeds_s(dim, monke
         for i, row in enumerate(rows):        # each row alone, bit for bit
             alone = tomography._project(x[row:row + 1], dim, full[row:row + 1])
             assert all(a[0].tobytes() == b[i].tobytes() for a, b in zip(alone, (rho, ker, kept)))
-    assert True in factored and False in factored
+    assert any(f.all() for f in factored) and any(not f.all() for f in factored)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_project_decides_each_row_alone_within_rounding_of_the_shift(dim, monkeypatch):
+    # Where lambda_min - s is within rounding of 0 the factorization and eigh may
+    # disagree, so a row's decision must still be its own: in a stack that also
+    # holds a row which fails to factor, every row gives its bytes alone, and a
+    # row whose x - s I np.linalg.cholesky factors alone is x - s I.
+    rng = np.random.default_rng(60 + dim)
+    margins = np.exp(rng.uniform(np.log(1e-17), np.log(1e-15), size=48))
+    margins = np.concatenate([margins * np.where(rng.random(48) < 0.5, -1.0, 1.0), [-0.1]])
+    m = np.array(list(_near_shift_rows(rng, dim, margins)))
+    x = m.reshape(len(m), -1).view(float)
+    s = (x[:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim
+    shifted = x.copy()
+    shifted[:, ::2 * dim + 2] -= s[:, None]
+    factors = []
+    for a in shifted.view(complex).reshape(-1, dim, dim):
+        try:
+            np.linalg.cholesky(a)
+            factors.append(True)
+        except np.linalg.LinAlgError:
+            factors.append(False)
+    assert True in factors and not factors[-1]
+    spied = _spy_factorization(monkeypatch)
+    for full in (np.ones(len(x), bool), rng.random(len(x)) < 0.5):
+        full[-1] = True
+        out = tomography._project(x, dim, full)
+        assert not spied[-1].all()
+        for i in range(len(x)):
+            alone = tomography._project(x[i:i + 1], dim, full[i:i + 1])
+            assert all(a[0].tobytes() == b[i].tobytes() for a, b in zip(alone, out))
+        shift = full & np.array(factors)
+        assert out[2][shift].all() and out[0][shift].tobytes() == shifted[shift].tobytes()
 
 
 def test_mle_starts_at_projected_linear_inversion():
