@@ -436,8 +436,9 @@ def test_project_shifts_exactly_where_the_lowest_eigenvalue_exceeds_s(dim, monke
 def test_project_decides_each_row_alone_within_rounding_of_the_shift(dim, monkeypatch):
     # Where lambda_min - s is within rounding of 0 the factorization and eigh may
     # disagree, so a row's decision must still be its own: in a stack that also
-    # holds a row which fails to factor, every row gives its bytes alone, and a
-    # row whose x - s I np.linalg.cholesky factors alone is x - s I.
+    # holds a row which fails to factor, every row gives its bytes alone, the
+    # stacked factorization fails exactly the rows np.linalg.cholesky rejects
+    # alone, and a flagged row that factors is x - s I.
     rng = np.random.default_rng(60 + dim)
     margins = np.exp(rng.uniform(np.log(1e-17), np.log(1e-15), size=48))
     margins = np.concatenate([margins * np.where(rng.random(48) < 0.5, -1.0, 1.0), [-0.1]])
@@ -458,7 +459,7 @@ def test_project_decides_each_row_alone_within_rounding_of_the_shift(dim, monkey
     for full in (np.ones(len(x), bool), rng.random(len(x)) < 0.5):
         full[-1] = True
         out = tomography._project(x, dim, full)
-        assert not spied[-1].all()
+        assert np.array_equal(spied[-1], np.array(factors)[full])
         for i in range(len(x)):
             alone = tomography._project(x[i:i + 1], dim, full[i:i + 1])
             assert all(a[0].tobytes() == b[i].tobytes() for a, b in zip(alone, out))
