@@ -47,14 +47,6 @@ class PureState:
             raise ValueError("cannot normalize a zero state vector")
         object.__setattr__(self, "amplitudes", _frozen(vec / norm))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def n_qubits(self) -> int:
-        return _num_qubits(self.dim)
-
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
         return DensityMatrix(np.outer(v, v.conj()))

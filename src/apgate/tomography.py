@@ -6,8 +6,8 @@ is the one route from density matrices to Born weights: a stack of states is sam
 with one product (``simulate_batch``).  Count tables travel as one float stack
 (B x settings x 2^n) checked by ``_counts`` alone (a ``CountsTable`` is a stack of one)
 and feed linear inversion, one stacked product with the map's least-squares inverse.
-``mle_batch``, the batched maximum-likelihood core, starts its fits there, seeds each
-first line search at its curvature step, projects a full-rank fit's trials by a trace
+``mle_batch``, the batched maximum-likelihood core, starts its fits there, starts each
+first backtracking search at its Cauchy step, projects a full-rank fit's trials by a trace
 shift where a Cholesky factorization finds no weight clips, and iterates each fit until
 a Lagrange-dual bound on its null space certifies it within MLE_TOL nats of the maximum,
 the bound's eigenvalue term taken only where its eigen-free term could certify; row-wise
@@ -91,10 +91,6 @@ class CountsTable:
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "counts", _frozen(_counts(self.settings, [self.counts])[0]))
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return _frequencies(self.counts)
 
 
 def _counts(settings: Sequence[MeasurementSetting], counts) -> np.ndarray:
@@ -247,12 +243,10 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     projection onto density matrices, flagged (``full``) for its trace shift (decided by
     ``_project``'s Cholesky factorization, without eigenvalues) while the fit's state has
     full rank; t halves until f obeys its quadratic upper bound around sigma, then grows
-    by 1.1.  Pass 0 (``seeded``) starts at t = min(1, 2^ceil(log2 t_c))
-    >= 2^-63, t_c = ||G||^2 / sum_i f_i (tr(Pi_i G)/p_i)^2 the Cauchy step along R's
-    traceless part G (t = 1 where t_c is not finite and positive): failures halve, a passing
-    start below 1 doubles while the double passes.  Where the test is monotone along the
-    chain, this and halving from 1 both accept the largest passing power of two <= 1, so
-    the seed saves projections and moves no bit.
+    by 1.1.  Pass 0 starts at t = min(1, 2^ceil(log2 t_c)) >= 2^-63, t_c = ||G||^2 /
+    sum_i f_i (tr(Pi_i G)/p_i)^2 the Cauchy step along R's traceless part G (t = 1 where
+    t_c is not finite and positive), and halves like any pass: it accepts the first passing
+    power of two <= that start, most fits at the first or second trial.
     Likelihood changes are summed from the step's own probabilities, so gains below the
     rounding of l still count; the history records each accepted step's signed change.
     Momentum restarts (sigma <- rho, theta <- 1) when a step would lower the likelihood
@@ -323,21 +317,6 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         return c, ck, cf, (gain(d, ps[rows], n[rows]) / total[rows]
                        >= _dot(grad[rows] - 0.5 * d / t[:, None], d))
 
-    def seeded():                             # pass 0's search (docstring): trial's fields, step
-        tr = grad[:, ::2 * dim + 2].sum(axis=1)                 # G = grad - (tr / d) I
-        curv = _dot(freq, ((probs(grad) - tr[:, None] / dim) / ps) ** 2)    # tr Pi_i = 1
-        tc = (_dot(grad, grad) - tr ** 2 / dim) / np.where(curv > 0.0, curv, np.inf)
-        t0 = np.where(tc > 0.0, np.exp2(np.ceil(np.log2(np.clip(tc, 2.0 ** -63, 1.0)))), 1.0)
-        cand, cker, cfull, step = x.copy(), ker.copy(), full.copy(), np.full(len(x), 2.0 ** -64)
-        rows, t = np.arange(len(x)), t0
-        while rows.size:                      # passes from t0 up double below 1,
-            c, ck, cf, ok = trial(rows, t)    # failures from t0 down halve to 2^-63
-            cand[rows[ok]], cker[rows[ok]], cfull[rows[ok]], step[rows[ok]] = (
-                c[ok], ck[ok], cf[ok], 1.1 * t[ok])
-            go = np.where(ok, (t >= t0[rows]) & (t < 1.0), (t <= t0[rows]) & (t > 2.0 ** -63))
-            rows, t = rows[go], (np.where(ok, 2.0, 0.5) * t)[go]
-        return cand, cker, cfull, step
-
     def moved_to(new, old):                   # per fit, new where it moved; no copy if all did
         return new if every else np.where(moved.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
 
@@ -358,17 +337,19 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
                 break
         ps = np.maximum(probs(sigma), PROB_FLOOR)
         grad = adjoint(freq / ps)
-        if it == 0:
-            cand, cker, cfull, step = seeded()
-        else:
-            cand, cker, cfull, rows = x.copy(), ker.copy(), full.copy(), slice(None)
-            for _ in range(64):                   # backtracking: every row, then those that failed
-                t = step[rows]
-                cand[rows], cker[rows], cfull[rows], ok = trial(rows, t)
-                step[rows], rows = np.where(ok, 1.1 * t, 0.5 * t), np.arange(len(x))[rows][~ok]
-                if not rows.size:
-                    break
-            cand[rows], cker[rows], cfull[rows] = x[rows], ker[rows], full[rows]     # stay
+        if it == 0:                               # pass 0 starts at the Cauchy step (docstring)
+            tr = grad[:, ::2 * dim + 2].sum(axis=1)                 # G = grad - (tr / d) I
+            curv = _dot(freq, ((probs(grad) - tr[:, None] / dim) / ps) ** 2)    # tr Pi_i = 1
+            tc = (_dot(grad, grad) - tr ** 2 / dim) / np.where(curv > 0.0, curv, np.inf)
+            step = np.where(tc > 0.0, np.exp2(np.ceil(np.log2(np.clip(tc, 2.0 ** -63, 1.0)))), 1.0)
+        cand, cker, cfull, rows = x.copy(), ker.copy(), full.copy(), slice(None)
+        for _ in range(64):                       # backtracking: every row, then those that failed
+            t = step[rows]
+            cand[rows], cker[rows], cfull[rows], ok = trial(rows, t)
+            step[rows], rows = np.where(ok, 1.1 * t, 0.5 * t), np.arange(len(x))[rows][~ok]
+            if not rows.size:
+                break
+        cand[rows], cker[rows], cfull[rows] = x[rows], ker[rows], full[rows]     # stay
         rise = gain(cand - x, px, n)
         moved = (rise >= 0.0) | (theta == 1.0)
         th, every = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2)), moved.all()

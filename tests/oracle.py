@@ -17,8 +17,10 @@ histogram sampler replaced; the two agree in distribution, not in bits.
 ``reference_mle`` maximizes a table's likelihood by another algorithm than
 ``tomography.mle_batch``, from another start, with its own certificate, so
 that the fit's certified gap can be checked against it.
-``reference_first_step`` is one table's first pass of ``mle_batch`` as the
-search first ran it, halving t from 1, so the seeded search's bits can be checked.
+``reference_first_step`` is one table's first pass of ``mle_batch`` by halving t
+from a given start, and ``reference_cauchy_step`` that start, the power of two at or
+above the table's Cauchy step summed setting by setting from ``born_probabilities``
+and the settings' projectors, so pass 0's bits can be checked.
 ``reference_project`` is the Frobenius projection onto density matrices one
 matrix at a time, its simplex shift found by bisection, so ``_project``'s
 sorted-sum shift and its trace-shift path can be checked against it.
@@ -255,7 +257,7 @@ def reference_linear_inversion(table: CountsTable) -> np.ndarray:
         raise ValueError("settings do not form a tomographically complete set")
     # signs[q, o] = +-1 for qubit q in outcome o (bit 0 -> +1).
     signs = 1.0 - 2.0 * ((np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
-    freqs = table.frequencies
+    freqs = tomography._frequencies(table.counts)
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for pauli in itertools.product("IXYZ", repeat=n):
         sign = functools.reduce(np.multiply, [signs[q] for q, p in enumerate(pauli)
@@ -356,16 +358,41 @@ def reference_mle(settings, counts, tol: float = 0.01):
     raise RuntimeError("reference maximizer did not reach its bound")
 
 
-def reference_first_step(settings, counts):
+def reference_cauchy_step(settings, counts) -> float:
+    """One table's pass-0 start t0 = min(1, 2^ceil(log2 t_c)) >= 2^-63 at its projected
+    linear inversion x0 (t0 = 1 where t_c is not finite and positive).  With f_i the
+    table's frequencies over its total and p_i = tr(Pi_i x0) floored at PROB_FLOOR,
+    t_c = ||G||^2 / sum_i f_i (tr(Pi_i G)/p_i)^2 minimizes the quadratic model of
+    -sum_i f_i log p_i along G, the traceless part of R = sum_i (f_i/p_i) Pi_i.
+    """
+    c = tomography._counts(settings, [counts])
+    dim = c.shape[2]
+    x0, _, _ = tomography._project(
+        tomography.linear_inversions(settings, c).reshape(1, -1).view(float), dim)
+    rho = DensityMatrix(x0.view(complex).reshape(dim, dim))
+    f, projs = c[0] / c.sum(), [s.projectors() for s in settings]
+    p = [np.maximum(born_probabilities(rho, s), tomography.PROB_FLOOR) for s in settings]
+    r = sum(np.einsum("o,oij->ij", fs / ps, pr) for fs, ps, pr in zip(f, p, projs))
+    g = r - np.trace(r).real / dim * np.eye(dim)
+    curv = sum(float(fs @ (np.einsum("oij,ji->o", pr, g).real / ps) ** 2)
+               for fs, ps, pr in zip(f, p, projs))
+    tc = float(np.sum(np.abs(g) ** 2)) / curv if curv > 0.0 else math.inf
+    if not 0.0 < tc < math.inf:
+        return 1.0
+    return 2.0 ** min(0, math.ceil(math.log2(max(tc, 2.0 ** -63))))
+
+
+def reference_first_step(settings, counts, start: float = 1.0):
     """``(x, ll_history, t)``: one table's first projected-gradient step from its
-    projected linear inversion x0, by t = 1, 1/2, ... down to 2^-63 until
-    l/N obeys its quadratic upper bound around x0, as ``mle_batch`` ran before its
-    first step was seeded; x (real rows of (re, im) pairs) is x0 where no t passes.
+    projected linear inversion x0, by t = start, start/2, ... (64 trials) until
+    l/N obeys its quadratic upper bound around x0; x (real rows of (re, im) pairs)
+    is x0 where no t passes.  ``start=1`` is the search ``mle_batch`` first ran, and
+    ``reference_cauchy_step`` the start of its pass 0.
 
     It uses the package's ``_project``, its trials flagged by the start's full rank
     as ``mle_batch`` flags them, and the bound's test, written as the batch of one it
-    is (stacked (1, k) @ (k, m) products), so it matches ``mle_batch(..., 1)`` bit for
-    bit on a table not certified at its start.
+    is (stacked (1, k) @ (k, m) products), so from ``reference_cauchy_step``'s start
+    it matches ``mle_batch(..., 1)`` bit for bit on a table not certified at its start.
     """
     c = tomography._counts(settings, [counts])
     to_op, dim = _born_map(tuple(s.name for s in settings)), c.shape[2]
@@ -384,7 +411,7 @@ def reference_first_step(settings, counts):
     ll = dot(n, np.log(p))
     grad = ((n / total[:, None] / p)[:, None, :] @ to_op)[:, 0, :]
     for k in range(64):
-        t = 0.5 ** k
+        t = start * 0.5 ** k
         cand, _, _ = tomography._project(x + t * grad, dim, full)
         d = cand - x
         gain = dot(n, np.log1p(np.maximum(probs(d), tomography.PROB_FLOOR - p) / p))

@@ -688,4 +688,4 @@ def test_targets_are_normalized_and_orthogonal():
                - 1) < 1e-12
     assert abs(np.vdot(phi_plus_photons().amplitudes,
                        phi_minus_photons().amplitudes)) < 1e-12
-    assert ghz_target().n_qubits == 3
+    assert ghz_target().amplitudes.size == 8
