@@ -18,9 +18,9 @@ histogram sampler replaced; the two agree in distribution, not in bits.
 ``tomography.mle_batch``, from another start, with its own certificate, so
 that the fit's certified gap can be checked against it.
 ``reference_first_step`` is one table's first pass of ``mle_batch`` by halving t
-from a given start, and ``reference_cauchy_step`` that start, the power of two at or
-above the table's Cauchy step summed setting by setting from ``born_probabilities``
-and the settings' projectors, so pass 0's bits can be checked.
+from a given start, and ``reference_cauchy_step`` pass 0's start, the least power of
+two at or above the table's Cauchy step (at most 1), summed setting by setting from
+``born_probabilities`` and the settings' projectors, so pass 0's bits can be checked.
 ``reference_project`` is the Frobenius projection onto density matrices one
 matrix at a time, its simplex shift found by bisection, so ``_project``'s
 sorted-sum shift and its trace-shift path can be checked against it.

@@ -759,12 +759,12 @@ def test_first_pass_projects_about_two_states_per_fit(source, monkeypatch):
     # Pass 0 starts each fit's line search at its curvature (Cauchy) step t0, so it
     # projects about two trial states per fit: the one that fails at t0 and the half
     # that passes, or the one that passes at t0.  Halving from 1 projected 3.81 per fit
-    # in this paper-profile batch (385 rows; none of its fits accepts t = 1), and a
-    # search that also doubled a passing t0 took 203.  Here it takes 202: one fit
-    # passes at t0, and one, whose Cauchy step 0.255 lies just above 1/4, fails at 1/2
-    # and 1/4.  The ideal-profile fits accept t = 1 from t_c >= 1: one trial each, as
-    # before.  Most pure-state fits (source: a shot count of _pure_tables) pass at t0:
-    # 1.23 to 1.40 per fit, where doubling a passing t0 took 2.25 to 2.53.
+    # in this paper-profile batch (385 rows; none of its fits accepts t = 1).  Here it
+    # takes 202: one fit passes at t0, and one, whose Cauchy step 0.255 lies just above
+    # 1/4, fails at 1/2 and 1/4.  The ideal-profile fits accept t = 1 from t_c >= 1: one
+    # trial each.  Most pure-state fits (source: a shot count of _pure_tables) pass at
+    # t0: 1.23 to 1.40 per fit, where a search that doubles a passing t0 while the
+    # double passes takes 2.25 to 2.53, so 1.5 tells the two apart.
     settings = all_settings(2)
     if isinstance(source, int):
         batch = _pure_tables()[source]
