@@ -6,11 +6,11 @@ is the one route from density matrices to Born weights: a stack of states is sam
 with one product (``simulate_batch``).  Count tables travel as one float stack
 (B x settings x 2^n) checked by ``_counts`` alone (a ``CountsTable`` is a stack of one)
 and feed linear inversion, one stacked product with the map's least-squares inverse.
-``mle_batch``, the batched maximum-likelihood core, starts its fits there, starts each
-first backtracking search at its Cauchy step, projects a full-rank fit's trials by a trace
-shift where a Cholesky factorization finds no weight clips, and iterates each fit until
-a Lagrange-dual bound on its null space certifies it within MLE_TOL nats of the maximum,
-the bound's eigenvalue term taken only where its eigen-free term could certify; row-wise
+``mle_batch``, the batched maximum-likelihood core, starts its fits there and its first
+searches at their Cauchy steps, projects a start or a full-rank trial by a trace shift where
+a Cholesky factorization finds no weight clips, and iterates each fit until a Lagrange-dual
+bound on its null space certifies it within MLE_TOL nats of the maximum, the bound's
+eigenvalue term bounded by a matrix norm at full rank and solved only where needed; row-wise
 arithmetic keeps each fit the same bit for bit in any batch.  Monte-Carlo tables and their
 bootstrap replicas share one batch, the replicas' fidelities one product (``fit_with_errors``).
 """
@@ -165,10 +165,13 @@ def linear_inversion(table: CountsTable) -> np.ndarray:
 
 
 def linear_inversions(settings: Sequence[MeasurementSetting], counts) -> np.ndarray:
-    """``linear_inversion`` of B count tables (B x settings x 2^n) at once: one
-    stacked (1, k) @ (k, m) product, so each is its own table's bit for bit."""
-    c = _counts(settings, counts)
-    rho = _frequencies(c).reshape(len(c), 1, -1) @ _inversion_map(tuple(s.name for s in settings))
+    """``linear_inversion`` of B count tables (B x settings x 2^n), each its own bit for bit."""
+    return _inverted(_counts(settings, counts), _inversion_map(tuple(s.name for s in settings)))
+
+
+def _inverted(c: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Inversions of the checked stack ``c``: one stacked (1, k) @ (k, m) product with ``duals``."""
+    rho = _frequencies(c).reshape(len(c), 1, -1) @ duals
     rho = rho.view(complex).reshape(len(c), c.shape[2], -1)
     return 0.5 * (rho + rho.conj().swapaxes(1, 2))
 
@@ -205,15 +208,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _project(x: np.ndarray, dim: int, full=None) -> tuple:
     """Nearest density matrices (Frobenius norm) to the Hermitian rows ``x``, their null
     spaces (B x d x d) and which have full rank.  A row flagged in ``full`` whose x - s I,
-    s = (tr x - 1)/d, has a Cholesky factor (one stacked call, decided row by row) is
-    x - s I; others take ``_simplex``."""
+    s = (tr x - 1)/d, has a Cholesky factor (one stacked call, decided row by row) is x - s I;
+    others take ``_simplex``, all rows at once where none factors."""
     if full is None or not full.any():
         return _simplex(x, dim)
-    rho, shifted = x.copy(), full.copy()
-    rho[full, ::2 * dim + 2] -= ((x[full][:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim)[:, None]
+    rho, shifted, rows = x.copy(), full.copy(), slice(None) if full.all() else full
+    rho[rows, ::2 * dim + 2] -= ((x[rows][:, ::2 * dim + 2].sum(axis=1) - 1.0) / dim)[:, None]
     with np.errstate(invalid="ignore"):   # np.linalg.cholesky's gufunc: NaN where a row fails
-        shifted[full] = ~np.isnan(_umath_linalg.cholesky_lo(
-            rho[full].view(complex).reshape(-1, dim, dim))[:, 0, 0])
+        shifted[rows] = ~np.isnan(_umath_linalg.cholesky_lo(
+            rho[rows].view(complex).reshape(-1, dim, dim))[:, 0, 0])
+    if not shifted.any():
+        return _simplex(x, dim)
     ker, rest = np.zeros((len(x), dim, dim), complex), ~shifted
     if rest.any():
         rho[rest], ker[rest], shifted[rest] = _simplex(x[rest], dim)
@@ -238,15 +243,15 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
 
     Accelerated projected gradient (Shang, Zhang, Ng, PRA 95, 062336 (2017)) on
     f = -sum_i (n_i/N) log p_i, whose gradient is -R, R = sum_i y_i Pi_i, y_i = (n_i/N)/p_i.
-    From its table's projected linear inversion (Smolin, Gambetta, Smith, PRL 108, 070502
-    (2012)), each fit steps from the momentum point sigma to P(sigma + t R(sigma)), P the
-    projection onto density matrices, flagged (``full``) for its trace shift (decided by
-    ``_project``'s Cholesky factorization, without eigenvalues) while the fit's state has
-    full rank; t halves until f obeys its quadratic upper bound around sigma, then grows
-    by 1.1.  Pass 0 starts at t = min(1, 2^ceil(log2 t_c)) >= 2^-63, t_c = ||G||^2 /
-    sum_i f_i (tr(Pi_i G)/p_i)^2 the Cauchy step along R's traceless part G (t = 1 where
-    t_c is not finite and positive), and halves like any pass: it accepts the first passing
-    power of two <= that start, most fits at the first or second trial.
+    Each fit starts at its table's linear inversion projected onto density matrices (Smolin,
+    Gambetta, Smith, PRL 108, 070502 (2012)), flagged for ``_project``'s trace shift: a
+    positive-definite start takes no eigenvalues.  It steps from the momentum point sigma to
+    P(sigma + t R(sigma)), P that projection, flagged (``full``) while its state has full
+    rank; t halves until f obeys its quadratic upper bound around sigma, then grows by 1.1.
+    Pass 0 starts at t = min(1, 2^ceil(log2 t_c)) >= 2^-63, t_c = ||G||^2 / sum_i f_i
+    (tr(Pi_i G)/p_i)^2 the Cauchy step along R's traceless part G (t = 1 where t_c is not
+    finite and positive), and halves like any pass: it accepts the first passing power of
+    two <= that start, most fits at the first or second trial.
     Likelihood changes are summed from the step's own probabilities, so gains below the
     rounding of l still count; the history records each accepted step's signed change.
     Momentum restarts (sigma <- rho, theta <- 1) when a step would lower the likelihood
@@ -266,16 +271,16 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     with n_i > 0, an observed p_i sits at PROB_FLOOR or the dual value is not finite,
     the certificate is instead the Frank-Wolfe gap N (lambda_max(R) - 1) (Glancy, Knill,
     Girard, NJP 14, 095017 (2012)), its eigenvalues taken for those fits only.
-    Two stages: the eigen-free log1p term T1 for every fit, N log s (a product and an
-    ``eigvalsh``) only where T1 <= MLE_TOL or the gaps are reported (the pass before the
-    cap; the start if max_iter <= 0): as N log s >= 0 and fl(a - b) >= -b, no other fit
-    can certify, and every reported gap is the whole bound, so no result moves a bit.
-    A fit certified at MLE_TOL = 0.1 nats (the one-sigma likelihood scale is 0.5) leaves
-    the batch: only live fits iterate, compacted in every per-fit array.  All per-fit
-    arithmetic is row-wise or stacked (1, k) @ (k, m) products, the starts and the fitted
-    states' checks (one stack each) included, so a fit's result does not depend, bit for
-    bit, on its batch or on the row it moves to; a fit that did not move recomputes its
-    own p(x) and gap.  The momentum update selects nothing where every fit moved.
+    Two stages: the eigen-free log1p term T1 for every fit, N log s only where T1 <= MLE_TOL
+    or the gaps are reported (the pass before the cap; the start if max_iter <= 0), as
+    N log s >= 0 and fl(a - b) >= -b.  At full rank s is first ||A||_inf = max_j sum_k |A_jk|
+    >= lambda_max(A), A = sum_i y'_i Pi_i (rounded to about d eps: 1e-10 nats at N = 1e5, like
+    ``eigvalsh``); ``eigvalsh`` takes other rows and those it cannot certify: no result moves.
+    A fit certified at MLE_TOL = 0.1 nats (the one-sigma likelihood scale is 0.5) leaves the
+    batch: only live fits iterate, compacted in every per-fit array.  All per-fit arithmetic
+    is row-wise or stacked (1, k) @ (k, m) products, the starts and the fitted states' checks
+    (one stack each) included, so a fit's result does not depend, bit for bit, on its batch or
+    on the row it moves to; a fit that did not move recomputes its own p(x) and gap.
     """
     # Matrices travel as real rows of (re, im) pairs: p = rows @ to_op.T, R = y @ to_op.
     c, names = _counts(settings, counts), tuple(s.name for s in settings)
@@ -298,10 +303,13 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
         ok = (~obs | ((ratio < 1.0) & (p > PROB_FLOOR))).all(axis=1)
         dual = -_dot(n, np.log1p(-np.where(ok[:, None], ratio, 0.0)))     # first term
         solve = ok & ((dual <= MLE_TOL) | report)    # N log s >= 0: no other row can certify
-        if solve.any():
-            y_dual = adjoint(np.where(obs, y - delta, np.maximum(-delta, 0.0))[solve])
-            s = np.linalg.eigvalsh(y_dual.view(complex).reshape(-1, dim, dim))[:, -1]
-            dual[solve] += total[solve] * np.log(np.maximum(s, 1.0))
+        if solve.any():                           # A = sum_i y'_i Pi_i; ||A||_inf >= lambda_max
+            a = adjoint(np.where(obs, y - delta, np.maximum(-delta, 0.0))[solve]).view(complex)
+            a, tot = a.reshape(-1, dim, dim), total[solve]
+            term = tot * np.log(np.maximum(np.abs(a).sum(axis=2).max(axis=1), 1.0))
+            if (eig := ~full[solve] | (dual[solve] + term > MLE_TOL)).any():
+                term[eig] = tot[eig] * np.log(np.maximum(np.linalg.eigvalsh(a[eig])[:, -1], 1.0))
+            dual[solve] += term
         fw = ~(ok & np.isfinite(dual))                # Frank-Wolfe gap where the dual fails
         if fw.any():
             dual[fw] = total[fw] * np.linalg.eigvalsh(rm[fw])[:, -1]
@@ -320,7 +328,7 @@ def mle_batch(settings: Sequence[MeasurementSetting], counts,
     def moved_to(new, old):                   # per fit, new where it moved; no copy if all did
         return new if every else np.where(moved.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
 
-    x, ker, full = _project(linear_inversions(settings, c).reshape(len(n), -1).view(float), dim)
+    x, ker, full = _project(_inverted(c, duals).reshape(len(n), -1).view(float), dim, fits >= 0)
     px = np.maximum(probs(x), PROB_FLOOR)     # p(x), and p(sigma), floored as every use reads them
     ll = _dot(n, np.log(px))
     gaps = gap(px, ker, full, max_iter <= 0)        # reported as they are when max_iter <= 0

@@ -367,8 +367,8 @@ def reference_cauchy_step(settings, counts) -> float:
     """
     c = tomography._counts(settings, [counts])
     dim = c.shape[2]
-    x0, _, _ = tomography._project(
-        tomography.linear_inversions(settings, c).reshape(1, -1).view(float), dim)
+    lin = tomography.linear_inversions(settings, c).reshape(1, -1).view(float)
+    x0, _, _ = tomography._project(lin, dim, np.ones(1, bool))    # as mle_batch flags it
     rho = DensityMatrix(x0.view(complex).reshape(dim, dim))
     f, projs = c[0] / c.sum(), [s.projectors() for s in settings]
     p = [np.maximum(born_probabilities(rho, s), tomography.PROB_FLOOR) for s in settings]
@@ -389,10 +389,11 @@ def reference_first_step(settings, counts, start: float = 1.0):
     is x0 where no t passes.  ``start=1`` is the search ``mle_batch`` first ran, and
     ``reference_cauchy_step`` the start of its pass 0.
 
-    It uses the package's ``_project``, its trials flagged by the start's full rank
-    as ``mle_batch`` flags them, and the bound's test, written as the batch of one it
-    is (stacked (1, k) @ (k, m) products), so from ``reference_cauchy_step``'s start
-    it matches ``mle_batch(..., 1)`` bit for bit on a table not certified at its start.
+    It uses the package's ``_project``, flagged as ``mle_batch`` flags it (the start
+    for its trace shift, the trials by the start's full rank), and the bound's test,
+    written as the batch of one it is (stacked (1, k) @ (k, m) products), so from
+    ``reference_cauchy_step``'s start it matches ``mle_batch(..., 1)`` bit for bit on
+    a table not certified at its start.
     """
     c = tomography._counts(settings, [counts])
     to_op, dim = _born_map(tuple(s.name for s in settings)), c.shape[2]
@@ -405,8 +406,8 @@ def reference_first_step(settings, counts, start: float = 1.0):
     def probs(m):
         return (m[:, None, :] @ to_op.T)[:, 0, :]
 
-    x, _, full = tomography._project(
-        tomography.linear_inversions(settings, c).reshape(1, -1).view(float), dim)
+    lin = tomography.linear_inversions(settings, c).reshape(1, -1).view(float)
+    x, _, full = tomography._project(lin, dim, np.ones(1, bool))    # as mle_batch flags it
     p = np.maximum(probs(x), tomography.PROB_FLOOR)
     ll = dot(n, np.log(p))
     grad = ((n / total[:, None] / p)[:, None, :] @ to_op)[:, 0, :]
