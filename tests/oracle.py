@@ -17,6 +17,9 @@ histogram sampler replaced; the two agree in distribution, not in bits.
 ``reference_mle`` maximizes a table's likelihood by another algorithm than
 ``tomography.mle_batch``, from another start, with its own certificate, so
 that the fit's certified gap can be checked against it.
+``reference_certificate`` rebuilds ``mle_batch``'s certificate at a full-rank fitted
+state with eigenvalues (the dual point by the projectors' pseudo-inverse), so the gap
+that bounds its eigenvalue term by a matrix norm can be checked against it.
 ``reference_first_step`` is one table's first pass of ``mle_batch`` by halving t
 from a given start, and ``reference_cauchy_step`` pass 0's start, the least power of
 two at or above the table's Cauchy step (at most 1), summed setting by setting from
@@ -356,6 +359,37 @@ def reference_mle(settings, counts, tol: float = 0.01):
         else:
             eps /= 2.0
     raise RuntimeError("reference maximizer did not reach its bound")
+
+
+def reference_certificate(settings, counts, rho: np.ndarray) -> tuple:
+    """``(bound, clipped)``: ``mle_batch``'s Lagrange-dual bound on l_max - l(rho) for one
+    table at a positive-definite state ``rho`` (its null-space projector K is 0), rebuilt
+    with eigenvalues, and how many zero-count outcomes its dual point clips.
+
+    With p_i = tr(Pi_i rho) from ``born_probabilities`` (floored at PROB_FLOOR), y_i =
+    (n_i/N)/p_i and R = sum_i y_i Pi_i, delta solves sum_i delta_i Pi_i = R - I by the
+    projectors' pseudo-inverse (the least-norm solution, as the ``_inversion_map`` duals
+    give it); y' = y - delta where n_i > 0 and max(-delta_i, 0) where n_i = 0 (clipped
+    where delta_i > 0), and the bound is -sum_{n_i>0} n_i log1p(-delta_i/y_i) +
+    N log max(1, lambda_max(sum_i y'_i Pi_i)), the eigenvalue by ``eigvalsh``.
+    """
+    projs = np.concatenate([s.projectors() for s in settings])
+    dim = projs.shape[1]
+    flat = projs.reshape(len(projs), -1)
+    solve = np.linalg.pinv(np.concatenate([flat.real, flat.imag], axis=1).T)
+    n = np.asarray(counts, dtype=float).reshape(-1)
+    obs, total = n > 0, n.sum()
+    state = DensityMatrix(rho)
+    assert np.linalg.eigvalsh(state.entries)[0] > 0.0, "the bound is rebuilt at full rank"
+    p = np.maximum(np.concatenate([born_probabilities(state, s) for s in settings]),
+                   tomography.PROB_FLOOR)
+    y = n / total / p
+    m = (y @ flat).reshape(dim, dim) - np.eye(dim)
+    delta = solve @ np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)])
+    y_dual = np.where(obs, y - delta, np.maximum(-delta, 0.0))
+    s = np.linalg.eigvalsh((y_dual @ flat).reshape(dim, dim))[-1]
+    bound = -n[obs] @ np.log1p(-delta[obs] / y[obs]) + total * math.log(max(s, 1.0))
+    return float(bound), int(np.sum(~obs & (delta > 0.0)))
 
 
 def reference_cauchy_step(settings, counts) -> float:

@@ -18,8 +18,8 @@ from apgate.tomography import (MLE_TOL, CountsTable, FitError,
                                monte_carlo_errors, simulate_batch,
                                simulate_counts)
 from oracle import (born_probabilities, log_likelihood, reference_cauchy_step,
-                    reference_first_step, reference_linear_inversion, reference_mle,
-                    reference_project)
+                    reference_certificate, reference_first_step, reference_linear_inversion,
+                    reference_mle, reference_project)
 
 BELL = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -469,16 +469,25 @@ def test_project_decides_each_row_alone_within_rounding_of_the_shift(dim, monkey
 
 
 def test_mle_starts_at_projected_linear_inversion():
-    # Every start of a batch is its own table's projected linear inversion.
+    # Every start of a batch is its own table's linear inversion, projected with its row
+    # flagged for the trace shift.  The paper-profile bell table's inversion is positive
+    # definite, so its start is the inversion less its trace shift, not the reconstruction
+    # from its eigendecomposition; the pure-state tables' inversions take _simplex.
     rng = np.random.default_rng(18)
     tables = [simulate_counts(random_pure(rng).density(), all_settings(2), 1000, rng)
-              for _ in range(5)]
+              for _ in range(5)] + [CountsTable(*_reference_tables()["bell"])]
     reports = mle_batch(all_settings(2), [t.counts for t in tables], max_iter=0)
     for table, report in zip(tables, reports):
-        start = tomography._project(linear_inversion(table).reshape(1, -1).view(float), 4)[0]
+        inversion = linear_inversion(table).reshape(1, -1).view(float)
+        start, _, full = tomography._project(inversion, 4, np.ones(1, bool))
         expected = DensityMatrix(start.view(complex).reshape(4, 4)).entries
         assert np.array_equal(report.rho.entries, expected)
         assert report.iterations == 0 and len(report.ll_history) == 1
+        assert full[0] == (table is tables[-1])
+        if full[0]:
+            shift = (np.trace(linear_inversion(table)).real - 1.0) / 4
+            assert np.array_equal(start.view(complex).reshape(4, 4),
+                                  linear_inversion(table) - shift * np.eye(4))
 
 
 def assert_report_consistent(report):
@@ -719,17 +728,25 @@ def test_mle_falls_back_to_the_frank_wolfe_gap():
     assert not report.converged and mle_batch(settings, [counts])[0].converged
 
 
-def test_certificate_solves_only_where_it_can_certify(monkeypatch):
+@pytest.mark.parametrize("source", ["bell", 10_000])
+def test_certificate_solves_only_where_it_can_certify(source, monkeypatch):
     # The bound's eigenvalue term N log s is never negative, so it is solved
-    # only for fits whose eigen-free first term is within MLE_TOL: once per fit,
-    # in the pass that certifies it.  Solving it for every live fit in every pass
-    # took 706 rows in this batch.  The projection decides its trace shift and the
-    # fitted states' check their floor by Cholesky factorization, so every row
-    # counted here is the bound's: 101 rows for 101 fits (202 while both of those
-    # took eigenvalues).
-    settings, counts = _reference_tables()["bell"]
-    replicas = tomography._replicas(tomography._counts(settings, [counts])[0], 100,
-                                    np.random.default_rng(5))
+    # only for fits whose eigen-free first term is within MLE_TOL.  Solving it for
+    # every live fit in every pass took 706 rows in the bell batch.  The projection
+    # decides its trace shift and the fitted states' check their floor by Cholesky
+    # factorization, so every row counted here is the bound's.  The bell fits have
+    # full rank, so the norm ||A||_inf bounds the term and certifies each of them:
+    # 0 rows (101 while every certifying fit took eigvalsh, 202 while the projection
+    # and the check did too).  The pure-state fits (source: a shot count of
+    # _pure_tables) end with a null space, so the term takes eigenvalues there: once
+    # per fit, in the pass that certifies it.
+    settings = all_settings(2)
+    if source == "bell":
+        counts = _reference_tables()["bell"][1]
+        batch = np.concatenate([[counts], tomography._replicas(
+            tomography._counts(settings, [counts])[0], 100, np.random.default_rng(5))])
+    else:
+        batch = _pure_tables()[source]
     eigvalsh, rows = np.linalg.eigvalsh, []
 
     def counted(a, *args, **kwargs):
@@ -739,9 +756,118 @@ def test_certificate_solves_only_where_it_can_certify(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    reports = mle_batch(settings, np.concatenate([[counts], replicas]))
+    reports = mle_batch(settings, batch)
     assert all(r.converged for r in reports)
-    assert sum(rows) <= len(reports), sum(rows)
+    if source == "bell":
+        assert sum(rows) == 0, sum(rows)
+    else:
+        assert 0 < sum(rows) <= len(reports), sum(rows)
+
+
+def _bootstrap_batch(settings, tables, resamples=100):
+    # The tables, then each table's bootstrap replicas, as fit_with_errors batches them.
+    rng = np.random.default_rng(5)
+    observed = tomography._counts(settings, tables)
+    return np.concatenate([observed] + [tomography._replicas(c, resamples, rng) for c in observed])
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_batches():
+    # The paper-profile Monte-Carlo bell table and its eraser tables, each with 100
+    # replicas: every fit has full rank, and no outcome has zero counts.  And 200 tables
+    # of the maximally mixed 2-qubit state at 12 shots per setting, whose zero-count
+    # outcomes the dual point clips in some of the fits that end at full rank.
+    tables, rng = _reference_tables(), np.random.default_rng(5)
+    low_shot = simulate_batch(np.repeat(np.eye(4, dtype=complex)[None] / 4, 200, axis=0),
+                              all_settings(2), 12, [rng] * 200)
+    return {"bell": _bootstrap_batch(all_settings(2), [tables["bell"][1]]),
+            "eraser": _bootstrap_batch(all_settings(2), [tables["eraser-phi-plus"][1],
+                                                         tables["eraser-phi-minus"][1]]),
+            "low-shot": low_shot}
+
+
+@pytest.mark.parametrize("name", ["bell", "eraser", "low-shot"])
+def test_certified_gap_covers_the_eigenvalue_bound(name):
+    # At full rank the certificate's eigenvalue term N log max(1, lambda_max(A)),
+    # A = sum_i y'_i Pi_i, takes ||A||_inf (the largest absolute row sum) in place of
+    # lambda_max where that certifies.  oracle.reference_certificate rebuilds y', A and
+    # the bound with eigvalsh from each certified full-rank fit's final state: the gap
+    # must cover that bound, and equal it where the dual point clips no outcome (A is
+    # then I up to rounding), both within 1e-9 nats of rounding.  A clipped zero-count
+    # outcome adds delta_i Pi_i to A, off its diagonal too: a norm taken as A's largest
+    # diagonal entry undershoots lambda_max there, by up to 0.22 nats in the low-shot
+    # batch, and fails.
+    settings = all_settings(2)
+    batch = _certificate_batches()[name]
+    reports = mle_batch(settings, batch)
+    assert all(r.converged for r in reports)
+    checked, clipped = 0, 0
+    for counts, report in zip(batch, reports, strict=True):
+        if np.linalg.eigvalsh(report.rho.entries)[0] <= 1e-9:    # the oracle needs full rank
+            continue
+        bound, clips = reference_certificate(settings, counts, report.rho.entries)
+        assert report.gap >= bound - 1e-9, (report.gap, bound)
+        assert clips or abs(report.gap - bound) <= 1e-9, (report.gap, bound)
+        checked, clipped = checked + 1, clipped + (clips > 0)
+    if name == "low-shot":
+        assert checked >= 30 and clipped >= 3 and (batch == 0).any(axis=(1, 2)).sum() >= 100
+    else:
+        assert (checked, clipped) == (len(batch), 0)
+
+
+@pytest.mark.parametrize("run", [run_bell, run_eraser])
+def test_full_rank_batches_take_no_eigenvalues(run, monkeypatch):
+    # The default-seed paper-profile Monte-Carlo bell and eraser runs fit their tables
+    # and 100 replicas each in one mle_batch.  Every start is positive definite, so it
+    # keeps its trace shift, and every fit is certified by the norm bound, so the batch
+    # calls neither eigh nor eigvalsh (it took one eigh over its starts and one eigvalsh
+    # in each certifying pass before).
+    core, sizes, inside, calls = tomography.mle_batch, [], [], []
+
+    def fit(settings, counts, *args):
+        sizes.append(len(counts))
+        inside.append(True)
+        try:
+            return core(settings, counts, *args)
+        finally:
+            inside.clear()
+
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, solver=solver, **kw:
+                            (inside and calls.append(name)) or solver(a, *args, **kw))
+    monkeypatch.setattr(tomography, "mle_batch", fit)
+    run(dataclasses.replace(paper_profile(), mode="monte-carlo"))
+    assert sizes == [101 if run is run_bell else 202] and calls == [], calls
+
+
+def test_start_that_no_row_factors_is_simplex_after_one_factorization(monkeypatch):
+    # The ideal-profile Monte-Carlo bell table and its replicas come from a pure state,
+    # so no start's trace shift factors: the start makes one stacked factorization of
+    # all 101 rows, then projects the whole stack by _simplex, bit for bit.
+    settings = all_settings(2)
+    cfg = dataclasses.replace(ideal_profile(), mode="monte-carlo", mc_replicas=2)
+    batch = _bootstrap_batch(settings, [run_bell(cfg).raw_counts["counts"]])
+    inversions = tomography.linear_inversions(settings, batch).reshape(len(batch), -1)
+    expected = tomography._simplex(inversions.view(float), 4)
+    linalg, simplex, factors, projected = tomography._umath_linalg, tomography._simplex, [], []
+
+    def cholesky_lo(a, *args, **kwargs):
+        factors.append(linalg.cholesky_lo(a, *args, **kwargs))
+        return factors[-1]
+
+    def spy(x, dim):
+        projected.append(simplex(x, dim))
+        return projected[-1]
+
+    monkeypatch.setattr(tomography, "_umath_linalg", types.SimpleNamespace(cholesky_lo=cholesky_lo))
+    monkeypatch.setattr(tomography, "_simplex", spy)
+    reports = mle_batch(settings, batch, 0)
+    assert len(factors) == 1 and np.isnan(factors[0][:, 0, 0]).all()
+    assert len(factors[0]) == len(projected[0][0]) == len(batch) and len(projected) == 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(projected[0], expected))
+    starts = DensityMatrix.stack(expected[0].view(complex).reshape(-1, 4, 4))
+    assert all(r.rho.entries.tobytes() == e.entries.tobytes() for r, e in zip(reports, starts))
 
 
 @functools.lru_cache(maxsize=None)
